@@ -109,13 +109,13 @@ def _subsystems(op: ComplexOperator, subs: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def kron(a: ComplexOperator, b: ComplexOperator, *, max_dim: int = MAX_DIM) -> ComplexOperator:
+def kron(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
     """Kronecker product; the factors of ``b`` are appended to those of ``a``.
 
     Row index convention is the standard one: i_a * b.dim + i_b.
     """
-    if a.dim * b.dim > max_dim:
-        raise CapacityError(f"kron dimension {a.dim * b.dim} exceeds the cap {max_dim}")
+    if a.dim * b.dim > MAX_DIM:
+        raise CapacityError(f"kron dimension {a.dim * b.dim} exceeds the cap {MAX_DIM}")
     return ComplexOperator(np.kron(a.matrix, b.matrix), a.shape + b.shape)
 
 
@@ -157,15 +157,15 @@ def partial_trace(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
     return ComplexOperator(np.asarray(tensor).reshape(d, d), tuple(dims))
 
 
-def min_eigenvalue(a: ComplexOperator, *, herm_rtol: float = HERM_RTOL) -> float:
+def min_eigenvalue(a: ComplexOperator) -> float:
     """Smallest eigenvalue of a Hermitian operator.
 
     Raises :class:`DomainError` when the matrix deviates from Hermiticity by
-    more than ``herm_rtol`` relative to its largest entry magnitude.
+    more than :data:`HERM_RTOL` relative to its largest entry magnitude.
     """
     m = a.matrix
     scale = float(np.abs(m).max())
-    if scale > 0.0 and float(np.abs(m - m.conj().T).max()) > herm_rtol * scale:
+    if scale > 0.0 and float(np.abs(m - m.conj().T).max()) > HERM_RTOL * scale:
         raise DomainError("matrix is not Hermitian within tolerance")
     herm = (m + m.conj().T) / 2.0
     return float(np.linalg.eigvalsh(herm)[0])

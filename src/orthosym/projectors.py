@@ -77,10 +77,6 @@ class BipartiteBasis:
     Pi1: ComplexOperator
     Pi2: ComplexOperator
 
-    @property
-    def Pplus(self) -> ComplexOperator:
-        return self.P1
-
     def pi(self, k: int) -> ComplexOperator:
         if k not in (0, 1, 2):
             raise ValueError(f"projector label must be 0, 1 or 2, got {k}")
@@ -153,28 +149,14 @@ def pair_permutation(K: int) -> tuple[int, ...]:
 def permute_subsystems(a: ComplexOperator, dest: Sequence[int]) -> ComplexOperator:
     """Relabel tensor legs so that leg i of ``a`` becomes leg dest[i].
 
-    Implemented as an explicit relabeling of row and column basis indices,
-    applied identically to both sides.
+    The same leg permutation is applied to the row and the column indices.
     """
     n = len(a.shape)
     if sorted(dest) != list(range(n)):
         raise ValueError(f"{dest} is not a permutation of {n} legs")
-    new_shape = [0] * n
-    for i, p in enumerate(dest):
-        new_shape[p] = a.shape[i]
-    rest = np.arange(a.dim)
-    rev_digits = []
-    for s in reversed(a.shape):
-        rest, g = np.divmod(rest, s)
-        rev_digits.append(g)
-    digits = list(reversed(rev_digits))
-    strides = np.ones(n, dtype=np.intp)
-    for p in range(n - 2, -1, -1):
-        strides[p] = strides[p + 1] * new_shape[p + 1]
-    idx = sum(digits[i] * strides[dest[i]] for i in range(n))
-    out = np.empty_like(a.matrix)
-    out[np.ix_(idx, idx)] = a.matrix
-    return ComplexOperator(out, tuple(new_shape))
+    src = [int(i) for i in np.argsort(dest)]
+    tensor = a.matrix.reshape(a.shape + a.shape).transpose(src + [n + i for i in src])
+    return ComplexOperator(tensor.reshape(a.dim, a.dim), tuple(a.shape[i] for i in src))
 
 
 def build_multipartite(d: int, K: int, alpha: Sequence[int]) -> ComplexOperator:
@@ -195,8 +177,6 @@ def build_multipartite(d: int, K: int, alpha: Sequence[int]) -> ComplexOperator:
     op = basis.pi(alpha[0])
     for digit in alpha[1:]:
         op = kron(op, basis.pi(digit))
-    if K == 1:
-        return op
     return permute_subsystems(op, pair_permutation(K))
 
 
@@ -211,7 +191,7 @@ def projector_family(d: int, K: int) -> list[ComplexOperator]:
     return [build_multipartite(d, K, alpha) for alpha in all_multi_indices(K)]
 
 
-def doubled_tensor(ops: Sequence[ComplexOperator], *, max_dim: int = MAX_DIM) -> ComplexOperator:
+def doubled_tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
     """Tensor product of ``ops`` followed by a second copy of the same list.
 
     With K single-factor rotations this builds O1 (x) ... (x) OK (x) O1 (x)
@@ -222,5 +202,5 @@ def doubled_tensor(ops: Sequence[ComplexOperator], *, max_dim: int = MAX_DIM) ->
     seq = list(ops) + list(ops)
     out = seq[0]
     for op in seq[1:]:
-        out = kron(out, op, max_dim=max_dim)
+        out = kron(out, op)
     return out

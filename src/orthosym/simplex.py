@@ -29,11 +29,10 @@ from .dense import (
 )
 from .projectors import (
     all_multi_indices,
-    build_multipartite,
+    bipartite_traces,
+    build_bipartite,
     multi_index_digits,
     multi_index_rank,
-    multipartite_trace,
-    projector_family,
 )
 
 #: Absolute slack allowed on the unit-sum constraint of state coordinates.
@@ -79,7 +78,9 @@ class FidelityVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "FidelityVector":
-        return cls(int(data["d"]), int(data["K"]), np.asarray(data["pi"], dtype=float))
+        if type(data["d"]) is not int or type(data["K"]) is not int:
+            raise ValueError(f"d and K must be JSON integers, got {data['d']!r}, {data['K']!r}")
+        return cls(data["d"], data["K"], np.asarray(data["pi"], dtype=float))
 
 
 def mask_rank(bits: Sequence[int]) -> int:
@@ -306,44 +307,60 @@ def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBoun
     )
 
 
+def _pair_projectors(d: int) -> np.ndarray:
+    """(Pi0, Pi1, Pi2) stacked as one (3, d, d, d, d) tensor with legs (a, b, a', b')."""
+    basis = build_bipartite(d)
+    return np.stack([basis.pi(k).matrix for k in range(3)]).reshape((3,) + (d,) * 4)
+
+
+def _pair_legs(K: int) -> list[int]:
+    """Legs of a grouped-order 2K-party matrix, pair by pair as (A_i, B_i, A'_i, B'_i)."""
+    return [leg for i in range(K) for leg in (i, K + i, 2 * K + i, 3 * K + i)]
+
+
 def twirl_coords(
     rho: ComplexOperator, d: int, K: int, tol: float = PSD_TOL
 ) -> FidelityVector:
     """Project a density matrix onto the invariant simplex.
 
-    Extracts pi_alpha = Tr(rho Pi_alpha) against the full projector family;
-    the result is state-valued and the projection is idempotent with
-    :func:`reconstruct`.  The coordinates are rescaled by their sum so that
-    inputs whose trace is off by up to 1e-10 still yield exact unit-sum
-    output.
+    pi_alpha = Tr(rho Pi_alpha) is contracted one pair at a time, the (A_i, B_i
+    | A'_i, B'_i) legs of rho against the three bipartite projectors.  The
+    result is state-valued, idempotent with :func:`reconstruct`, and rescaled
+    by its sum so that a trace off by up to 1e-10 still yields unit-sum output.
     """
     if rho.dim != d ** (2 * K):
         raise DomainError(f"state dimension {rho.dim} is not {d}^(2*{K})")
+    if rho.dim > MAX_DIM:
+        raise CapacityError(f"dimension {rho.dim} exceeds the cap {MAX_DIM}")
+    if not np.isfinite(rho.matrix).all():
+        raise DomainError("state has non-finite entries")
     if abs(rho.trace() - 1.0) > 1e-10:
         raise DomainError(f"state trace {rho.trace():.12g} is not 1")
     if min_eigenvalue(rho) < -tol:
         raise DomainError("state is not positive semidefinite within tolerance")
-    pi = np.array(
-        [
-            float(np.einsum("ij,ji->", rho.matrix, p.matrix).real)
-            for p in projector_family(d, K)
-        ]
-    )
+    # [k, (a b a' b')] = Pi_k[a' b', a b], the transposed factor of the trace
+    pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
+    x = rho.matrix.reshape((d,) * (4 * K)).transpose(_pair_legs(K)).reshape((d**4,) * K)
+    for _ in range(K):
+        x = np.tensordot(x, pair, axes=([0], [1]))
+    pi = x.real.reshape(-1)
     return FidelityVector(d, K, pi / pi.sum())
 
 
 def reconstruct(f: FidelityVector) -> ComplexOperator:
-    """Dense density matrix sum_alpha pi_alpha * (projector / trace)."""
+    """Dense sum_alpha pi_alpha * (projector / trace): the twirl contraction in reverse."""
     if not f.is_state():
         raise DomainError("reconstruct requires state-valued coordinates")
-    dim = f.d ** (2 * f.K)
+    d, K = f.d, f.K
+    dim = d ** (2 * K)
     if dim > MAX_DIM:
         raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for alpha, weight in zip(all_multi_indices(f.K), f.pi):
-        proj = build_multipartite(f.d, f.K, alpha)
-        out += (weight / multipartite_trace(f.d, alpha)) * proj.matrix
-    return ComplexOperator(out, (f.d,) * (2 * f.K))
+    pair = _pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
+    x = f.pi.reshape((3,) * K)
+    for _ in range(K):
+        x = np.tensordot(x, pair, axes=([0], [0]))
+    grouped = x.reshape((d,) * (4 * K)).transpose(np.argsort(_pair_legs(K)))
+    return ComplexOperator(grouped.reshape(dim, dim), (d,) * (2 * K))
 
 
 def reduce_pair(f: FidelityVector, pair_index: int) -> FidelityVector:

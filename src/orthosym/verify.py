@@ -168,7 +168,7 @@ def verify_pt_consistency(
 def verify_product_fidelities(
     d: int, K: int, trials: int, seed=DEFAULT_SEED, tolerance: float = 1e-12
 ) -> VerificationReport:
-    """Product-state coordinates against dense traces, real and complex draws.
+    """Product-state coordinates and twirl against dense traces, real and complex draws.
 
     Also checks that every sampled product state clears the per-coordinate
     separability ceilings; any excess above a ceiling counts as residual.
@@ -189,6 +189,8 @@ def verify_product_fidelities(
                 [_trace_product(sigma.matrix, p.matrix) for p in family]
             )
             residual = max(residual, float(np.abs(dense - f.pi).max()))
+            twirled = twirl_coords(sigma, d, K).pi
+            residual = max(residual, float(np.abs(dense - twirled).max()))
             residual = max(residual, max(0.0, float((f.pi - bounds).max())))
     params = {"d": d, "K": K, "trials": trials, "seed": _seed_param(seed)}
     return VerificationReport.build("product_fidelities", params, residual, tolerance)

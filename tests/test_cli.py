@@ -105,6 +105,16 @@ class TestProjectorsAndTwirl:
         assert "error" in err
 
 
+    def test_twirl_nan_state_exit_code(self, capsys, tmp_path):
+        state = tmp_path / "nan.json"
+        re = [0.25 if i % 5 == 0 else 0.0 for i in range(16)]
+        re[1] = float("nan")
+        state.write_text(json.dumps({"dim": 4, "shape": [2, 2], "re": re, "im": [0.0] * 16}))
+        code, _, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(state))
+        assert code == 4
+        assert "non-finite" in err
+
+
 class TestPpt:
     def test_entangled_vertex_verdict(self, capsys, tmp_path):
         fid = write_fid(tmp_path, "e2.json", 2, 1, [0.0, 0.0, 1.0])
@@ -167,6 +177,19 @@ class TestSep:
         doc = json.loads(out)
         assert doc["passes"] is False
         assert doc["violated"] == ["2"]
+
+
+    @pytest.mark.parametrize(
+        "field", [{"d": 2.5}, {"K": 1.5}, {"d": 2.0}, {"d": "2"}, {"K": True}]
+    )
+    def test_rejects_non_integer_d_and_K(self, capsys, tmp_path, field):
+        doc = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0], **field}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sep", "--fid", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
 
 
 class TestScan:

@@ -30,12 +30,14 @@ from orthosym import (
     mask_rank,
     min_eigenvalue,
     multi_index_rank,
+    multipartite_trace,
     pair_vertex_coords,
     partial_transpose,
     ppt_all,
     ppt_check,
     ppt_inequalities,
     product_state_fidelities,
+    projector_family,
     pt_map,
     pure_state_projector,
     random_unit_vector,
@@ -46,11 +48,20 @@ from orthosym import (
     simplex_grid,
     twirl_coords,
 )
+from orthosym import simplex as simplex_module
 
 
 def random_state_vector(d, K, seed):
     rng = np.random.default_rng(seed)
     return FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
+
+
+def wishart_state(d, K, seed):
+    n = d ** (2 * K)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mat = g @ g.conj().T
+    return ComplexOperator(mat / np.trace(mat).real, (d,) * (2 * K))
 
 
 def exact_c(d):
@@ -371,6 +382,29 @@ class TestTwirlAndReconstruct:
             twirl_coords(bad, 2, 1)
         with pytest.raises(DomainError):
             twirl_coords(ComplexOperator(np.eye(4) / 4.0, (2, 2)), 2, 2)
+
+    @given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(0, 2**31))
+    def test_matches_projector_family_oracle(self, d, K, seed):
+        rho = wishart_state(d, K, seed)
+        family = projector_family(d, K)
+        oracle = np.array([np.einsum("ij,ji->", rho.matrix, p.matrix).real for p in family])
+        f = twirl_coords(rho, d, K)
+        assert np.abs(f.pi - oracle).max() <= 1e-12
+        traces = [multipartite_trace(d, a) for a in all_multi_indices(K)]
+        mixture = sum(w / t * p.matrix for w, t, p in zip(f.pi, traces, family))
+        assert np.abs(reconstruct(f).matrix - mixture).max() <= 1e-12
+
+    def test_twirl_check_order(self, monkeypatch):
+        nan_state = np.eye(16) / 16.0
+        nan_state[3, 5] = np.nan
+        rho = ComplexOperator(nan_state, (2,) * 4)
+        with pytest.raises(DomainError, match="non-finite"):
+            twirl_coords(rho, 2, 2)
+        monkeypatch.setattr(simplex_module, "MAX_DIM", 8)
+        with pytest.raises(CapacityError):
+            twirl_coords(rho, 2, 2)  # the cap comes before the entries are read
+        with pytest.raises(DomainError, match="dimension"):
+            twirl_coords(rho, 2, 1)  # and a dimension mismatch before the cap
 
     def test_reconstruct_capacity(self):
         f = FidelityVector(2, 7, np.full(3**7, 1.0 / 3**7))

@@ -51,6 +51,8 @@ from .simplex import (
     all_masks,
     bob_subsystems,
     c_matrix,
+    check_scan_budget,
+    classify_lattice,
     coordinate_bounds,
     default_grid_resolution,
     grid_points,
@@ -64,6 +66,7 @@ from .simplex import (
     ppt_inequalities,
     product_state_fidelities,
     pt_map,
+    pt_map_rows,
     reconstruct,
     reduce_mixed,
     reduce_pair,

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
 from .jsonio import dumps, format_float
@@ -21,8 +24,9 @@ from .simplex import (
     FidelityVector,
     all_masks,
     all_multi_indices,
+    check_scan_budget,
+    classify_lattice,
     default_grid_resolution,
-    grid_points,
     hull_vertices,
     intersection_point,
     ppt_check,
@@ -127,30 +131,25 @@ def cmd_sep(args) -> int:
 
 def cmd_scan(args) -> int:
     n = args.grid if args.grid else default_grid_resolution(args.K)
-    masks = all_masks(args.K)
+    check_scan_budget(n, args.K)
     header = (
         [f"pi_{_digits_string(a)}" for a in all_multi_indices(args.K)]
         + ["sep_bound"]
-        + [f"ppt_{_digits_string(m)}" for m in masks]
+        + [f"ppt_{_digits_string(m)}" for m in all_masks(args.K)]
         + ["class"]
     )
     lines = [",".join(header)]
-    for f in grid_points(args.d, args.K, n):
-        verdicts = [ppt_check(f, m, args.tol) for m in masks]
-        bound_ok = sep_bound_check(f).passes
-        if not all(v.is_ppt for v in verdicts):
-            label = "NPT"
-        elif bound_ok:
-            label = "bound-pass"
-        else:
-            label = "PPT-all"
-        fields = (
-            [format_float(x) for x in f.pi]
-            + ["1" if bound_ok else "0"]
-            + ["1" if v.is_ppt else "0" for v in verdicts]
-            + [label]
-        )
-        lines.append(",".join(fields))
+    for pi, ppt, bound_ok in classify_lattice(args.d, args.K, n, args.tol):
+        labels = np.where(~ppt.all(axis=1), "NPT", np.where(bound_ok, "bound-pass", "PPT-all"))
+        rows = zip(pi.tolist(), bound_ok.tolist(), ppt.tolist(), labels.tolist())
+        for row, ok, flags, label in rows:
+            fields = (
+                [format_float(x) for x in row]
+                + ["1" if ok else "0"]
+                + ["1" if v else "0" for v in flags]
+                + [label]
+            )
+            lines.append(",".join(fields))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -211,6 +210,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthosym",
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppt", help="partial-transposition positivity verdicts")
     p.add_argument("--fid", required=True, help="fidelity vector JSON file")
     p.add_argument("--mask", help="binary digit string, e.g. 01 (default: all masks)")
-    p.add_argument("--tol", type=float, default=PSD_TOL)
+    p.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("sep", help="per-coordinate separability bounds")
@@ -245,8 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="classify a lattice over the simplex into CSV")
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--K", type=_positive_int, required=True)
-    p.add_argument("--grid", type=_positive_int, help="lattice resolution n (default: <= 1e5 points)")
-    p.add_argument("--tol", type=float, default=PSD_TOL)
+    p.add_argument(
+        "--grid",
+        type=_positive_int,
+        help="lattice resolution n (default: the largest n with <= 1e5 points, at least 1)",
+    )
+    p.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 

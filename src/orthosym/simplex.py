@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, islice, product
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -37,6 +38,12 @@ from .projectors import (
 
 #: Absolute slack allowed on the unit-sum constraint of state coordinates.
 SUM_TOL = 1e-12
+#: Most lattice points x 3**K coordinates x (2**K - 1) masks one scan may cost.
+#: The default grid of every K <= 7 fits (K = 7: 2,187 points, 6.1e8); K >= 8
+#: does not even at n = 1 (K = 8: 1.1e10).
+SCAN_BUDGET = 10**9
+#: Coordinates per row block of :func:`classify_lattice` (at least one row).
+SCAN_BLOCK_COORDS = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +67,8 @@ class FidelityVector:
         pi = np.array(self.pi, dtype=float, copy=True)
         if pi.shape != (3**self.K,):
             raise ValueError(f"expected {3 ** self.K} coordinates, got shape {pi.shape}")
+        if not np.isfinite(pi).all():
+            raise DomainError("coordinates must be finite")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
 
@@ -68,7 +77,7 @@ class FidelityVector:
 
     def is_state(self, tol: float = PSD_TOL) -> bool:
         """True when every coordinate exceeds -tol and the sum is one."""
-        return bool(self.pi.min() >= -tol and abs(self.total() - 1.0) <= SUM_TOL)
+        return bool(_state_rows(self.pi[None], tol)[0])
 
     def coordinate(self, digits: Sequence[int]) -> float:
         return float(self.pi[multi_index_rank(digits)])
@@ -81,6 +90,11 @@ class FidelityVector:
         if type(data["d"]) is not int or type(data["K"]) is not int:
             raise ValueError(f"d and K must be JSON integers, got {data['d']!r}, {data['K']!r}")
         return cls(data["d"], data["K"], np.asarray(data["pi"], dtype=float))
+
+
+def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """:meth:`FidelityVector.is_state` for every row of an (N, 3**K) array."""
+    return (pi.min(axis=1) >= -tol) & (np.abs(pi.sum(axis=1) - 1.0) <= SUM_TOL)
 
 
 def mask_rank(bits: Sequence[int]) -> int:
@@ -136,9 +150,16 @@ class CMatrix:
 
 
 def c_matrix(d: int) -> CMatrix:
-    """The coordinate transposition matrix at local dimension d."""
+    """The coordinate transposition matrix at local dimension d, built once per d."""
     if d < 2:
         raise DomainError("local dimension must be >= 2")
+    return _c_matrix(d)
+
+
+# The public builders stay plain functions around the cached ones so that
+# perfbench/traced.py, which wraps plain functions only, still counts calls.
+@lru_cache(maxsize=16)
+def _c_matrix(d: int) -> CMatrix:
     m = np.array(
         [
             [d - 2, d, 2],
@@ -150,13 +171,29 @@ def c_matrix(d: int) -> CMatrix:
     return CMatrix(d, m)
 
 
-def _check_mask(f: FidelityVector, mask: Sequence[int]) -> tuple[int, ...]:
+def _check_mask(mask: Sequence[int], width: int) -> tuple[int, ...]:
     bits = tuple(int(b) for b in mask)
-    if len(bits) != f.K:
-        raise IndexError(f"mask length {len(bits)} does not match K={f.K}")
+    if 3 ** len(bits) != width:
+        raise IndexError(f"mask length {len(bits)} does not match {width} coordinates")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"mask must be binary, got {bits}")
     return bits
+
+
+def pt_map_rows(pi: np.ndarray, c: CMatrix, mask: Sequence[int]) -> np.ndarray:
+    """:func:`pt_map` of every row of an (N, 3**K) coordinate array.
+
+    ``c`` is the :func:`c_matrix` of the local dimension and ``mask`` holds
+    one binary digit per pair.  Each masked digit axis is contracted with C
+    while the batch axis rides along in front, so a single row gives exactly
+    the floats of the one-vector contraction.
+    """
+    bits = _check_mask(mask, pi.shape[1])
+    tensor = pi.reshape((len(pi),) + (3,) * len(bits))
+    for axis, bit in enumerate(bits, start=1):
+        if bit:
+            tensor = np.moveaxis(np.tensordot(tensor, c.entries, axes=([axis], [0])), -1, axis)
+    return tensor.reshape(pi.shape)
 
 
 def pt_map(f: FidelityVector, mask: Sequence[int]) -> FidelityVector:
@@ -167,13 +204,7 @@ def pt_map(f: FidelityVector, mask: Sequence[int]) -> FidelityVector:
     output may have negative entries, which is precisely the positivity
     signal the PPT tests look for, so no error is raised.
     """
-    bits = _check_mask(f, mask)
-    c = c_matrix(f.d).entries
-    tensor = f.pi.reshape((3,) * f.K)
-    for axis, bit in enumerate(bits):
-        if bit:
-            tensor = np.moveaxis(np.tensordot(tensor, c, axes=([axis], [0])), -1, axis)
-    return FidelityVector(f.d, f.K, tensor.reshape(-1))
+    return FidelityVector(f.d, f.K, pt_map_rows(f.pi[None], c_matrix(f.d), mask)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +225,7 @@ def ppt_check(f: FidelityVector, mask: Sequence[int], tol: float = PSD_TOL) -> P
     exactly operator positivity; every coordinate below -tol is reported as
     a violation.
     """
-    bits = _check_mask(f, mask)
+    bits = _check_mask(mask, f.pi.size)
     if not f.is_state():
         raise DomainError("ppt_check requires state-valued coordinates")
     g = pt_map(f, bits)
@@ -286,11 +317,21 @@ class SeparabilityBounds:
 
 
 def coordinate_bounds(d: int, K: int) -> np.ndarray:
-    """Product-state ceilings 1 / (f_s1 ... f_sK) with (f_0, f_1, f_2) = (1, 2, d)."""
+    """Product-state ceilings 1 / (f_s1 ... f_sK) with (f_0, f_1, f_2) = (1, 2, d).
+
+    The array is read-only and built once per (d, K).
+    """
+    return _coordinate_bounds(d, K)
+
+
+@lru_cache(maxsize=16)
+def _coordinate_bounds(d: int, K: int) -> np.ndarray:
     weights = (1.0, 2.0, float(d))
-    return np.array(
+    bounds = np.array(
         [1.0 / prod(weights[g] for g in alpha) for alpha in all_multi_indices(K)]
     )
+    bounds.setflags(write=False)
+    return bounds
 
 
 def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBounds:
@@ -508,9 +549,59 @@ def grid_points(d: int, K: int, n: int) -> Iterator[FidelityVector]:
 
 
 def default_grid_resolution(K: int, limit: int = 100_000) -> int:
-    """Largest n whose composition lattice into 3**K parts has <= ``limit`` points."""
+    """Largest n whose composition lattice into 3**K parts has <= ``limit`` points.
+
+    Never below 1, even when the n = 1 lattice (3**K points) is over ``limit``.
+    """
     m = 3**K
     n = 1
     while comb(n + m, m - 1) <= limit:
         n += 1
     return n
+
+
+def check_scan_budget(n: int, K: int) -> None:
+    """Raise CapacityError when scanning the n-lattice would exceed SCAN_BUDGET.
+
+    The cost is points x 3**K x (2**K - 1).  The point count
+    C(n + 3**K - 1, 3**K - 1) is built one factor at a time and the check
+    stops at the first partial count over budget, so an enormous n or K is
+    rejected at once, long before the full binomial could be formed.
+    """
+    m = 3**K
+    per_point = m * (2**K - 1)
+    points = 1
+    for i in range(1, m):
+        points = points * (n + i) // i
+        if points * per_point > SCAN_BUDGET:
+            raise CapacityError(
+                f"scan of K={K} at grid {n} exceeds the budget of {SCAN_BUDGET:.0e} "
+                "point-coordinate-mask operations"
+            )
+
+
+def classify_lattice(
+    d: int, K: int, n: int, tol: float = PSD_TOL
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The lattice of :func:`grid_points` in row blocks, with the scan verdicts.
+
+    Yields ``(pi, ppt, bound_ok)`` per block of at most SCAN_BLOCK_COORDS
+    coordinates: ``pi`` is (B, 3**K), ``ppt[:, j]`` is
+    ``ppt_check(f, all_masks(K)[j], tol).is_ppt`` and ``bound_ok`` is
+    ``sep_bound_check(f).passes``, row by row.  Call :func:`check_scan_budget`
+    first; this generator does not bound its own work.
+    """
+    if d < 2:
+        raise ValueError("local dimension must be >= 2")
+    m = 3**K
+    c = c_matrix(d)
+    bounds = coordinate_bounds(d, K)
+    masks = all_masks(K)
+    grid = simplex_grid(n, m)
+    rows = max(1, SCAN_BLOCK_COORDS // m)
+    while block := list(islice(grid, rows)):
+        pi = np.array(block, dtype=float) / n
+        if not _state_rows(pi).all():
+            raise DomainError("scan requires state-valued coordinates")
+        ppt = np.stack([~(pt_map_rows(pi, c, mask) < -tol).any(axis=1) for mask in masks], axis=1)
+        yield pi, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)

@@ -5,6 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from orthosym import (
+    FidelityVector,
+    all_masks,
+    all_multi_indices,
+    cli,
+    ppt_check,
+    sep_bound_check,
+    simplex_grid,
+)
+from orthosym import simplex as simplex_module
 from orthosym.cli import main
 
 
@@ -240,6 +250,52 @@ class TestScan:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_multi_block_scan_matches_row_by_row_rendering(self, capsys, tmp_path, monkeypatch):
+        # two 9-coordinate rows per block: 495 points make 248 blocks, the last one short
+        monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 20)
+        out_file = tmp_path / "scan.csv"
+        code, _, _ = run(
+            capsys, "scan", "--d", "3", "--K", "2", "--grid", "4", "--tol", "0",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        masks = all_masks(2)
+        header = (
+            [f"pi_{''.join(map(str, a))}" for a in all_multi_indices(2)]
+            + ["sep_bound"]
+            + [f"ppt_{''.join(map(str, m))}" for m in masks]
+            + ["class"]
+        )
+        lines = [",".join(header)]
+        for comp in simplex_grid(4, 9):
+            f = FidelityVector(3, 2, np.array(comp, dtype=float) / 4)
+            ppt = [ppt_check(f, m, 0.0).is_ppt for m in masks]
+            bound_ok = sep_bound_check(f).passes
+            label = "NPT" if not all(ppt) else ("bound-pass" if bound_ok else "PPT-all")
+            lines.append(",".join(
+                [format(x, ".17g") for x in f.pi]
+                + ["1" if bound_ok else "0"]
+                + ["1" if v else "0" for v in ppt]
+                + [label]
+            ))
+        assert out_file.read_text() == "\n".join(lines) + "\n"
+        assert len(lines) == 1 + 495
+
+    @pytest.mark.parametrize("argv", [["--K", "11"], ["--K", "2", "--grid", "100000"]])
+    def test_over_budget_exits_3_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("scan started work before its budget check")
+
+        monkeypatch.setattr(cli, "classify_lattice", no_work)
+        monkeypatch.setattr(cli, "all_multi_indices", no_work)
+        out_file = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "scan", "--d", "2", *argv, "--out", str(out_file))
+        assert code == 3
+        assert "budget" in err
+        assert out == ""
+        assert not out_file.exists()
+
+
 class TestReduce:
     def test_uniform_reduction(self, capsys, tmp_path):
         fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
@@ -257,6 +313,13 @@ class TestReduce:
         code, out2, _ = run(capsys, "sep", "--fid", str(reduced))
         assert code == 0
         assert json.loads(out2)["passes"] is True
+
+    def test_non_finite_coordinates_exit_4(self, capsys, tmp_path):
+        fid = write_fid(tmp_path, "nan.json", 2, 2, [float("nan")] + [0.125] * 8)
+        code, out, err = run(capsys, "reduce", "--fid", fid, "--pair", "0")
+        assert code == 4
+        assert out == ""
+        assert "finite" in err
 
     def test_reduce_k1_is_domain_error(self, capsys, tmp_path):
         fid = write_fid(tmp_path, "k1.json", 2, 1, [1.0, 0.0, 0.0])
@@ -303,6 +366,18 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["ppt", "scan"])
+    def test_bad_tol_rejected(self, capsys, tmp_path, command, tol):
+        if command == "ppt":
+            argv = ["ppt", "--fid", write_fid(tmp_path, "u.json", 2, 1, [1 / 3] * 3)]
+        else:
+            argv = ["scan", "--d", "2", "--K", "1", "--grid", "4", "--out", str(tmp_path / "s")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "finite number >= 0" in capsys.readouterr().err
 
     def test_nonpositive_grid_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

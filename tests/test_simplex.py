@@ -5,10 +5,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthosym import (
+    PSD_TOL,
     CapacityError,
     ComplexOperator,
     DomainError,
@@ -19,6 +20,8 @@ from orthosym import (
     bob_subsystems,
     build_bipartite,
     c_matrix,
+    check_scan_budget,
+    classify_lattice,
     coordinate_bounds,
     default_grid_resolution,
     grid_points,
@@ -39,6 +42,7 @@ from orthosym import (
     product_state_fidelities,
     projector_family,
     pt_map,
+    pt_map_rows,
     pure_state_projector,
     random_unit_vector,
     reconstruct,
@@ -62,6 +66,15 @@ def wishart_state(d, K, seed):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     mat = g @ g.conj().T
     return ComplexOperator(mat / np.trace(mat).real, (d,) * (2 * K))
+
+
+def single_point_pt_map(pi, c, mask):
+    """pt_map as one tensordot per masked digit of a single 3**K vector."""
+    tensor = pi.reshape((3,) * len(mask))
+    for axis, bit in enumerate(mask):
+        if bit:
+            tensor = np.moveaxis(np.tensordot(tensor, c, axes=([axis], [0])), -1, axis)
+    return tensor.reshape(-1)
 
 
 def exact_c(d):
@@ -100,6 +113,10 @@ class TestCMatrix:
     def test_rejects_d1(self):
         with pytest.raises(DomainError):
             c_matrix(1)
+
+    def test_cached_per_d(self):
+        assert c_matrix(3) is c_matrix(3)
+        assert not c_matrix(3).entries.flags.writeable
 
 
 class TestPtMap:
@@ -333,6 +350,12 @@ class TestSepBounds:
         with pytest.raises(DomainError):
             sep_bound_check(FidelityVector(2, 1, [0.5, 0.6, -0.1]))
 
+    def test_bounds_cached_and_read_only(self):
+        bounds = coordinate_bounds(3, 2)
+        assert coordinate_bounds(3, 2) is bounds
+        with pytest.raises(ValueError):
+            bounds[0] = 2.0
+
 
 class TestTwirlAndReconstruct:
     def test_maximally_mixed_coordinates(self):
@@ -556,6 +579,92 @@ class TestGrid:
             assert comb(n + m, m - 1) > 100_000
 
 
+class TestBatchedCore:
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.integers(0, 2**31),
+    )
+    def test_random_rows_match_single_point_formula(self, d, K, N, seed):
+        rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=N)
+        c = c_matrix(d)
+        for mask in all_masks(K):
+            batched = pt_map_rows(rows, c, mask)
+            single = np.array([single_point_pt_map(p, c.entries, mask) for p in rows])
+            assert np.array_equal(batched, single)
+            wrapped = [pt_map(FidelityVector(d, K, p), mask).pi for p in rows]
+            assert np.array_equal(batched, np.array(wrapped))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.sampled_from([(1, 12), (2, 4), (3, 2)]),
+        st.data(),
+        st.sampled_from([0.0, PSD_TOL, 1e-3]),
+    )
+    def test_lattice_flags_match_scalar_checks(self, d, K_and_max_n, data, tol):
+        K, max_n = K_and_max_n
+        n = data.draw(st.integers(1, max_n))
+        c = c_matrix(d)
+        masks = all_masks(K)
+        blocks = list(classify_lattice(d, K, n, tol))
+        pi = np.concatenate([b[0] for b in blocks])
+        ppt = np.concatenate([b[1] for b in blocks])
+        bound_ok = np.concatenate([b[2] for b in blocks])
+        points = list(grid_points(d, K, n))
+        assert np.array_equal(pi, np.array([f.pi for f in points]))
+        for j, mask in enumerate(masks):
+            single = np.array([single_point_pt_map(f.pi, c.entries, mask) for f in points])
+            assert np.array_equal(pt_map_rows(pi, c, mask), single)
+            assert ppt[:, j].tolist() == [ppt_check(f, mask, tol).is_ppt for f in points]
+        assert bound_ok.tolist() == [sep_bound_check(f).passes for f in points]
+
+    def test_blocks_bounded_by_coordinate_count(self, monkeypatch):
+        monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 20)
+        sizes = [len(pi) for pi, _, _ in classify_lattice(2, 2, 3, PSD_TOL)]
+        assert sizes == [2] * 82 + [1]  # 165 points, two 9-coordinate rows per block
+        monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 5)
+        assert {len(pi) for pi, _, _ in classify_lattice(2, 2, 1, PSD_TOL)} == {1}
+
+    def test_mask_errors(self):
+        rows = np.full((2, 9), 1.0 / 9.0)
+        with pytest.raises(IndexError):
+            pt_map_rows(rows, c_matrix(2), (1,))
+        with pytest.raises(ValueError):
+            pt_map_rows(rows, c_matrix(2), (1, 2))
+
+    def test_lattice_rejects_d1(self):
+        with pytest.raises(ValueError):
+            next(classify_lattice(1, 1, 2))
+
+
+class TestScanBudget:
+    def test_default_grids_up_to_k7_fit(self):
+        for K in range(1, 8):
+            check_scan_budget(default_grid_resolution(K), K)
+
+    @pytest.mark.parametrize("K", [8, 9, 10, 11])
+    def test_default_grids_from_k8_rejected(self, K):
+        with pytest.raises(CapacityError):
+            check_scan_budget(default_grid_resolution(K), K)
+
+    def test_cost_is_points_coordinates_masks(self, monkeypatch):
+        # K = 2, n = 2: C(10, 8) = 45 points, 9 coordinates, 3 masks
+        monkeypatch.setattr(simplex_module, "SCAN_BUDGET", 45 * 9 * 3)
+        check_scan_budget(2, 2)
+        monkeypatch.setattr(simplex_module, "SCAN_BUDGET", 45 * 9 * 3 - 1)
+        with pytest.raises(CapacityError):
+            check_scan_budget(2, 2)
+
+    def test_huge_lattice_rejected_without_full_count(self):
+        # C(10**9 + 177146, 177146) has ~660k digits; the check stops early
+        with pytest.raises(CapacityError):
+            check_scan_budget(10**9, 11)
+        with pytest.raises(CapacityError):
+            check_scan_budget(1, 60)
+
+
 class TestFidelityVectorType:
     def test_json_roundtrip(self):
         f = random_state_vector(3, 2, 5)
@@ -566,6 +675,11 @@ class TestFidelityVectorType:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FidelityVector(2, 2, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            FidelityVector(2, 1, [bad, 0.0, 1.0])
 
     def test_is_state_boundaries(self):
         assert FidelityVector(2, 1, [1.0, 0.0, 0.0]).is_state(tol=0.0)

@@ -31,6 +31,7 @@ from .projectors import (
     bipartite_traces,
     build_bipartite,
     build_multipartite,
+    check_family_budget,
     doubled_tensor,
     flip,
     maximally_entangled,

@@ -28,6 +28,11 @@ from .dense import (
     kron,
 )
 
+#: Most bytes of dense complex128 projector matrices one family build may hold.
+#: verify at d=3, K=3 keeps two copies of its 27 projectors, 0.46 GB; d=2, K=5
+#: would need 4.1 GB for one.
+FAMILY_BYTES = 2**30
+
 
 def flip(d: int) -> ComplexOperator:
     """Swap operator on two d-dimensional factors: x (x) y -> y (x) x.
@@ -186,8 +191,26 @@ def multipartite_trace(d: int, alpha: Sequence[int]) -> int:
     return prod(traces[int(g)] for g in alpha)
 
 
+def check_family_budget(d: int, K: int, copies: int = 1) -> None:
+    """Raise CapacityError when ``copies`` dense families exceed FAMILY_BYTES.
+
+    One family is 3**K matrices of dimension d**(2K) at 16 bytes an entry.
+    The size is built one pair at a time and the check stops at the first
+    partial size over budget, so an enormous K is rejected at once.
+    """
+    needed = copies * 16
+    for _ in range(K):
+        needed *= 3 * d**4
+        if needed > FAMILY_BYTES:
+            raise CapacityError(
+                f"{copies} x the dense projector family at d={d}, K={K} exceeds "
+                f"the budget of {FAMILY_BYTES} bytes"
+            )
+
+
 def projector_family(d: int, K: int) -> list[ComplexOperator]:
-    """All 3**K pair projectors in multi-index rank order."""
+    """All 3**K pair projectors in multi-index rank order, within FAMILY_BYTES."""
+    check_family_budget(d, K)
     return [build_multipartite(d, K, alpha) for alpha in all_multi_indices(K)]
 
 

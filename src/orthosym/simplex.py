@@ -26,7 +26,7 @@ from .dense import (
     CapacityError,
     ComplexOperator,
     DomainError,
-    min_eigenvalue,
+    is_psd,
 )
 from .projectors import (
     all_multi_indices,
@@ -42,6 +42,9 @@ SUM_TOL = 1e-12
 #: The default grid of every K <= 7 fits (K = 7: 2,187 points, 6.1e8); K >= 8
 #: does not even at n = 1 (K = 8: 1.1e10).
 SCAN_BUDGET = 10**9
+#: Most lattice points x 3**K coordinates one scan may write, about 20 bytes of
+#: CSV text each.  The largest default grid of K <= 7 is K = 4 (7.4e6).
+SCAN_OUTPUT_COORDS = 10**7
 #: Coordinates per row block of :func:`classify_lattice` (at least one row).
 SCAN_BLOCK_COORDS = 2**12
 
@@ -192,8 +195,13 @@ def pt_map_rows(pi: np.ndarray, c: CMatrix, mask: Sequence[int]) -> np.ndarray:
     tensor = pi.reshape((len(pi),) + (3,) * len(bits))
     for axis, bit in enumerate(bits, start=1):
         if bit:
-            tensor = np.moveaxis(np.tensordot(tensor, c.entries, axes=([axis], [0])), -1, axis)
+            tensor = _apply_c(tensor, c, axis)
     return tensor.reshape(pi.shape)
+
+
+def _apply_c(tensor: np.ndarray, c: CMatrix, axis: int) -> np.ndarray:
+    """Contract one digit axis of a batched (N, 3, ..., 3) tensor with C."""
+    return np.moveaxis(np.tensordot(tensor, c.entries, axes=([axis], [0])), -1, axis)
 
 
 def pt_map(f: FidelityVector, mask: Sequence[int]) -> FidelityVector:
@@ -348,10 +356,16 @@ def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBoun
     )
 
 
+@lru_cache(maxsize=16)
 def _pair_projectors(d: int) -> np.ndarray:
-    """(Pi0, Pi1, Pi2) stacked as one (3, d, d, d, d) tensor with legs (a, b, a', b')."""
+    """(Pi0, Pi1, Pi2) stacked as one (3, d, d, d, d) tensor with legs (a, b, a', b').
+
+    Built once per d; the array is read-only.
+    """
     basis = build_bipartite(d)
-    return np.stack([basis.pi(k).matrix for k in range(3)]).reshape((3,) + (d,) * 4)
+    pair = np.stack([basis.pi(k).matrix for k in range(3)]).reshape((3,) + (d,) * 4)
+    pair.setflags(write=False)
+    return pair
 
 
 def _pair_legs(K: int) -> list[int]:
@@ -377,7 +391,7 @@ def twirl_coords(
         raise DomainError("state has non-finite entries")
     if abs(rho.trace() - 1.0) > 1e-10:
         raise DomainError(f"state trace {rho.trace():.12g} is not 1")
-    if min_eigenvalue(rho) < -tol:
+    if not is_psd(rho, tol):
         raise DomainError("state is not positive semidefinite within tolerance")
     # [k, (a b a' b')] = Pi_k[a' b', a b], the transposed factor of the trace
     pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
@@ -561,12 +575,14 @@ def default_grid_resolution(K: int, limit: int = 100_000) -> int:
 
 
 def check_scan_budget(n: int, K: int) -> None:
-    """Raise CapacityError when scanning the n-lattice would exceed SCAN_BUDGET.
+    """Raise CapacityError when scanning the n-lattice would exceed a budget.
 
-    The cost is points x 3**K x (2**K - 1).  The point count
-    C(n + 3**K - 1, 3**K - 1) is built one factor at a time and the check
-    stops at the first partial count over budget, so an enormous n or K is
-    rejected at once, long before the full binomial could be formed.
+    The work is points x 3**K x (2**K - 1), bounded by SCAN_BUDGET, and the
+    output is points x 3**K coordinates, bounded by SCAN_OUTPUT_COORDS.  The
+    point count C(n + 3**K - 1, 3**K - 1) is built one factor at a time and
+    the check stops at the first partial count over either budget, so an
+    enormous n or K is rejected at once, long before the full binomial could
+    be formed.
     """
     m = 3**K
     per_point = m * (2**K - 1)
@@ -577,6 +593,11 @@ def check_scan_budget(n: int, K: int) -> None:
             raise CapacityError(
                 f"scan of K={K} at grid {n} exceeds the budget of {SCAN_BUDGET:.0e} "
                 "point-coordinate-mask operations"
+            )
+        if points * m > SCAN_OUTPUT_COORDS:
+            raise CapacityError(
+                f"scan of K={K} at grid {n} exceeds the output budget of "
+                f"{SCAN_OUTPUT_COORDS:.0e} point-coordinates"
             )
 
 
@@ -590,18 +611,29 @@ def classify_lattice(
     ``ppt_check(f, all_masks(K)[j], tol).is_ppt`` and ``bound_ok`` is
     ``sep_bound_check(f).passes``, row by row.  Call :func:`check_scan_budget`
     first; this generator does not bound its own work.
+
+    Mask r is C applied on the last masked axis of mask r & (r - 1), the
+    block already transformed by the masks before it, so each mask costs one
+    contraction and the axes are contracted in the order of
+    :func:`pt_map_rows`, which keeps the floats bitwise equal to it.
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     m = 3**K
     c = c_matrix(d)
     bounds = coordinate_bounds(d, K)
-    masks = all_masks(K)
     grid = simplex_grid(n, m)
     rows = max(1, SCAN_BLOCK_COORDS // m)
     while block := list(islice(grid, rows)):
         pi = np.array(block, dtype=float) / n
         if not _state_rows(pi).all():
             raise DomainError("scan requires state-valued coordinates")
-        ppt = np.stack([~(pt_map_rows(pi, c, mask) < -tol).any(axis=1) for mask in masks], axis=1)
+        transformed = [pi.reshape((len(pi),) + (3,) * K)]
+        for r in range(1, 2**K):
+            # the lowest rank bit is the last pair, axis K - lowest bit index
+            axis = K - ((r & -r).bit_length() - 1)
+            transformed.append(_apply_c(transformed[r & (r - 1)], c, axis))
+        ppt = np.stack(
+            [~(t.reshape(pi.shape) < -tol).any(axis=1) for t in transformed[1:]], axis=1
+        )
         yield pi, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)

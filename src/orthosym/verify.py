@@ -28,6 +28,7 @@ from .dense import (
 from .projectors import (
     all_multi_indices,
     build_bipartite,
+    check_family_budget,
     doubled_tensor,
     multipartite_trace,
     projector_family,
@@ -145,6 +146,7 @@ def verify_pt_consistency(
     mixture entrywise, and its smallest eigenvalue must equal the smallest
     normalized output coordinate.
     """
+    check_family_budget(d, K, copies=2)  # the family and its normalized copy
     rng = np.random.default_rng(seed)
     indices = all_multi_indices(K)
     family = projector_family(d, K)

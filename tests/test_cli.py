@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from orthosym import (
+    PSD_TOL,
+    ComplexOperator,
     FidelityVector,
     all_masks,
     all_multi_indices,
     cli,
     ppt_check,
+    random_orthogonal,
     sep_bound_check,
     simplex_grid,
 )
+from orthosym import projectors as projectors_module
 from orthosym import simplex as simplex_module
 from orthosym.cli import main
 
@@ -123,6 +127,22 @@ class TestProjectorsAndTwirl:
         code, _, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(state))
         assert code == 4
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("factor, exit_code", [(0.5, 0), (2.0, 4)])
+    def test_twirl_psd_tolerance_boundary(self, capsys, tmp_path, factor, exit_code):
+        # d=2, K=1 state with smallest eigenvalue -factor * PSD_TOL
+        u = random_orthogonal(4, 11).matrix.real
+        lam = np.array([-factor * PSD_TOL, 0.5, 0.3, 0.2 + factor * PSD_TOL])
+        rho = (u * lam) @ u.T
+        state = tmp_path / "edge.json"
+        state.write_text(json.dumps(ComplexOperator(rho, (2, 2)).to_json()))
+        code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(state))
+        assert code == exit_code
+        if exit_code:
+            assert "positive semidefinite" in err
+            assert out == ""
+        else:
+            assert sum(json.loads(out)["pi"]) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPpt:
@@ -295,6 +315,21 @@ class TestScan:
         assert out == ""
         assert not out_file.exists()
 
+    def test_over_output_budget_exits_3_before_any_work(self, capsys, tmp_path, monkeypatch):
+        # 3.1e8 rows: within the arithmetic budget, over the output budget
+        def no_work(*args):
+            raise AssertionError("scan started work before its budget check")
+
+        monkeypatch.setattr(cli, "classify_lattice", no_work)
+        out_file = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys, "scan", "--d", "2", "--K", "1", "--grid", "25000", "--out", str(out_file)
+        )
+        assert code == 3
+        assert "output budget" in err
+        assert out == ""
+        assert not out_file.exists()
+
 
 class TestReduce:
     def test_uniform_reduction(self, capsys, tmp_path):
@@ -342,6 +377,18 @@ class TestVerify:
             "product_fidelities",
         }
         assert err == ""
+
+    @pytest.mark.parametrize("d, K", [(2, 5), (2, 6), (4, 3)])
+    def test_over_family_budget_exits_3_before_any_build(self, capsys, monkeypatch, d, K):
+        # dense families of 4.1 GB, 196 GB and 7.2 GB
+        def no_build(*args):
+            raise AssertionError("a dense projector was built before the budget check")
+
+        monkeypatch.setattr(projectors_module, "build_multipartite", no_build)
+        code, out, err = run(capsys, "verify", "--d", str(d), "--K", str(K))
+        assert code == 3
+        assert "budget" in err
+        assert out == ""
 
     def test_seed_flag_changes_residuals(self, capsys):
         _, out_a, _ = run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "1")

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthosym import (
+    PSD_TOL,
     CapacityError,
     ComplexOperator,
     DomainError,
@@ -20,6 +21,7 @@ from orthosym import (
     random_unit_vector,
     random_unitary,
 )
+from orthosym import dense as dense_module
 from orthosym.projectors import (
     bipartite_traces,
     build_bipartite,
@@ -183,6 +185,83 @@ class TestMinEigenvalue:
     def test_is_psd(self):
         assert is_psd(identity((3,)))
         assert not is_psd(partial_transpose(maximally_entangled(2), {1}))
+
+
+#: Factors f placing the smallest eigenvalue at -f * PSD_TOL.
+LAMBDA_FACTORS = (0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0)
+
+
+def state_with_lambda_min(unitary, factor, seed):
+    """Hermitian unit-trace matrix with smallest eigenvalue -factor * PSD_TOL."""
+    dim = unitary.shape[0]
+    rest = np.random.default_rng(seed).uniform(0.1, 1.0, dim - 1)
+    lam = np.concatenate([[-factor * PSD_TOL], rest * (1.0 + factor * PSD_TOL) / rest.sum()])
+    m = (unitary * lam) @ unitary.conj().T
+    return ComplexOperator((m + m.conj().T) / 2.0, (dim,))
+
+
+def assert_psd_verdicts(op, factor, tols=(0.0, PSD_TOL)):
+    lam = min_eigenvalue(op)
+    verdicts = {tol: is_psd(op, tol) for tol in tols}
+    assert verdicts == {tol: lam >= -tol for tol in verdicts}
+    # well away from the boundary the verdict is known in advance
+    assert verdicts[PSD_TOL] == (factor <= 1.0)
+
+
+class TestIsPsdCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        K=st.sampled_from([1, 2]),
+        factor=st.sampled_from(LAMBDA_FACTORS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eigenvalue_verdict(self, d, K, factor, seed):
+        u = random_unitary(d ** (2 * K), seed).matrix
+        assert_psd_verdicts(state_with_lambda_min(u, factor, seed), factor)
+
+    @pytest.fixture(scope="class")
+    def unitary_729(self):
+        return random_orthogonal(729, 729).matrix
+
+    @pytest.mark.parametrize("factor", LAMBDA_FACTORS)
+    def test_matches_eigenvalue_verdict_dim_729(self, unitary_729, factor):
+        # the twirl input size; tol 0 never tries the certificate, see below
+        op = state_with_lambda_min(unitary_729, factor, 7)
+        assert_psd_verdicts(op, factor, tols=(PSD_TOL,))
+
+    def test_certificate_skips_eigvalsh(self, monkeypatch):
+        op = state_with_lambda_min(random_unitary(16, 3).matrix, 0.5, 3)
+
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh reached on a certified matrix")
+
+        monkeypatch.setattr(dense_module, "min_eigenvalue", no_eigvalsh)
+        assert is_psd(op, PSD_TOL)
+
+    @pytest.mark.parametrize(
+        "tol, scale",
+        [(0.0, 1.0), (PSD_TOL, 1e7)],
+        ids=["tol-zero", "shift-under-rounding-bound"],
+    )
+    def test_falls_back_to_eigvalsh(self, monkeypatch, tol, scale):
+        # at dim 16 the rounding bound 256 * eps * 1e7 = 5.7e-7 exceeds the shift
+        op = ComplexOperator(scale * np.eye(16), (16,))
+        calls = []
+        monkeypatch.setattr(
+            dense_module, "min_eigenvalue", lambda a: calls.append(a) or scale
+        )
+        assert is_psd(op, tol)
+        assert calls == [op]
+
+    def test_non_hermitian_raises_the_eigenvalue_error(self):
+        bad = ComplexOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
+        with pytest.raises(DomainError) as from_eig:
+            min_eigenvalue(bad)
+        for tol in (0.0, PSD_TOL):
+            with pytest.raises(DomainError) as from_psd:
+                is_psd(bad, tol)
+            assert str(from_psd.value) == str(from_eig.value)
 
 
 class TestRandomSampling:

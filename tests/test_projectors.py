@@ -12,6 +12,7 @@ from orthosym import (
     bipartite_traces,
     build_bipartite,
     build_multipartite,
+    check_family_budget,
     doubled_tensor,
     flip,
     identity,
@@ -26,6 +27,7 @@ from orthosym import (
     random_unit_vector,
     random_unitary,
 )
+from orthosym import projectors as projectors_module
 
 
 class TestFlip:
@@ -245,6 +247,31 @@ class TestMultipartite:
         op = build_multipartite(2, 3, (0, 1, 2))
         assert op.dim == 64
         assert op.shape == (2,) * 6
+
+    def test_family_budget_admits_the_verified_sizes(self):
+        check_family_budget(3, 3, copies=2)  # verify --d 3 --K 3: 0.46 GB
+        check_family_budget(2, 4, copies=2)
+        for d, K in ((2, 1), (2, 2), (3, 1)):  # the default verify battery
+            check_family_budget(d, K, copies=2)
+
+    @pytest.mark.parametrize("d, K", [(2, 5), (2, 6), (4, 3), (2, 10**6)])
+    def test_over_budget_family_rejected_before_any_build(self, monkeypatch, d, K):
+        def no_build(*args):
+            raise AssertionError("a dense projector was built before the budget check")
+
+        monkeypatch.setattr(projectors_module, "build_multipartite", no_build)
+        with pytest.raises(CapacityError, match="budget"):
+            projector_family(d, K)
+
+    def test_family_bytes_are_count_times_dim_squared_times_16(self, monkeypatch):
+        # d=2, K=2: 9 projectors of 16 x 16 complex128 entries
+        monkeypatch.setattr(projectors_module, "FAMILY_BYTES", 9 * 256 * 16)
+        check_family_budget(2, 2)
+        with pytest.raises(CapacityError):
+            check_family_budget(2, 2, copies=2)
+        monkeypatch.setattr(projectors_module, "FAMILY_BYTES", 9 * 256 * 16 - 1)
+        with pytest.raises(CapacityError):
+            check_family_budget(2, 2)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -358,6 +358,13 @@ class TestSepBounds:
 
 
 class TestTwirlAndReconstruct:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_tensor_cached_per_d(self, d):
+        pair = simplex_module._pair_projectors(d)
+        assert simplex_module._pair_projectors(d) is pair
+        assert not pair.flags.writeable
+        assert pair.shape == (3,) + (d,) * 4
+
     def test_maximally_mixed_coordinates(self):
         rho = ComplexOperator(np.eye(4) / 4.0, (2, 2))
         f = twirl_coords(rho, 2, 1)
@@ -627,6 +634,29 @@ class TestBatchedCore:
         monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 5)
         assert {len(pi) for pi, _, _ in classify_lattice(2, 2, 1, PSD_TOL)} == {1}
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_one_contraction_per_mask_bitwise_equal(self, monkeypatch, K):
+        outputs = []
+        apply_c = simplex_module._apply_c
+
+        def recording(tensor, c, axis):
+            outputs.append(apply_c(tensor, c, axis))
+            return outputs[-1]
+
+        monkeypatch.setattr(simplex_module, "_apply_c", recording)
+        monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 3**K * 7)
+        blocks = []
+        for pi, _, _ in classify_lattice(3, K, 2, PSD_TOL):
+            blocks.append((pi, outputs[:]))
+            outputs.clear()
+        monkeypatch.setattr(simplex_module, "_apply_c", apply_c)
+        c = c_matrix(3)
+        for pi, transformed in blocks:
+            assert len(transformed) == 2**K - 1
+            for r, t in enumerate(transformed, start=1):
+                expected = pt_map_rows(pi, c, mask_digits(r, K))
+                assert np.array_equal(t.reshape(pi.shape), expected)
+
     def test_mask_errors(self):
         rows = np.full((2, 9), 1.0 / 9.0)
         with pytest.raises(IndexError):
@@ -656,6 +686,20 @@ class TestScanBudget:
         monkeypatch.setattr(simplex_module, "SCAN_BUDGET", 45 * 9 * 3 - 1)
         with pytest.raises(CapacityError):
             check_scan_budget(2, 2)
+
+    def test_output_is_points_coordinates(self, monkeypatch):
+        # K = 2, n = 2: 45 points of 9 coordinates
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 45 * 9)
+        check_scan_budget(2, 2)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 45 * 9 - 1)
+        with pytest.raises(CapacityError, match="output budget"):
+            check_scan_budget(2, 2)
+
+    def test_k1_csv_over_output_budget(self):
+        # C(25002, 2) = 3.1e8 points x 3 coordinates: ~9.4e8 < SCAN_BUDGET work
+        check_scan_budget(default_grid_resolution(1), 1)
+        with pytest.raises(CapacityError, match="output budget"):
+            check_scan_budget(25_000, 1)
 
     def test_huge_lattice_rejected_without_full_count(self):
         # C(10**9 + 177146, 177146) has ~660k digits; the check stops early

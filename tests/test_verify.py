@@ -16,9 +16,19 @@ from orthosym import (
     verify_reduction,
     verify_resolution,
 )
+from orthosym import projectors as projectors_module
 
 
 class TestIndividualChecks:
+    def test_pt_consistency_budgets_two_family_copies(self, monkeypatch):
+        # the family and its trace-normalized copy: 2 x 3 x 4 x 4 x 16 bytes
+        monkeypatch.setattr(projectors_module, "FAMILY_BYTES", 2 * 3 * 16 * 16 - 1)
+        verify_resolution(2, 1)
+        with pytest.raises(CapacityError, match="2 x"):
+            verify_pt_consistency(2, 1, 1)
+        monkeypatch.setattr(projectors_module, "FAMILY_BYTES", 2 * 3 * 16 * 16)
+        assert verify_pt_consistency(2, 1, 1).passed
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_c_matrix(self, d):
         report = verify_c_matrix(d)

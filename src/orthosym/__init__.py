@@ -53,6 +53,7 @@ from .simplex import (
     bob_subsystems,
     c_matrix,
     check_scan_budget,
+    check_vertex_budget,
     classify_lattice,
     coordinate_bounds,
     default_grid_resolution,

@@ -25,6 +25,7 @@ from .simplex import (
     all_masks,
     all_multi_indices,
     check_scan_budget,
+    check_vertex_budget,
     classify_lattice,
     default_grid_resolution,
     hull_vertices,
@@ -37,6 +38,9 @@ from .simplex import (
 from .verify import DEFAULT_SEED, first_failure, run_suite
 
 SEED_ENV_VAR = "ORTHOSYM_SEED"
+#: Largest JSON input file read, in bytes.  An operator at the dimension cap
+#: MAX_DIM, written with shortest round-trip floats, is about 840 MB.
+INPUT_BYTES = 2**30
 
 
 def _digits_string(digits) -> str:
@@ -51,6 +55,11 @@ def _parse_mask(text: str, K: int) -> tuple[int, ...]:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > INPUT_BYTES:
+            raise CapacityError(
+                f"input file {path} has {size} bytes, over the budget of {INPUT_BYTES}"
+            )
         return json.load(fh)
 
 
@@ -138,18 +147,15 @@ def cmd_scan(args) -> int:
         + [f"ppt_{_digits_string(m)}" for m in all_masks(args.K)]
         + ["class"]
     )
+    # every coordinate is c/n with an integer c in 0..n: format the n + 1 values
+    # once and look each one up by c = rint(pi * n), exact at every admitted n
+    text = np.array([format_float(c / n) for c in range(n + 1)], dtype=object)
     lines = [",".join(header)]
     for pi, ppt, bound_ok in classify_lattice(args.d, args.K, n, args.tol):
         labels = np.where(~ppt.all(axis=1), "NPT", np.where(bound_ok, "bound-pass", "PPT-all"))
-        rows = zip(pi.tolist(), bound_ok.tolist(), ppt.tolist(), labels.tolist())
-        for row, ok, flags, label in rows:
-            fields = (
-                [format_float(x) for x in row]
-                + ["1" if ok else "0"]
-                + ["1" if v else "0" for v in flags]
-                + [label]
-            )
-            lines.append(",".join(fields))
+        flags = np.where(np.column_stack([bound_ok, ppt]), "1", "0")
+        cells = np.column_stack([text[np.rint(pi * n).astype(np.intp)], flags, labels])
+        lines.extend(map(",".join, cells.tolist()))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -161,6 +167,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_vertices(args) -> int:
+    check_vertex_budget(args.K)
     crossing = intersection_point(args.d)
     doc = {
         "d": args.d,

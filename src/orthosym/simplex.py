@@ -43,7 +43,8 @@ SUM_TOL = 1e-12
 #: does not even at n = 1 (K = 8: 1.1e10).
 SCAN_BUDGET = 10**9
 #: Most lattice points x 3**K coordinates one scan may write, about 20 bytes of
-#: CSV text each.  The largest default grid of K <= 7 is K = 4 (7.4e6).
+#: CSV text each.  The largest default grid of K <= 7 is K = 4 (7.4e6).  It
+#: also bounds the 4**K x 3**K coordinates of the hull vertices.
 SCAN_OUTPUT_COORDS = 10**7
 #: Coordinates per row block of :func:`classify_lattice` (at least one row).
 SCAN_BLOCK_COORDS = 2**12
@@ -487,10 +488,30 @@ def _vertex_coords_by_label(d: int) -> dict[str, np.ndarray]:
     }
 
 
+def check_vertex_budget(K: int) -> None:
+    """Raise CapacityError when the 4**K hull vertices of 3**K coordinates exceed
+    SCAN_OUTPUT_COORDS.
+
+    The size 12**K is built one pair at a time and the check stops at the
+    first partial size over the bound, so an enormous K is rejected at once.
+    K <= 6 fits (K = 6: 3.0e6 coordinates); K >= 7 does not (K = 7: 3.6e7).
+    """
+    size = 1
+    for _ in range(K):
+        size *= 12
+        if size > SCAN_OUTPUT_COORDS:
+            raise CapacityError(
+                f"hull vertices of K={K} exceed the output budget of "
+                f"{SCAN_OUTPUT_COORDS:.0e} vertex-coordinates"
+            )
+
+
 def hull_vertices(d: int, K: int) -> list[tuple[tuple[str, ...], FidelityVector]]:
     """All 4**K tensor combinations of the bipartite hull generators.
 
     Returned in lexicographic order over per-pair labels (Q0, Q1, P0, P1).
+    Call :func:`check_vertex_budget` first; this function does not bound its
+    own output.
     """
     singles = _vertex_coords_by_label(d)
     out = []
@@ -542,18 +563,28 @@ def intersection_point(d: int) -> IntersectionPoint:
     return IntersectionPoint(q, p, (1 - q) * w0 + q * w1, (1 - p) * i0 + p * i1)
 
 
-def simplex_grid(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of n into ``parts`` nonnegative integers, lexicographic."""
+def _composition_blocks(n: int, parts: int, coords: int) -> Iterator[np.ndarray]:
+    """Compositions of n into ``parts`` nonnegative integers, lexicographic.
+
+    Yields (B, parts) integer blocks of at most ``coords`` entries, and at
+    least one row each.  Each composition is read off the positions of its
+    parts - 1 bars among n + parts - 1 slots: the gaps between consecutive
+    bars, taken as one ``np.diff`` per block.
+    """
     if n < 1 or parts < 1:
         raise ValueError("need n >= 1 and parts >= 1")
-    for bars in combinations(range(n + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(n + parts - 2 - prev)
-        yield tuple(comp)
+    rows = max(1, coords // parts)
+    slots = n + parts - 1
+    bars = combinations(range(slots), parts - 1)
+    while block := list(islice(bars, rows)):
+        at = np.array(block, dtype=np.int64).reshape(len(block), parts - 1)
+        yield np.diff(at, axis=1, prepend=-1, append=slots) - 1
+
+
+def simplex_grid(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of n into ``parts`` nonnegative integers, lexicographic."""
+    for block in _composition_blocks(n, parts, SCAN_BLOCK_COORDS):
+        yield from map(tuple, block.tolist())
 
 
 def grid_points(d: int, K: int, n: int) -> Iterator[FidelityVector]:
@@ -622,10 +653,8 @@ def classify_lattice(
     m = 3**K
     c = c_matrix(d)
     bounds = coordinate_bounds(d, K)
-    grid = simplex_grid(n, m)
-    rows = max(1, SCAN_BLOCK_COORDS // m)
-    while block := list(islice(grid, rows)):
-        pi = np.array(block, dtype=float) / n
+    for comp in _composition_blocks(n, m, SCAN_BLOCK_COORDS):
+        pi = comp / n
         if not _state_rows(pi).all():
             raise DomainError("scan requires state-valued coordinates")
         transformed = [pi.reshape((len(pi),) + (3,) * K)]

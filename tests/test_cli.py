@@ -1,16 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from orthosym import (
+    MAX_DIM,
     PSD_TOL,
     ComplexOperator,
     FidelityVector,
     all_masks,
     all_multi_indices,
+    check_scan_budget,
     cli,
     ppt_check,
     random_orthogonal,
@@ -20,6 +23,7 @@ from orthosym import (
 from orthosym import projectors as projectors_module
 from orthosym import simplex as simplex_module
 from orthosym.cli import main
+from orthosym.jsonio import format_float
 
 
 def run(capsys, *argv):
@@ -52,6 +56,17 @@ class TestVertices:
         assert code == 0
         assert len(doc["vertices"]) == 16
         assert all(len(v["pi"]) == 9 for v in doc["vertices"])
+
+    @pytest.mark.parametrize("K", [7, 8, 1000])
+    def test_over_budget_exits_3_before_any_build(self, capsys, monkeypatch, K):
+        def no_build(*args):
+            raise AssertionError("a hull vertex was built before the budget check")
+
+        monkeypatch.setattr(cli, "hull_vertices", no_build)
+        code, out, err = run(capsys, "vertices", "--d", "2", "--K", str(K))
+        assert code == 3
+        assert "output budget" in err
+        assert out == ""
 
 
 class TestProjectorsAndTwirl:
@@ -329,6 +344,102 @@ class TestScan:
         assert "output budget" in err
         assert out == ""
         assert not out_file.exists()
+
+    # SHA-256 of the default-tol CSV, so that any change to the bytes of these
+    # scans fails here; --tol 0 output is not pinned, because exact integer
+    # verdicts are meant to change it
+    @pytest.mark.parametrize(
+        "d, K, n, digest",
+        [
+            (2, 2, 8, "6baa6a6f9ce3fbbe32a75aa8ee5c2d00943fdef8972110261b94971523c3cc37"),
+            (2, 2, 11, "ca5730bc6bfc5bb0f723e513c25a4af68975234a3bd6018a44c000b1be3dcf25"),
+            (3, 2, 6, "373f3b1c6aa92cb2643343645c422cc46214d4aa1e45884786bb363d7144e6d3"),
+            (2, 3, 3, "ddd26132b2117b2ec66b384b18a8a01a27bad13a617b7c38e6954a696adbd4f0"),
+            (4, 2, 5, "e111bb199382bfb4ebe91eb0ef8effbcb99911d6abd79da4510f594c597d39ec"),
+            (2, 1, 40, "c85bb900a886bdf2296f54f061fcb40700015754a2dfb0ea664a007a4e960e5d"),
+        ],
+    )
+    def test_pinned_csv_digest(self, capsys, tmp_path, d, K, n, digest):
+        out_file = tmp_path / "scan.csv"
+        code, _, _ = run(
+            capsys, "scan", "--d", str(d), "--K", str(K), "--grid", str(n),
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    def test_coordinate_text_where_truncation_would_be_off_by_one(self, capsys, tmp_path):
+        # (1/49) * 49 rounds to 0.9999999999999999: a truncated lookup index
+        # would print 0 there
+        assert int((1 / 49) * 49) == 0
+        out_file = tmp_path / "scan.csv"
+        run(capsys, "scan", "--d", "2", "--K", "1", "--grid", "49", "--out", str(out_file))
+        rows = [line.split(",")[:3] for line in out_file.read_text().split("\n")[1:-1]]
+        assert rows == [[format_float(c / 49) for c in comp] for comp in simplex_grid(49, 3)]
+
+    def test_coordinate_table_is_exact_up_to_largest_k1_grid(self):
+        # the scan renders pi = c/n as text[c], text[c] = format_float(c / n),
+        # with c recovered as rint(pi * n); check every c <= n of every grid
+        # the budget admits at K = 1, the largest n of any K.  The double c/n
+        # of Python equals the one numpy computes for pi, so the text is equal;
+        # the strings themselves are compared up to n = 200 (all of them take ~8 s)
+        n_max = 1
+        while True:
+            try:
+                check_scan_budget(n_max + 1, 1)
+            except simplex_module.CapacityError:
+                break
+            n_max += 1
+        assert n_max > 2_500
+        for n in range(1, n_max + 1):
+            c = np.arange(n + 1)
+            pi = c / n
+            assert np.array_equal(np.rint(pi * n), c)
+            assert pi.tolist() == [k / n for k in range(n + 1)]
+            if n <= 200:
+                text = [format_float(k / n) for k in range(n + 1)]
+                assert text == [format_float(x) for x in pi]
+
+
+class TestInputBudget:
+    @pytest.mark.parametrize("command", ["twirl", "ppt", "sep", "reduce"])
+    def test_oversized_input_exits_3_before_parsing(self, capsys, tmp_path, monkeypatch, command):
+        if command == "twirl":
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(
+                {"dim": 4, "shape": [2, 2], "re": (np.eye(4) / 4).reshape(-1).tolist(),
+                 "im": [0.0] * 16}
+            ))
+            argv = ["twirl", "--d", "2", "--K", "1", "--state", str(path)]
+        else:
+            path = tmp_path / "fid.json"
+            path.write_text(json.dumps({"d": 2, "K": 2, "pi": [1 / 9] * 9}))
+            argv = [command, "--fid", str(path)] + (["--pair", "0"] if command == "reduce" else [])
+        size = path.stat().st_size
+        monkeypatch.setattr(cli, "INPUT_BYTES", size)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("an input file over budget was parsed")
+
+        monkeypatch.setattr(cli, "INPUT_BYTES", size - 1)
+        monkeypatch.setattr(cli.json, "load", no_parse)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"has {size} bytes" in err and "budget" in err
+
+    def test_budget_admits_an_operator_at_the_dimension_cap(self):
+        # MAX_DIM**2 entries in each of "re" and "im"; the longest repr of a
+        # double, -2.2250738585072014e-308, has 24 characters, plus ", "
+        assert len(repr(-2.2250738585072014e-308)) == 24
+        assert 2 * MAX_DIM**2 * 26 + 1000 < cli.INPUT_BYTES
+
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sep", "--fid", str(tmp_path / "none.json"))
+        assert code == 2
+        assert "No such file" in err
 
 
 class TestReduce:

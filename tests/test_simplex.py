@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthosym import (
@@ -21,6 +21,7 @@ from orthosym import (
     build_bipartite,
     c_matrix,
     check_scan_budget,
+    check_vertex_budget,
     classify_lattice,
     coordinate_bounds,
     default_grid_resolution,
@@ -578,6 +579,33 @@ class TestGrid:
     def test_single_part(self):
         assert list(simplex_grid(5, 1)) == [(5,)]
 
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 40))
+    @example(n=3, parts=1, coords=1)
+    @example(n=4, parts=5, coords=3)
+    def test_composition_blocks_match_recursive_list(self, n, parts, coords):
+        def compositions(total, k):
+            if k == 1:
+                return [(total,)]
+            return [
+                (first,) + rest
+                for first in range(total + 1)
+                for rest in compositions(total - first, k - 1)
+            ]
+
+        blocks = list(simplex_module._composition_blocks(n, parts, coords))
+        rows = max(1, coords // parts)  # a single row per block when coords <= parts
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        assert all(b.dtype.kind == "i" and b.shape[1] == parts for b in blocks)
+        expected = compositions(n, parts)
+        assert [tuple(r) for b in blocks for r in b.tolist()] == expected
+        assert list(simplex_grid(n, parts)) == expected
+
+    @pytest.mark.parametrize("n, parts", [(0, 3), (3, 0)])
+    def test_empty_lattice_rejected(self, n, parts):
+        with pytest.raises(ValueError):
+            next(simplex_grid(n, parts))
+
     def test_default_resolution_limits(self):
         for K in (1, 2, 3):
             n = default_grid_resolution(K)
@@ -707,6 +735,23 @@ class TestScanBudget:
             check_scan_budget(10**9, 11)
         with pytest.raises(CapacityError):
             check_scan_budget(1, 60)
+
+
+class TestVertexBudget:
+    def test_k6_fits_k7_rejected(self):
+        for K in range(1, 7):
+            check_vertex_budget(K)
+        for K in (7, 8, 60, 10**9):
+            with pytest.raises(CapacityError, match="output budget"):
+                check_vertex_budget(K)
+
+    def test_size_is_vertices_times_coordinates(self, monkeypatch):
+        # K = 2: 16 vertices of 9 coordinates
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 16 * 9)
+        check_vertex_budget(2)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 16 * 9 - 1)
+        with pytest.raises(CapacityError):
+            check_vertex_budget(2)
 
 
 class TestFidelityVectorType:

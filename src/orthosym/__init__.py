@@ -57,7 +57,6 @@ from .simplex import (
     classify_lattice,
     coordinate_bounds,
     default_grid_resolution,
-    grid_points,
     hull_vertices,
     intersection_point,
     mask_digits,

@@ -21,6 +21,7 @@ from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
 from .jsonio import dumps, format_float
 from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
+    SCAN_OUTPUT_COORDS,
     FidelityVector,
     all_masks,
     all_multi_indices,
@@ -72,8 +73,20 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_output(coords: int, what: str) -> None:
+    """Raise CapacityError when an output of ``coords`` floats exceeds SCAN_OUTPUT_COORDS."""
+    if coords > SCAN_OUTPUT_COORDS:
+        raise CapacityError(
+            f"{what} exceeds the output budget of {SCAN_OUTPUT_COORDS:.0e} coordinates"
+        )
+
+
 def cmd_projectors(args) -> int:
     alpha = tuple(int(tok) for tok in args.alpha.split(","))
+    # 2 * d**(4 * pairs) floats; from 24 pairs, the bit length of the budget, every
+    # d >= 2 is over it, so the count is capped there and forms no enormous power
+    pairs = min(len(alpha), SCAN_OUTPUT_COORDS.bit_length())
+    _check_output(2 * args.d ** (4 * pairs), f"the projector of {len(alpha)} pairs at d={args.d}")
     op = build_multipartite(args.d, args.K, alpha)
     doc = {
         "d": args.d,
@@ -95,6 +108,7 @@ def cmd_twirl(args) -> int:
 
 def cmd_ppt(args) -> int:
     f = FidelityVector.from_json(_load_json(args.fid))
+    _check_output((1 if args.mask else 2**f.K - 1) * f.pi.size, f"ppt of K={f.K}")
     masks = [_parse_mask(args.mask, f.K)] if args.mask else all_masks(f.K)
     verdicts = []
     for mask in masks:
@@ -117,12 +131,13 @@ def cmd_ppt(args) -> int:
 def cmd_sep(args) -> int:
     f = FidelityVector.from_json(_load_json(args.fid))
     result = sep_bound_check(f)
+    violated = set(result.violated)
     rows = [
         {
             "sigma": _digits_string(alpha),
             "pi": float(f.pi[rank]),
             "bound": float(result.bounds[rank]),
-            "ok": bool(f.pi[rank] <= result.bounds[rank] + PSD_TOL),
+            "ok": alpha not in violated,
         }
         for rank, alpha in enumerate(all_multi_indices(f.K))
     ]
@@ -148,13 +163,13 @@ def cmd_scan(args) -> int:
         + ["class"]
     )
     # every coordinate is c/n with an integer c in 0..n: format the n + 1 values
-    # once and look each one up by c = rint(pi * n), exact at every admitted n
+    # once and look each one up by its composition entry c
     text = np.array([format_float(c / n) for c in range(n + 1)], dtype=object)
     lines = [",".join(header)]
-    for pi, ppt, bound_ok in classify_lattice(args.d, args.K, n, args.tol):
+    for comp, ppt, bound_ok in classify_lattice(args.d, args.K, n, args.tol):
         labels = np.where(~ppt.all(axis=1), "NPT", np.where(bound_ok, "bound-pass", "PPT-all"))
         flags = np.where(np.column_stack([bound_ok, ppt]), "1", "0")
-        cells = np.column_stack([text[np.rint(pi * n).astype(np.intp)], flags, labels])
+        cells = np.column_stack([text[comp], flags, labels])
         lines.extend(map(",".join, cells.tolist()))
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -296,7 +311,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, KeyError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

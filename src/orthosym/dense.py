@@ -68,9 +68,6 @@ class ComplexOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def dagger(self) -> "ComplexOperator":
-        return ComplexOperator(self.matrix.conj().T, self.shape)
-
     def to_json(self) -> dict:
         """Row-major JSON form ``{"dim", "shape", "re", "im"}``."""
         flat = self.matrix.reshape(-1)

@@ -69,8 +69,10 @@ class FidelityVector:
         if self.K < 1:
             raise ValueError("pair count must be >= 1")
         pi = np.array(self.pi, dtype=float, copy=True)
-        if pi.shape != (3**self.K,):
-            raise ValueError(f"expected {3 ** self.K} coordinates, got shape {pi.shape}")
+        # 3**K is over the size once K reaches its bit length: capped there,
+        # an enormous K forms no enormous power
+        if pi.ndim != 1 or pi.size != 3 ** min(self.K, pi.size.bit_length()):
+            raise ValueError(f"expected 3**{self.K} coordinates, got shape {pi.shape}")
         if not np.isfinite(pi).all():
             raise DomainError("coordinates must be finite")
         pi.setflags(write=False)
@@ -384,7 +386,9 @@ def twirl_coords(
     result is state-valued, idempotent with :func:`reconstruct`, and rescaled
     by its sum so that a trace off by up to 1e-10 still yields unit-sum output.
     """
-    if rho.dim != d ** (2 * K):
+    # for d >= 2, d**(2K) is over the dimension once 2K reaches its bit length, so
+    # capping 2K there keeps the verdict and forms no enormous power (1**x is 1)
+    if rho.dim != d ** min(2 * K, rho.dim.bit_length()):
         raise DomainError(f"state dimension {rho.dim} is not {d}^(2*{K})")
     if rho.dim > MAX_DIM:
         raise CapacityError(f"dimension {rho.dim} exceeds the cap {MAX_DIM}")
@@ -587,18 +591,15 @@ def simplex_grid(n: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield from map(tuple, block.tolist())
 
 
-def grid_points(d: int, K: int, n: int) -> Iterator[FidelityVector]:
-    """State-valued lattice points pi = c / n over the coordinate simplex."""
-    for comp in simplex_grid(n, 3**K):
-        yield FidelityVector(d, K, np.array(comp, dtype=float) / n)
+def default_grid_resolution(K: int) -> int:
+    """Largest n whose composition lattice into 3**K parts has <= 100,000 points.
 
-
-def default_grid_resolution(K: int, limit: int = 100_000) -> int:
-    """Largest n whose composition lattice into 3**K parts has <= ``limit`` points.
-
-    Never below 1, even when the n = 1 lattice (3**K points) is over ``limit``.
+    Never below 1, even when the n = 1 lattice (3**K points) is over the limit.
+    From K = 17, the bit length of the limit, that is always so; K is capped
+    there, so an enormous K forms no enormous power.
     """
-    m = 3**K
+    limit = 100_000
+    m = 3 ** min(K, limit.bit_length())
     n = 1
     while comb(n + m, m - 1) <= limit:
         n += 1
@@ -613,10 +614,12 @@ def check_scan_budget(n: int, K: int) -> None:
     point count C(n + 3**K - 1, 3**K - 1) is built one factor at a time and
     the check stops at the first partial count over either budget, so an
     enormous n or K is rejected at once, long before the full binomial could
-    be formed.
+    be formed.  From K = 30, the bit length of SCAN_BUDGET, one point alone is
+    over budget; K is capped there, so an enormous K forms no enormous power.
     """
-    m = 3**K
-    per_point = m * (2**K - 1)
+    k = min(K, SCAN_BUDGET.bit_length())
+    m = 3**k
+    per_point = m * (2**k - 1)
     points = 1
     for i in range(1, m):
         points = points * (n + i) // i
@@ -635,13 +638,13 @@ def check_scan_budget(n: int, K: int) -> None:
 def classify_lattice(
     d: int, K: int, n: int, tol: float = PSD_TOL
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The lattice of :func:`grid_points` in row blocks, with the scan verdicts.
+    """The lattice points pi = c / n in row blocks, with the scan verdicts.
 
-    Yields ``(pi, ppt, bound_ok)`` per block of at most SCAN_BLOCK_COORDS
-    coordinates: ``pi`` is (B, 3**K), ``ppt[:, j]`` is
-    ``ppt_check(f, all_masks(K)[j], tol).is_ppt`` and ``bound_ok`` is
-    ``sep_bound_check(f).passes``, row by row.  Call :func:`check_scan_budget`
-    first; this generator does not bound its own work.
+    Yields ``(comp, ppt, bound_ok)`` per block of at most SCAN_BLOCK_COORDS
+    coordinates: ``comp`` is (B, 3**K), the integer compositions c of n of
+    :func:`simplex_grid`, and with f = c / n, ``ppt[:, j]`` is ``ppt_check(f,
+    all_masks(K)[j], tol).is_ppt`` and ``bound_ok`` ``sep_bound_check(f).passes``,
+    row by row.  Call :func:`check_scan_budget` first; it is not bounded here.
 
     Mask r is C applied on the last masked axis of mask r & (r - 1), the
     block already transformed by the masks before it, so each mask costs one
@@ -665,4 +668,4 @@ def classify_lattice(
         ppt = np.stack(
             [~(t.reshape(pi.shape) < -tol).any(axis=1) for t in transformed[1:]], axis=1
         )
-        yield pi, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)
+        yield comp, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)

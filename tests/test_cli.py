@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from orthosym import (
     MAX_DIM,
     PSD_TOL,
     ComplexOperator,
+    DomainError,
     FidelityVector,
     all_masks,
     all_multi_indices,
@@ -116,6 +121,36 @@ class TestProjectorsAndTwirl:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "d, K, admitted",
+        [(2, 5, True), (3, 3, True), (2, 6, False), (4, 3, False), (8, 2, False), (7, 2, False)],
+    )
+    def test_projector_output_budget(self, capsys, monkeypatch, d, K, admitted):
+        # 2 * d**(4K) floats: d=2, K=5 is 2.1e6, d=7, K=2 is 1.2e7, dimension 4096 3.4e7
+        def reached(*args):
+            raise DomainError("build reached")
+
+        monkeypatch.setattr(cli, "build_multipartite", reached)
+        alpha = ",".join(["0"] * K)
+        code, out, err = run(capsys, "projectors", "--d", str(d), "--K", str(K), "--alpha", alpha)
+        assert out == ""
+        if admitted:
+            assert (code, err) == (4, "error: build reached\n")
+        else:
+            assert code == 3
+            assert "output budget" in err
+
+    def test_projector_output_is_two_floats_per_entry(self, capsys, monkeypatch):
+        # d=2, K=1: a 4 x 4 matrix, written as 32 floats
+        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", 32)
+        code, _, _ = run(capsys, "projectors", "--d", "2", "--K", "1", "--alpha", "2")
+        assert code == 0
+        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", 31)
+        code, out, err = run(capsys, "projectors", "--d", "2", "--K", "1", "--alpha", "2")
+        assert code == 3
+        assert out == ""
+        assert "output budget" in err
+
     def test_twirl_domain_error_exit_code(self, capsys, tmp_path):
         state = tmp_path / "bad.json"
         mat = np.eye(4)  # trace 4, not a state
@@ -198,6 +233,41 @@ class TestPpt:
         code, _, _ = run(capsys, "ppt", "--fid", fid)
         assert code == 4
 
+    @pytest.mark.parametrize("mask, coords", [([], 3 * 9), (["--mask", "10"], 9)])
+    def test_output_budget_is_masks_times_coordinates(
+        self, capsys, tmp_path, monkeypatch, mask, coords
+    ):
+        fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
+        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", coords)
+        code, _, _ = run(capsys, "ppt", "--fid", fid, *mask)
+        assert code == 0
+        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", coords - 1)
+        monkeypatch.setattr(cli, "ppt_check", self.no_check)
+        code, out, err = run(capsys, "ppt", "--fid", fid, *mask)
+        assert code == 3
+        assert out == ""
+        assert "output budget" in err
+
+    @pytest.mark.parametrize("mask, code", [([], 3), (["--mask", "000000001"], 0)])
+    def test_k9_all_masks_exit_3_before_any_check(
+        self, capsys, tmp_path, monkeypatch, mask, code
+    ):
+        # 511 masks x 19,683 coordinates = 1.0e7 is over the budget; one mask is not
+        fid = write_fid(tmp_path, "u.json", 2, 9, [3.0**-9] * 3**9)
+        if code:
+            monkeypatch.setattr(cli, "ppt_check", self.no_check)
+        got, out, err = run(capsys, "ppt", "--fid", fid, *mask)
+        assert got == code
+        if code:
+            assert out == ""
+            assert "output budget" in err
+        else:
+            assert json.loads(out)["verdicts"][0]["is_ppt"] is True
+
+    @staticmethod
+    def no_check(*args):
+        raise AssertionError("ppt started a check before its output budget")
+
 
 class TestSep:
     def test_symmetric_vertex_passes(self, capsys, tmp_path):
@@ -222,6 +292,21 @@ class TestSep:
         doc = json.loads(out)
         assert doc["passes"] is False
         assert doc["violated"] == ["2"]
+
+    def test_ok_is_false_exactly_on_violated(self, capsys, tmp_path):
+        # d=2, K=2: the ceiling of 12, 22 and 11 is 1/4; the first two are over
+        # it and 11 sits on it exactly
+        pi = np.zeros(9)
+        pi[[5, 8, 4]] = 0.3, 0.3, 0.25
+        pi[0] = 1.0 - pi.sum()
+        fid = write_fid(tmp_path, "k2.json", 2, 2, pi)
+        code, out, _ = run(capsys, "sep", "--fid", fid)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["violated"] == ["12", "22"]
+        assert [row["sigma"] for row in doc["coordinates"] if not row["ok"]] == ["12", "22"]
+        for row in doc["coordinates"]:
+            assert row["ok"] is (row["sigma"] not in doc["violated"])
 
 
     @pytest.mark.parametrize(
@@ -378,11 +463,11 @@ class TestScan:
         assert rows == [[format_float(c / 49) for c in comp] for comp in simplex_grid(49, 3)]
 
     def test_coordinate_table_is_exact_up_to_largest_k1_grid(self):
-        # the scan renders pi = c/n as text[c], text[c] = format_float(c / n),
-        # with c recovered as rint(pi * n); check every c <= n of every grid
-        # the budget admits at K = 1, the largest n of any K.  The double c/n
-        # of Python equals the one numpy computes for pi, so the text is equal;
-        # the strings themselves are compared up to n = 200 (all of them take ~8 s)
+        # the scan renders pi = c/n as text[c], text[c] = format_float(c / n);
+        # check every c <= n of every grid the budget admits at K = 1, the
+        # largest n of any K.  The double c/n of Python equals the one numpy
+        # computes for pi, so the text is equal; the strings themselves are
+        # compared up to n = 200 (all of them take ~8 s)
         n_max = 1
         while True:
             try:
@@ -394,7 +479,6 @@ class TestScan:
         for n in range(1, n_max + 1):
             c = np.arange(n + 1)
             pi = c / n
-            assert np.array_equal(np.rint(pi * n), c)
             assert pi.tolist() == [k / n for k in range(n + 1)]
             if n <= 200:
                 text = [format_float(k / n) for k in range(n + 1)]
@@ -541,3 +625,56 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--d", "2", "--K", "1", "--grid", "0", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+HUGE_K = str(10**9)
+HUGE_D = 10**400
+
+
+class TestExtremeInputs:
+    """An enormous K or d is rejected within seconds, with an error line.
+
+    Each case runs in its own process with a timeout, so that a return to
+    forming 3**K or d**(2K) fails here instead of stalling the suite.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, fid, code",
+        [
+            (["scan", "--d", "2", "--K", HUGE_K], None, 3),
+            (["scan", "--d", "2", "--K", HUGE_K, "--grid", "1"], None, 3),
+            (["twirl", "--d", "3", "--K", HUGE_K], None, 4),
+            (["ppt"], {"d": 2, "K": 10**9}, 2),
+            (["sep"], {"d": 2, "K": 10**9}, 2),
+            (["reduce", "--pair", "0"], {"d": 2, "K": 10**9}, 2),
+            (["projectors", "--d", "2", "--K", HUGE_K, "--alpha", "0"], None, 2),
+            (["scan", "--d", str(HUGE_D), "--K", "1", "--grid", "2"], None, 2),
+            (["ppt"], {"d": HUGE_D, "K": 1}, 2),
+            (["sep"], {"d": HUGE_D, "K": 1}, 2),
+            (["vertices", "--d", str(HUGE_D)], None, 2),
+            (["projectors", "--d", str(HUGE_D), "--K", "1", "--alpha", "0"], None, 3),
+        ],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, argv, fid, code):
+        argv = list(argv)
+        if fid is not None:
+            path = tmp_path / "fid.json"
+            path.write_text(json.dumps({**fid, "pi": [1.0, 0.0, 0.0]}))
+            argv += ["--fid", str(path)]
+        if argv[0] == "twirl":
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(ComplexOperator(np.eye(9) / 9, (3, 3)).to_json()))
+            argv += ["--state", str(path)]
+        if argv[0] == "scan":
+            argv += ["--out", str(tmp_path / "scan.csv")]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthosym", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "scan.csv").exists()

@@ -25,7 +25,6 @@ from orthosym import (
     classify_lattice,
     coordinate_bounds,
     default_grid_resolution,
-    grid_points,
     hull_vertices,
     identity,
     intersection_point,
@@ -67,6 +66,11 @@ def wishart_state(d, K, seed):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     mat = g @ g.conj().T
     return ComplexOperator(mat / np.trace(mat).real, (d,) * (2 * K))
+
+
+def grid_points(d, K, n):
+    """The lattice points c / n of the compositions c of n into 3**K parts."""
+    return [FidelityVector(d, K, np.array(c, dtype=float) / n) for c in simplex_grid(n, 3**K)]
 
 
 def single_point_pt_map(pi, c, mask):
@@ -436,6 +440,8 @@ class TestTwirlAndReconstruct:
             twirl_coords(rho, 2, 2)  # the cap comes before the entries are read
         with pytest.raises(DomainError, match="dimension"):
             twirl_coords(rho, 2, 1)  # and a dimension mismatch before the cap
+        with pytest.raises(DomainError, match="dimension"):
+            twirl_coords(rho, 2, 10**9)  # decided without forming 2**(2 * 10**9)
 
     def test_reconstruct_capacity(self):
         f = FidelityVector(2, 7, np.full(3**7, 1.0 / 3**7))
@@ -613,6 +619,18 @@ class TestGrid:
             assert comb(n + m - 1, m - 1) <= 100_000
             assert comb(n + m, m - 1) > 100_000
 
+    def test_default_resolution_matches_uncapped_search(self):
+        def uncapped(K):
+            m, n = 3**K, 1
+            while comb(n + m, m - 1) <= 100_000:
+                n += 1
+            return n
+
+        assert [default_grid_resolution(K) for K in range(1, 21)] == [
+            uncapped(K) for K in range(1, 21)
+        ]
+        assert default_grid_resolution(10**9) == 1
+
 
 class TestBatchedCore:
     @given(
@@ -644,10 +662,10 @@ class TestBatchedCore:
         c = c_matrix(d)
         masks = all_masks(K)
         blocks = list(classify_lattice(d, K, n, tol))
-        pi = np.concatenate([b[0] for b in blocks])
+        pi = np.concatenate([b[0] for b in blocks]) / n
         ppt = np.concatenate([b[1] for b in blocks])
         bound_ok = np.concatenate([b[2] for b in blocks])
-        points = list(grid_points(d, K, n))
+        points = grid_points(d, K, n)
         assert np.array_equal(pi, np.array([f.pi for f in points]))
         for j, mask in enumerate(masks):
             single = np.array([single_point_pt_map(f.pi, c.entries, mask) for f in points])
@@ -674,8 +692,8 @@ class TestBatchedCore:
         monkeypatch.setattr(simplex_module, "_apply_c", recording)
         monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 3**K * 7)
         blocks = []
-        for pi, _, _ in classify_lattice(3, K, 2, PSD_TOL):
-            blocks.append((pi, outputs[:]))
+        for comp, _, _ in classify_lattice(3, K, 2, PSD_TOL):
+            blocks.append((comp / 2, outputs[:]))
             outputs.clear()
         monkeypatch.setattr(simplex_module, "_apply_c", apply_c)
         c = c_matrix(3)
@@ -691,6 +709,11 @@ class TestBatchedCore:
             pt_map_rows(rows, c_matrix(2), (1,))
         with pytest.raises(ValueError):
             pt_map_rows(rows, c_matrix(2), (1, 2))
+
+    def test_lattice_yields_integer_compositions_in_grid_order(self):
+        comp = np.concatenate([b[0] for b in classify_lattice(2, 2, 3, PSD_TOL)])
+        assert comp.dtype == np.int64
+        assert list(map(tuple, comp.tolist())) == list(simplex_grid(3, 9))
 
     def test_lattice_rejects_d1(self):
         with pytest.raises(ValueError):
@@ -735,6 +758,9 @@ class TestScanBudget:
             check_scan_budget(10**9, 11)
         with pytest.raises(CapacityError):
             check_scan_budget(1, 60)
+        # nor is 3**K formed: from K = 30 one point alone is over budget
+        with pytest.raises(CapacityError, match="exceeds the budget"):
+            check_scan_budget(1, 10**9)
 
 
 class TestVertexBudget:
@@ -764,6 +790,10 @@ class TestFidelityVectorType:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FidelityVector(2, 2, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"expected 3\*\*1000000000 coordinates"):
+            FidelityVector(2, 10**9, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+            FidelityVector(2, 2, np.full((3, 3), 1.0 / 9.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

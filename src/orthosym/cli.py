@@ -21,10 +21,10 @@ from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
 from .jsonio import dumps, format_float
 from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
-    SCAN_OUTPUT_COORDS,
     FidelityVector,
     all_masks,
     all_multi_indices,
+    check_output_budget,
     check_scan_budget,
     check_vertex_budget,
     classify_lattice,
@@ -55,13 +55,28 @@ def _parse_mask(text: str, K: int) -> tuple[int, ...]:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    doc = json.loads(_read_input(path))
+    if type(doc) is not dict:
+        raise ValueError(f"input {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _read_input(path: str) -> str:
+    """The text of ``path``, at most INPUT_BYTES bytes of UTF-8.
+
+    Only the text is returned, so the bytes are freed before the JSON is parsed.
+    """
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size > INPUT_BYTES:
             raise CapacityError(
                 f"input file {path} has {size} bytes, over the budget of {INPUT_BYTES}"
             )
-        return json.load(fh)
+        # a pipe reports size 0, so the read itself is bounded too
+        data = fh.read(INPUT_BYTES + 1)
+    if len(data) > INPUT_BYTES:
+        raise CapacityError(f"input {path} has more bytes than the budget of {INPUT_BYTES}")
+    return data.decode()
 
 
 def _emit(args, text: str) -> None:
@@ -73,20 +88,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _check_output(coords: int, what: str) -> None:
-    """Raise CapacityError when an output of ``coords`` floats exceeds SCAN_OUTPUT_COORDS."""
-    if coords > SCAN_OUTPUT_COORDS:
-        raise CapacityError(
-            f"{what} exceeds the output budget of {SCAN_OUTPUT_COORDS:.0e} coordinates"
-        )
-
-
 def cmd_projectors(args) -> int:
     alpha = tuple(int(tok) for tok in args.alpha.split(","))
-    # 2 * d**(4 * pairs) floats; from 24 pairs, the bit length of the budget, every
-    # d >= 2 is over it, so the count is capped there and forms no enormous power
-    pairs = min(len(alpha), SCAN_OUTPUT_COORDS.bit_length())
-    _check_output(2 * args.d ** (4 * pairs), f"the projector of {len(alpha)} pairs at d={args.d}")
+    # 2 * d**(4 * pairs) floats, the real and imaginary parts
+    check_output_budget(
+        (2 * args.d**k for k in range(4 * len(alpha) + 1)),
+        f"the projector of {len(alpha)} pairs at d={args.d}",
+    )
     op = build_multipartite(args.d, args.K, alpha)
     doc = {
         "d": args.d,
@@ -108,7 +116,7 @@ def cmd_twirl(args) -> int:
 
 def cmd_ppt(args) -> int:
     f = FidelityVector.from_json(_load_json(args.fid))
-    _check_output((1 if args.mask else 2**f.K - 1) * f.pi.size, f"ppt of K={f.K}")
+    check_output_budget([(1 if args.mask else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
     masks = [_parse_mask(args.mask, f.K)] if args.mask else all_masks(f.K)
     verdicts = []
     for mask in masks:

@@ -80,10 +80,12 @@ class ComplexOperator:
 
     @classmethod
     def from_json(cls, data: dict) -> "ComplexOperator":
-        dim = int(data["dim"])
+        dim, shape = data["dim"], data["shape"]
+        if type(shape) is not list or any(type(x) is not int for x in [dim, *shape]):
+            raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
         re = np.asarray(data["re"], dtype=float).reshape(dim, dim)
         im = np.asarray(data["im"], dtype=float).reshape(dim, dim)
-        return cls(re + 1j * im, tuple(int(s) for s in data["shape"]))
+        return cls(re + 1j * im, tuple(shape))
 
 
 def identity(shape: Sequence[int]) -> ComplexOperator:

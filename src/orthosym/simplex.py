@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
 from math import comb, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,13 +38,11 @@ from .projectors import (
 
 #: Absolute slack allowed on the unit-sum constraint of state coordinates.
 SUM_TOL = 1e-12
-#: Most lattice points x 3**K coordinates x (2**K - 1) masks one scan may cost.
-#: The default grid of every K <= 7 fits (K = 7: 2,187 points, 6.1e8); K >= 8
-#: does not even at n = 1 (K = 8: 1.1e10).
-SCAN_BUDGET = 10**9
-#: Most lattice points x 3**K coordinates one scan may write, about 20 bytes of
-#: CSV text each.  The largest default grid of K <= 7 is K = 4 (7.4e6).  It
-#: also bounds the 4**K x 3**K coordinates of the hull vertices.
+#: Most floats one command may write, checked by :func:`check_output_budget`:
+#: the lattice points x 3**K coordinates of ``scan`` (about 20 bytes of CSV text
+#: each; the largest default grid of K <= 7 is K = 4, 7.4e6), the 4**K x 3**K
+#: coordinates of ``vertices``, the masks x 3**K coordinates of ``ppt`` and the
+#: 2 x d**(4K) floats of one ``projectors`` matrix.
 SCAN_OUTPUT_COORDS = 10**7
 #: Coordinates per row block of :func:`classify_lattice` (at least one row).
 SCAN_BLOCK_COORDS = 2**12
@@ -95,7 +93,10 @@ class FidelityVector:
     def from_json(cls, data: dict) -> "FidelityVector":
         if type(data["d"]) is not int or type(data["K"]) is not int:
             raise ValueError(f"d and K must be JSON integers, got {data['d']!r}, {data['K']!r}")
-        return cls(data["d"], data["K"], np.asarray(data["pi"], dtype=float))
+        pi = np.asarray(data["pi"])
+        if pi.dtype.kind not in "iuf":
+            raise ValueError(f"pi must hold JSON numbers, got an array of {pi.dtype}")
+        return cls(data["d"], data["K"], pi)
 
 
 def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -492,31 +493,36 @@ def _vertex_coords_by_label(d: int) -> dict[str, np.ndarray]:
     }
 
 
+def check_output_budget(sizes: Iterable[int], what: str) -> None:
+    """Raise CapacityError at the first of ``sizes`` over SCAN_OUTPUT_COORDS.
+
+    ``sizes`` are the growing partial products of an output count, the last
+    one the count itself.  Given lazily, they stop at the first one over the
+    bound, so an enormous K, n or d is rejected without forming the count.
+    """
+    for size in sizes:
+        if size > SCAN_OUTPUT_COORDS:
+            raise CapacityError(
+                f"{what} exceeds the output budget of {SCAN_OUTPUT_COORDS:.0e} coordinates"
+            )
+
+
 def check_vertex_budget(K: int) -> None:
     """Raise CapacityError when the 4**K hull vertices of 3**K coordinates exceed
     SCAN_OUTPUT_COORDS.
 
-    The size 12**K is built one pair at a time and the check stops at the
-    first partial size over the bound, so an enormous K is rejected at once.
     K <= 6 fits (K = 6: 3.0e6 coordinates); K >= 7 does not (K = 7: 3.6e7).
     """
-    size = 1
-    for _ in range(K):
-        size *= 12
-        if size > SCAN_OUTPUT_COORDS:
-            raise CapacityError(
-                f"hull vertices of K={K} exceed the output budget of "
-                f"{SCAN_OUTPUT_COORDS:.0e} vertex-coordinates"
-            )
+    check_output_budget((12**k for k in range(1, K + 1)), f"the hull vertex list of K={K}")
 
 
 def hull_vertices(d: int, K: int) -> list[tuple[tuple[str, ...], FidelityVector]]:
     """All 4**K tensor combinations of the bipartite hull generators.
 
-    Returned in lexicographic order over per-pair labels (Q0, Q1, P0, P1).
-    Call :func:`check_vertex_budget` first; this function does not bound its
-    own output.
+    Returned in lexicographic order over per-pair labels (Q0, Q1, P0, P1),
+    after :func:`check_vertex_budget`.
     """
+    check_vertex_budget(K)
     singles = _vertex_coords_by_label(d)
     out = []
     for labels in product(VERTEX_LABELS, repeat=K):
@@ -607,32 +613,24 @@ def default_grid_resolution(K: int) -> int:
 
 
 def check_scan_budget(n: int, K: int) -> None:
-    """Raise CapacityError when scanning the n-lattice would exceed a budget.
+    """Raise CapacityError when the points x 3**K coordinates of the n-lattice
+    exceed SCAN_OUTPUT_COORDS.
 
-    The work is points x 3**K x (2**K - 1), bounded by SCAN_BUDGET, and the
-    output is points x 3**K coordinates, bounded by SCAN_OUTPUT_COORDS.  The
-    point count C(n + 3**K - 1, 3**K - 1) is built one factor at a time and
-    the check stops at the first partial count over either budget, so an
-    enormous n or K is rejected at once, long before the full binomial could
-    be formed.  From K = 30, the bit length of SCAN_BUDGET, one point alone is
-    over budget; K is capped there, so an enormous K forms no enormous power.
+    3**K is built one pair at a time, then the point count C(n + 3**K - 1,
+    3**K - 1) one factor at a time, so an enormous n or K is rejected at once.
+    The work of a scan, the output times 2**K - 1 masks, needs no bound of its
+    own: an admitted scan costs at most 6.3e8 (K = 7 admits only n = 1, and
+    from K = 8 even n = 1 is over the bound).
     """
-    k = min(K, SCAN_BUDGET.bit_length())
-    m = 3**k
-    per_point = m * (2**k - 1)
-    points = 1
-    for i in range(1, m):
-        points = points * (n + i) // i
-        if points * per_point > SCAN_BUDGET:
-            raise CapacityError(
-                f"scan of K={K} at grid {n} exceeds the budget of {SCAN_BUDGET:.0e} "
-                "point-coordinate-mask operations"
-            )
-        if points * m > SCAN_OUTPUT_COORDS:
-            raise CapacityError(
-                f"scan of K={K} at grid {n} exceeds the output budget of "
-                f"{SCAN_OUTPUT_COORDS:.0e} point-coordinates"
-            )
+
+    def sizes() -> Iterator[int]:
+        yield from (3**k for k in range(1, K + 1))
+        m, points = 3**K, 1
+        for i in range(1, m):
+            points = points * (n + i) // i
+            yield points * m
+
+    check_output_budget(sizes(), f"scan of K={K} at grid {n}")
 
 
 def classify_lattice(
@@ -644,7 +642,7 @@ def classify_lattice(
     coordinates: ``comp`` is (B, 3**K), the integer compositions c of n of
     :func:`simplex_grid`, and with f = c / n, ``ppt[:, j]`` is ``ppt_check(f,
     all_masks(K)[j], tol).is_ppt`` and ``bound_ok`` ``sep_bound_check(f).passes``,
-    row by row.  Call :func:`check_scan_budget` first; it is not bounded here.
+    row by row.  :func:`check_scan_budget` runs before the first block.
 
     Mask r is C applied on the last masked axis of mask r & (r - 1), the
     block already transformed by the masks before it, so each mask costs one
@@ -653,6 +651,7 @@ def classify_lattice(
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
+    check_scan_budget(n, K)
     m = 3**K
     c = c_matrix(d)
     bounds = coordinate_bounds(d, K)

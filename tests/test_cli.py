@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -142,10 +143,10 @@ class TestProjectorsAndTwirl:
 
     def test_projector_output_is_two_floats_per_entry(self, capsys, monkeypatch):
         # d=2, K=1: a 4 x 4 matrix, written as 32 floats
-        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", 32)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 32)
         code, _, _ = run(capsys, "projectors", "--d", "2", "--K", "1", "--alpha", "2")
         assert code == 0
-        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", 31)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 31)
         code, out, err = run(capsys, "projectors", "--d", "2", "--K", "1", "--alpha", "2")
         assert code == 3
         assert out == ""
@@ -238,10 +239,10 @@ class TestPpt:
         self, capsys, tmp_path, monkeypatch, mask, coords
     ):
         fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
-        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", coords)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", coords)
         code, _, _ = run(capsys, "ppt", "--fid", fid, *mask)
         assert code == 0
-        monkeypatch.setattr(cli, "SCAN_OUTPUT_COORDS", coords - 1)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", coords - 1)
         monkeypatch.setattr(cli, "ppt_check", self.no_check)
         code, out, err = run(capsys, "ppt", "--fid", fid, *mask)
         assert code == 3
@@ -508,7 +509,7 @@ class TestInputBudget:
             raise AssertionError("an input file over budget was parsed")
 
         monkeypatch.setattr(cli, "INPUT_BYTES", size - 1)
-        monkeypatch.setattr(cli.json, "load", no_parse)
+        monkeypatch.setattr(cli.json, "loads", no_parse)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -524,6 +525,68 @@ class TestInputBudget:
         code, _, err = run(capsys, "sep", "--fid", str(tmp_path / "none.json"))
         assert code == 2
         assert "No such file" in err
+
+    def test_piped_input_is_bounded(self, capsys, tmp_path, monkeypatch):
+        # a pipe reports size 0, so only the bounded read can reject it
+        text = json.dumps({"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]})
+        fifo = tmp_path / "fid.fifo"
+        for budget, code in ((len(text), 0), (len(text) - 1, 3)):
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+            writer.start()
+            monkeypatch.setattr(cli, "INPUT_BYTES", budget)
+            got, out, err = run(capsys, "sep", "--fid", str(fifo))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            fifo.unlink()
+            assert got == code
+        assert out == ""
+        assert "budget" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", [[1.0, 0.0, 0.0], "pi"])
+    @pytest.mark.parametrize("command", ["ppt", "sep", "reduce"])
+    def test_document_must_be_an_object(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--fid", str(path)] + (["--pair", "0"] if command == "reduce" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"shape": 5}, {"dim": 4.7, "shape": [2.9, "2"]}, {"dim": 4.0}, {"shape": [2, True]}],
+    )
+    def test_twirl_dim_and_shape_must_be_integers(self, capsys, tmp_path, field):
+        doc = {**ComplexOperator(np.eye(4) / 4, (2, 2)).to_json(), **field}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
+
+    @pytest.mark.parametrize(
+        "pi, code",
+        [
+            (["1", "0", "0"], 2),
+            ([True, False, False], 2),
+            ([1.0, None, 0.0], 2),
+            ([1, 0, 0], 0),
+            ([float("inf"), 0.0, 0.0], 4),
+        ],
+    )
+    def test_pi_must_hold_numbers(self, capsys, tmp_path, pi, code):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"d": 2, "K": 1, "pi": pi}))
+        got, out, err = run(capsys, "ppt", "--fid", str(path))
+        assert got == code
+        assert (out == "") is (code != 0)
+        if code == 2:
+            assert "JSON numbers" in err
 
 
 class TestReduce:

@@ -730,13 +730,23 @@ class TestScanBudget:
         with pytest.raises(CapacityError):
             check_scan_budget(default_grid_resolution(K), K)
 
-    def test_cost_is_points_coordinates_masks(self, monkeypatch):
-        # K = 2, n = 2: C(10, 8) = 45 points, 9 coordinates, 3 masks
-        monkeypatch.setattr(simplex_module, "SCAN_BUDGET", 45 * 9 * 3)
-        check_scan_budget(2, 2)
-        monkeypatch.setattr(simplex_module, "SCAN_BUDGET", 45 * 9 * 3 - 1)
-        with pytest.raises(CapacityError):
-            check_scan_budget(2, 2)
+    def test_admits_what_the_retired_work_budget_admitted(self):
+        # the rule with a second, work budget: points x 3**K coordinates <= 1e7
+        # and points x 3**K x (2**K - 1) masks <= 1e9; the first alone decides
+        def two_budget_rule(n, K):
+            coords = comb(n + 3**K - 1, 3**K - 1) * 3**K
+            return coords <= 10**7 and coords * (2**K - 1) <= 10**9
+
+        largest = []
+        for K in range(1, 9):
+            n_max = 0
+            while two_budget_rule(n_max + 1, K):
+                n_max += 1
+                check_scan_budget(n_max, K)
+            with pytest.raises(CapacityError, match="output budget"):
+                check_scan_budget(n_max + 1, K)
+            largest.append(n_max)
+        assert largest == [2580, 17, 5, 3, 2, 1, 1, 0]
 
     def test_output_is_points_coordinates(self, monkeypatch):
         # K = 2, n = 2: 45 points of 9 coordinates
@@ -747,7 +757,7 @@ class TestScanBudget:
             check_scan_budget(2, 2)
 
     def test_k1_csv_over_output_budget(self):
-        # C(25002, 2) = 3.1e8 points x 3 coordinates: ~9.4e8 < SCAN_BUDGET work
+        # C(25002, 2) = 3.1e8 points x 3 coordinates
         check_scan_budget(default_grid_resolution(1), 1)
         with pytest.raises(CapacityError, match="output budget"):
             check_scan_budget(25_000, 1)
@@ -758,9 +768,18 @@ class TestScanBudget:
             check_scan_budget(10**9, 11)
         with pytest.raises(CapacityError):
             check_scan_budget(1, 60)
-        # nor is 3**K formed: from K = 30 one point alone is over budget
-        with pytest.raises(CapacityError, match="exceeds the budget"):
+        # nor is 3**K formed: from K = 15 one point alone is over budget
+        with pytest.raises(CapacityError, match="output budget"):
             check_scan_budget(1, 10**9)
+
+    def test_lattice_bounds_itself(self, monkeypatch):
+        # K = 8, n = 1: 6,561 points of 6,561 coordinates
+        def no_block(*args):
+            raise AssertionError("a lattice block was built before the budget check")
+
+        monkeypatch.setattr(simplex_module, "_composition_blocks", no_block)
+        with pytest.raises(CapacityError, match="output budget"):
+            next(classify_lattice(2, 8, 1))
 
 
 class TestVertexBudget:
@@ -778,6 +797,15 @@ class TestVertexBudget:
         monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 16 * 9 - 1)
         with pytest.raises(CapacityError):
             check_vertex_budget(2)
+
+    def test_hull_vertices_bound_themselves(self, monkeypatch):
+        # K = 8: 65,536 vertices of 6,561 coordinates, about 3.4 GB of floats
+        def no_build(*args):
+            raise AssertionError("a hull vertex was built before the budget check")
+
+        monkeypatch.setattr(simplex_module, "_vertex_coords_by_label", no_build)
+        with pytest.raises(CapacityError, match="output budget"):
+            hull_vertices(2, 8)
 
 
 class TestFidelityVectorType:

@@ -93,9 +93,11 @@ class FidelityVector:
     def from_json(cls, data: dict) -> "FidelityVector":
         if type(data["d"]) is not int or type(data["K"]) is not int:
             raise ValueError(f"d and K must be JSON integers, got {data['d']!r}, {data['K']!r}")
-        pi = np.asarray(data["pi"])
-        if pi.dtype.kind not in "iuf":
-            raise ValueError(f"pi must hold JSON numbers, got an array of {pi.dtype}")
+        raw = data["pi"]
+        pi = np.asarray(raw)
+        # numpy turns booleans mixed with numbers into numbers: test each entry
+        if pi.dtype.kind not in "iuf" or (type(raw) is list and bool in set(map(type, raw))):
+            raise ValueError("pi must hold JSON numbers only, not booleans, strings or null")
         return cls(data["d"], data["K"], pi)
 
 

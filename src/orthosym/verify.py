@@ -9,19 +9,17 @@ checks take an explicit seed and are fully reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .dense import (
+    HERM_RTOL,
     MAX_DIM,
     CapacityError,
     ComplexOperator,
     DomainError,
-    kron,
-    min_eigenvalue,
-    partial_trace,
     partial_transpose,
-    pure_state_projector,
     random_orthogonal,
     random_unit_vector,
 )
@@ -29,7 +27,6 @@ from .projectors import (
     all_multi_indices,
     build_bipartite,
     check_family_budget,
-    doubled_tensor,
     multipartite_trace,
     projector_family,
 )
@@ -39,8 +36,8 @@ from .simplex import (
     bob_subsystems,
     c_matrix,
     coordinate_bounds,
-    pt_map,
     product_state_fidelities,
+    pt_map_rows,
     reconstruct,
     reduce_pair,
     twirl_coords,
@@ -48,6 +45,13 @@ from .simplex import (
 
 #: Seed used by every stochastic check unless the caller overrides it.
 DEFAULT_SEED = 8191
+
+#: Most bytes of one stacked array of a sampled check: the samples are taken in
+#: chunks of as many (D, D) complex matrices as fit, or one when a single
+#: matrix is larger (d=3, K=3: 8.5 MB).  A check holds a few such stacks at
+#: once, so at D = 16 a chunk is 32 samples: 100 in one chunk would add about
+#: 2 MB to the peak RSS of the default battery.
+STACK_BYTES = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +85,48 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 def _seed_param(seed) -> "int | str":
     return seed if isinstance(seed, int) else str(seed)
+
+
+def _chunks(count: int, dim: int) -> Iterator[slice]:
+    """Consecutive sample ranges whose (n, dim, dim) complex stacks fit STACK_BYTES."""
+    step = max(1, STACK_BYTES // (16 * dim * dim))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+def _dirichlet_rows(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """``count`` flat-Dirichlet coordinate rows, one ``rng.dirichlet`` call each."""
+    rows = [rng.dirichlet(np.ones(width)) for _ in range(count)]
+    return np.array(rows, dtype=float).reshape(count, width)
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of a (T, m, m) and a (T, n, n) stack, sample by sample."""
+    t, m, n = len(a), a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(t, m * n, m * n)
+
+
+def _transpose_axes(mask, K: int) -> list[int]:
+    """Axes of a (T, d, ..., d) stack of 2K-party matrices swapping the masked Bob legs."""
+    axes = list(range(4 * K + 1))
+    for s in bob_subsystems(mask, K):
+        axes[1 + s], axes[1 + 2 * K + s] = axes[1 + 2 * K + s], axes[1 + s]
+    return axes
+
+
+def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every matrix of a (T, D, D) stack.
+
+    Raises :class:`DomainError` as ``dense.min_eigenvalue`` does when any
+    matrix deviates from Hermiticity by more than HERM_RTOL relative to its
+    largest entry magnitude.
+    """
+    adjoint = stack.conj().swapaxes(1, 2)
+    scale = np.abs(stack).max(axis=(1, 2))
+    if (np.abs(stack - adjoint).max(axis=(1, 2)) > HERM_RTOL * scale).any():
+        raise DomainError("matrix is not Hermitian within tolerance")
+    herm = stack + adjoint
+    herm /= 2.0
+    return np.linalg.eigvalsh(herm)[:, 0]
 
 
 def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
@@ -127,12 +173,20 @@ def verify_invariance(
         return VerificationReport.build("invariance", params, 0.0, tolerance)
     family = projector_family(d, K)
     children = np.random.SeedSequence(seed).spawn(trials * K)
+    rotations = np.array([random_orthogonal(d, child).matrix for child in children])
+    rotations = rotations.reshape(trials, K, d, d)
     residual = 0.0
-    for t in range(trials):
-        ops = [random_orthogonal(d, children[t * K + i]) for i in range(K)]
-        big = doubled_tensor(ops).matrix
+    for chunk in _chunks(trials, d ** (2 * K)):
+        ops = rotations[chunk]
+        # O1 (x) ... (x) OK (x) O1 (x) ... (x) OK, as doubled_tensor builds it
+        big = ops[:, 0]
+        for i in [*range(1, K), *range(K)]:
+            big = _kron_rows(big, ops[:, i])
         for p in family:
-            residual = max(residual, float(np.abs(big @ p.matrix - p.matrix @ big).max()))
+            m = p.matrix
+            commutator = big @ m
+            commutator -= m @ big
+            residual = max(residual, float(np.abs(commutator).max()))
     return VerificationReport.build("invariance", params, residual, tolerance)
 
 
@@ -148,21 +202,27 @@ def verify_pt_consistency(
     """
     check_family_budget(d, K, copies=2)  # the family and its normalized copy
     rng = np.random.default_rng(seed)
-    indices = all_multi_indices(K)
-    family = projector_family(d, K)
-    traces = np.array([multipartite_trace(d, a) for a in indices], dtype=float)
-    tildes = [p.matrix / t for p, t in zip(family, traces)]
+    rows = _dirichlet_rows(rng, samples, 3**K)
+    traces = np.array([multipartite_trace(d, a) for a in all_multi_indices(K)], dtype=float)
+    tildes = [p.matrix / t for p, t in zip(projector_family(d, K), traces)]
+    c = c_matrix(d)
     residual = 0.0
-    for _ in range(samples):
-        f = FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
-        rho = reconstruct(f)
+    for chunk in _chunks(samples, d ** (2 * K)):
+        pis = rows[chunk]
+        rho = np.stack([reconstruct(FidelityVector(d, K, pi)).matrix for pi in pis])
+        tensor = rho.reshape((len(pis),) + (d,) * (4 * K))
         for mask in all_masks(K):
-            transposed = partial_transpose(rho, bob_subsystems(mask, K))
-            g = pt_map(f, mask)
-            mixture = sum(w * t for w, t in zip(g.pi, tildes))
-            residual = max(residual, float(np.abs(transposed.matrix - mixture).max()))
-            eig = min_eigenvalue(transposed)
-            residual = max(residual, abs(eig - float((g.pi / traces).min())))
+            transposed = tensor.transpose(_transpose_axes(mask, K)).reshape(rho.shape)
+            g = pt_map_rows(pis, c, mask)
+            # summed member by member, in the order of the scalar form
+            mixture = g[:, 0, None, None] * tildes[0]
+            for w, t in zip(g.T[1:], tildes[1:]):
+                mixture += w[:, None, None] * t
+            mixture -= transposed
+            residual = max(residual, float(np.abs(mixture).max()))
+            del mixture  # before the eigenvalue temporaries
+            eig = _min_eigenvalues(transposed)
+            residual = max(residual, float(np.abs(eig - (g / traces).min(axis=1)).max()))
     params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("pt_consistency", params, residual, tolerance)
 
@@ -180,20 +240,28 @@ def verify_product_fidelities(
     children = iter(np.random.SeedSequence(seed).spawn(4 * trials * K))
     residual = 0.0
     for field in ("real", "complex"):
-        for _ in range(trials):
-            psis = [random_unit_vector(d, field, next(children)) for _ in range(K)]
-            phis = [random_unit_vector(d, field, next(children)) for _ in range(K)]
-            f = product_state_fidelities(psis, phis)
-            sigma = pure_state_projector(psis[0])
-            for v in psis[1:] + phis:
-                sigma = kron(sigma, pure_state_projector(v))
-            dense = np.array(
-                [_trace_product(sigma.matrix, p.matrix) for p in family]
-            )
-            residual = max(residual, float(np.abs(dense - f.pi).max()))
-            twirled = twirl_coords(sigma, d, K).pi
-            residual = max(residual, float(np.abs(dense - twirled).max()))
-            residual = max(residual, max(0.0, float((f.pi - bounds).max())))
+        # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order
+        vectors = np.array(
+            [random_unit_vector(d, field, next(children)) for _ in range(2 * trials * K)],
+            dtype=np.complex128,
+        ).reshape(trials, 2 * K, d)
+        for chunk in _chunks(trials, d ** (2 * K)):
+            vs = vectors[chunk]
+            projectors = vs[..., :, None] * vs.conj()[..., None, :]
+            sigma = projectors[:, 0]
+            for i in range(1, 2 * K):
+                sigma = _kron_rows(sigma, projectors[:, i])
+            # one member at a time: a single einsum over the family sums in another order
+            dense = np.array([np.einsum("tij,ji->t", sigma, p.matrix) for p in family]).real.T
+            for v, s, row in zip(vs, sigma, dense):
+                f = product_state_fidelities(v[:K], v[K:])
+                twirled = twirl_coords(ComplexOperator(s, (d,) * (2 * K)), d, K).pi
+                residual = max(
+                    residual,
+                    float(np.abs(row - f.pi).max()),
+                    float(np.abs(row - twirled).max()),
+                    float((f.pi - bounds).max()),
+                )
     params = {"d": d, "K": K, "trials": trials, "seed": _seed_param(seed)}
     return VerificationReport.build("product_fidelities", params, residual, tolerance)
 
@@ -222,14 +290,21 @@ def verify_reduction(
     if K < 2:
         raise DomainError("reduction checks require K >= 2")
     rng = np.random.default_rng(seed)
+    rows = _dirichlet_rows(rng, samples, 3**K)
+    dim = d ** (2 * K - 2)
     residual = 0.0
-    for _ in range(samples):
-        f = FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
-        rho = reconstruct(f)
+    for chunk in _chunks(samples, d ** (2 * K)):
+        fs = [FidelityVector(d, K, pi) for pi in rows[chunk]]
+        rho = np.stack([reconstruct(f).matrix for f in fs])
+        tensor = rho.reshape((len(fs),) + (d,) * (4 * K))
         for pair in range(K):
-            reduced = reduce_pair(f, pair)
-            dense = twirl_coords(partial_trace(rho, (pair, K + pair)), d, K - 1)
-            residual = max(residual, float(np.abs(reduced.pi - dense.pi).max()))
+            # Bob's leg K + pair first, then Alice's leg pair, as partial_trace does
+            reduced = np.trace(tensor, axis1=1 + K + pair, axis2=1 + 3 * K + pair)
+            reduced = np.trace(reduced, axis1=1 + pair, axis2=2 * K + pair)
+            for f, m in zip(fs, reduced.reshape(len(fs), dim, dim)):
+                dense = twirl_coords(ComplexOperator(m, (d,) * (2 * K - 2)), d, K - 1)
+                coords = reduce_pair(f, pair).pi
+                residual = max(residual, float(np.abs(coords - dense.pi).max()))
     params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("reduction", params, residual, tolerance)
 

@@ -588,6 +588,16 @@ class TestMalformedInput:
         if code == 2:
             assert "JSON numbers" in err
 
+    @pytest.mark.parametrize("argv", [("sep",), ("ppt",), ("reduce", "--pair", "0")])
+    @pytest.mark.parametrize("pi", [[1] + [False] * 8, [False, 1.0] + [0] * 7])
+    def test_pi_booleans_mixed_with_numbers_exit_2(self, capsys, tmp_path, argv, pi):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"d": 2, "K": 2, "pi": pi}))
+        code, out, err = run(capsys, argv[0], "--fid", str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "JSON numbers" in err
+
 
 class TestReduce:
     def test_uniform_reduction(self, capsys, tmp_path):

@@ -1,13 +1,31 @@
 """Tests for the dense verification suite itself."""
 
+import numpy as np
 import pytest
 
 from orthosym import (
     CapacityError,
+    ComplexOperator,
     DomainError,
+    FidelityVector,
     VerificationReport,
+    all_masks,
+    bob_subsystems,
+    coordinate_bounds,
     first_failure,
+    kron,
+    min_eigenvalue,
+    partial_trace,
+    partial_transpose,
+    pt_map,
+    product_state_fidelities,
+    pure_state_projector,
+    random_orthogonal,
+    random_unit_vector,
+    reconstruct,
+    reduce_pair,
     run_suite,
+    twirl_coords,
     verify_c_matrix,
     verify_coplanarity,
     verify_invariance,
@@ -17,6 +35,97 @@ from orthosym import (
     verify_resolution,
 )
 from orthosym import projectors as projectors_module
+from orthosym import verify as verify_module
+from orthosym.projectors import (
+    all_multi_indices,
+    doubled_tensor,
+    multipartite_trace,
+    projector_family,
+)
+
+
+# The sampled checks as one loop per sample, on ComplexOperator and the dense
+# helpers: the reference the stacked checks in orthosym.verify must reproduce.
+def reference_invariance(d, K, trials, seed):
+    family = projector_family(d, K)
+    children = np.random.SeedSequence(seed).spawn(trials * K)
+    residual = 0.0
+    for t in range(trials):
+        ops = [random_orthogonal(d, children[t * K + i]) for i in range(K)]
+        big = doubled_tensor(ops).matrix
+        for p in family:
+            residual = max(residual, float(np.abs(big @ p.matrix - p.matrix @ big).max()))
+    return residual
+
+
+def reference_pt_consistency(d, K, samples, seed):
+    rng = np.random.default_rng(seed)
+    indices = all_multi_indices(K)
+    family = projector_family(d, K)
+    traces = np.array([multipartite_trace(d, a) for a in indices], dtype=float)
+    tildes = [p.matrix / t for p, t in zip(family, traces)]
+    residual = 0.0
+    for _ in range(samples):
+        f = FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
+        rho = reconstruct(f)
+        for mask in all_masks(K):
+            transposed = partial_transpose(rho, bob_subsystems(mask, K))
+            g = pt_map(f, mask)
+            mixture = sum(w * t for w, t in zip(g.pi, tildes))
+            residual = max(residual, float(np.abs(transposed.matrix - mixture).max()))
+            eig = min_eigenvalue(transposed)
+            residual = max(residual, abs(eig - float((g.pi / traces).min())))
+    return residual
+
+
+def reference_product_fidelities(d, K, trials, seed):
+    family = projector_family(d, K)
+    bounds = coordinate_bounds(d, K)
+    children = iter(np.random.SeedSequence(seed).spawn(4 * trials * K))
+    residual = 0.0
+    for field in ("real", "complex"):
+        for _ in range(trials):
+            psis = [random_unit_vector(d, field, next(children)) for _ in range(K)]
+            phis = [random_unit_vector(d, field, next(children)) for _ in range(K)]
+            f = product_state_fidelities(psis, phis)
+            sigma = pure_state_projector(psis[0])
+            for v in psis[1:] + phis:
+                sigma = kron(sigma, pure_state_projector(v))
+            dense = np.array(
+                [float(np.einsum("ij,ji->", sigma.matrix, p.matrix).real) for p in family]
+            )
+            residual = max(residual, float(np.abs(dense - f.pi).max()))
+            twirled = twirl_coords(sigma, d, K).pi
+            residual = max(residual, float(np.abs(dense - twirled).max()))
+            residual = max(residual, max(0.0, float((f.pi - bounds).max())))
+    return residual
+
+
+def reference_reduction(d, K, samples, seed):
+    rng = np.random.default_rng(seed)
+    residual = 0.0
+    for _ in range(samples):
+        f = FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
+        rho = reconstruct(f)
+        for pair in range(K):
+            reduced = reduce_pair(f, pair)
+            dense = twirl_coords(partial_trace(rho, (pair, K + pair)), d, K - 1)
+            residual = max(residual, float(np.abs(reduced.pi - dense.pi).max()))
+    return residual
+
+
+SAMPLED_CHECKS = [
+    (verify_invariance, reference_invariance),
+    (verify_pt_consistency, reference_pt_consistency),
+    (verify_product_fidelities, reference_product_fidelities),
+    (verify_reduction, reference_reduction),
+]
+REFERENCE_CASES = [
+    (check, reference, d, K, seed)
+    for d, K, seed in [(2, 1, 5), (3, 1, 6), (2, 2, 0), (3, 2, 1), (2, 3, 2), (4, 2, 3)]
+    for check, reference in SAMPLED_CHECKS
+    if K >= 2 or check is not verify_reduction
+]
 
 
 class TestIndividualChecks:
@@ -82,6 +191,108 @@ class TestIndividualChecks:
     def test_reduction_rejects_single_pair(self):
         with pytest.raises(DomainError):
             verify_reduction(2, 1, samples=1)
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("check, reference, d, K, seed", REFERENCE_CASES)
+    def test_residual_equals_scalar_reference(self, check, reference, d, K, seed):
+        # the stacked checks keep the draws and the arithmetic of the loops; the
+        # trace products of product_fidelities come from einsum, whose summation
+        # order over a stack is not promised to match the one-matrix form
+        got, want = check(d, K, 6, seed=seed).max_residual, reference(d, K, 6, seed)
+        if check is verify_product_fidelities:
+            assert abs(got - want) <= 1e-15
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("d, K", [(2, 2), (3, 1), (2, 3)])
+    def test_one_sample_chunks_equal_one_batch(self, monkeypatch, d, K):
+        def reports(stack_bytes):
+            monkeypatch.setattr(verify_module, "STACK_BYTES", stack_bytes)
+            suite = run_suite(seed=11, combos=((d, K),), trials=7, samples=7)
+            return [r.to_json() for r in suite]
+
+        one_sample = 16 * d ** (4 * K)
+        assert reports(one_sample) == reports(7 * one_sample)
+
+    @pytest.mark.parametrize(
+        "check", [verify_pt_consistency, verify_product_fidelities, verify_reduction]
+    )
+    def test_empty_stack_passes_with_zero_residual(self, check):
+        report = check(2, 2, 0)
+        assert report.passed
+        assert report.max_residual == 0.0
+        assert "note" not in report.params
+
+
+def _shift_coords(fast):
+    """``fast`` with its first output coordinate moved by 1e-6."""
+
+    def shifted(*args, **kwargs):
+        out = fast(*args, **kwargs)
+        if isinstance(out, FidelityVector):
+            pi = out.pi.copy()
+            pi[0] += 1e-6
+            return FidelityVector(out.d, out.K, pi)
+        out = out.copy()
+        out[:, 0] += 1e-6
+        return out
+
+    return shifted
+
+
+def _shift_state(fast):
+    """``fast`` with 1e-6 moved between the first two diagonal entries of its state."""
+
+    def shifted(f):
+        m = fast(f).matrix.copy()
+        m[0, 0] += 1e-6
+        m[1, 1] -= 1e-6
+        return ComplexOperator(m, (f.d,) * (2 * f.K))
+
+    return shifted
+
+
+class TestOracleStrength:
+    @pytest.mark.parametrize(
+        "check, name, shift",
+        [
+            (verify_product_fidelities, "product_state_fidelities", _shift_coords),
+            (verify_product_fidelities, "twirl_coords", _shift_coords),
+            (verify_pt_consistency, "pt_map_rows", _shift_coords),
+            (verify_pt_consistency, "reconstruct", _shift_state),
+            (verify_reduction, "reduce_pair", _shift_coords),
+            (verify_reduction, "twirl_coords", _shift_coords),
+            (verify_reduction, "reconstruct", _shift_state),
+        ],
+    )
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shifted_fast_path_fails(self, monkeypatch, check, name, shift, d):
+        assert check(d, 2, 3).passed
+        monkeypatch.setattr(verify_module, name, shift(getattr(verify_module, name)))
+        report = check(d, 2, 3)
+        assert not report.passed
+        assert report.max_residual > 100 * report.tolerance
+
+    def test_non_invariant_family_member_fails(self, monkeypatch):
+        def skewed_family(d, K):
+            family = projector_family(d, K)
+            m = family[0].matrix.copy()
+            m[0, 1] += 1e-6
+            return [ComplexOperator(m, family[0].shape)] + family[1:]
+
+        monkeypatch.setattr(verify_module, "projector_family", skewed_family)
+        assert not verify_invariance(2, 2, 3).passed
+
+    def test_non_hermitian_transposed_stack_raises(self, monkeypatch):
+        def skewed(f):
+            m = reconstruct(f).matrix.copy()
+            m[0, 1] += 1e-3
+            return ComplexOperator(m, (f.d,) * (2 * f.K))
+
+        monkeypatch.setattr(verify_module, "reconstruct", skewed)
+        with pytest.raises(DomainError, match="Hermitian"):
+            verify_pt_consistency(2, 2, 3)
 
 
 class TestReportContract:

@@ -156,17 +156,26 @@ def partial_trace(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
     return ComplexOperator(np.asarray(tensor).reshape(d, d), tuple(dims))
 
 
-def _hermitian_part(a: ComplexOperator) -> tuple[np.ndarray, float]:
-    """(M + M^dagger) / 2 and the largest entry magnitude of M.
+def _hermitian_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M + M^dagger) / 2 of every matrix M of a (T, D, D) stack, and the
+    largest entry magnitude of each M.
 
-    Raises :class:`DomainError` when the matrix deviates from Hermiticity by
+    Raises :class:`DomainError` when any matrix deviates from Hermiticity by
     more than :data:`HERM_RTOL` relative to its largest entry magnitude.
     """
-    m = a.matrix
-    scale = float(np.abs(m).max())
-    if scale > 0.0 and float(np.abs(m - m.conj().T).max()) > HERM_RTOL * scale:
+    scale = np.abs(stack).max(axis=(1, 2))
+    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if (skew > HERM_RTOL * scale).any():
         raise DomainError("matrix is not Hermitian within tolerance")
-    return (m + m.conj().T) / 2.0, scale
+    herm = stack + stack.conj().swapaxes(1, 2)
+    herm /= 2.0
+    return herm, scale
+
+
+def min_eigenvalue_rows(stack: np.ndarray) -> np.ndarray:
+    """:func:`min_eigenvalue` of every matrix of a (T, D, D) stack."""
+    herm, _ = _hermitian_rows(stack)
+    return np.linalg.eigvalsh(herm)[:, 0]
 
 
 def min_eigenvalue(a: ComplexOperator) -> float:
@@ -175,8 +184,27 @@ def min_eigenvalue(a: ComplexOperator) -> float:
     Raises :class:`DomainError` when the matrix deviates from Hermiticity by
     more than :data:`HERM_RTOL` relative to its largest entry magnitude.
     """
-    herm, _ = _hermitian_part(a)
-    return float(np.linalg.eigvalsh(herm)[0])
+    return float(min_eigenvalue_rows(a.matrix[None])[0])
+
+
+def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """:func:`is_psd` of every matrix of a (T, D, D) stack, as a boolean array.
+
+    The certificate is one stacked Cholesky factorization; when any matrix
+    is not certifiable or fails it, every verdict comes from
+    :func:`min_eigenvalue_rows`.
+    """
+    herm, scale = _hermitian_rows(stack)
+    dim = stack.shape[-1]
+    if tol > 0 and (tol / 2 > dim**2 * np.finfo(float).eps * scale).all():
+        diagonal = np.arange(dim)
+        herm[:, diagonal, diagonal] += tol / 2
+        try:
+            np.linalg.cholesky(herm)
+            return np.ones(len(herm), dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+    return min_eigenvalue_rows(stack) >= -tol
 
 
 def is_psd(a: ComplexOperator, tol: float = PSD_TOL) -> bool:
@@ -189,15 +217,7 @@ def is_psd(a: ComplexOperator, tol: float = PSD_TOL) -> bool:
     it is not, or the factorization fails, the verdict is
     ``min_eigenvalue(a) >= -tol``, so every rejection comes from eigvalsh.
     """
-    herm, scale = _hermitian_part(a)
-    if tol > 0 and tol / 2 > a.dim**2 * np.finfo(float).eps * scale:
-        herm.flat[:: a.dim + 1] += tol / 2
-        try:
-            np.linalg.cholesky(herm)
-            return True
-        except np.linalg.LinAlgError:
-            pass
-    return min_eigenvalue(a) >= -tol
+    return bool(is_psd_rows(a.matrix[None], tol)[0])
 
 
 def random_orthogonal(d: int, seed) -> ComplexOperator:

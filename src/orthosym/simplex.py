@@ -26,7 +26,7 @@ from .dense import (
     CapacityError,
     ComplexOperator,
     DomainError,
-    is_psd,
+    is_psd_rows,
 )
 from .projectors import (
     all_multi_indices,
@@ -285,6 +285,36 @@ def ppt_inequalities(f: FidelityVector) -> PairInequalities:
     return PairInequalities(np.array(sys01), np.array(sys10))
 
 
+def product_state_fidelities_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """:func:`product_state_fidelities` of every row of two (T, K, d) vector stacks.
+
+    Returns the (T, 3**K) coordinates; row t takes psi_i = psis[t, i] and
+    phi_i = phis[t, i].
+    """
+    psis = np.asarray(psis, dtype=np.complex128)
+    phis = np.asarray(phis, dtype=np.complex128)
+    if psis.ndim != 3 or psis.shape != phis.shape or psis.shape[1] < 1:
+        raise ValueError("need one psi and one phi per pair")
+    t, K, d = psis.shape
+    if d < 2:
+        raise DomainError("local dimension must be >= 2")
+    for v in (psis, phis):
+        if (np.abs(np.linalg.norm(v, axis=2) - 1.0) > 1e-10).any():
+            raise DomainError("vectors must have unit norm")
+    # one (1, d) @ (d, 1) product per pair is the inner product np.vdot takes, and
+    # hypot rounds as abs of one complex does (np.abs of an array need not)
+    bra = psis.conj()[..., None, :]
+    a, b = (
+        np.hypot(z.real, z.imag)[..., 0, 0] ** 2
+        for z in (bra @ phis[..., None], bra @ phis.conj()[..., None])
+    )
+    triples = np.stack([(1.0 + a) / 2.0 - b / d, (1.0 - a) / 2.0, b / d], axis=2)
+    pi = triples[:, 0]
+    for i in range(1, K):
+        pi = (pi[:, :, None] * triples[:, i, None, :]).reshape(t, -1)
+    return pi
+
+
 def product_state_fidelities(
     psis: Sequence[np.ndarray], phis: Sequence[np.ndarray]
 ) -> FidelityVector:
@@ -299,20 +329,10 @@ def product_state_fidelities(
     phis = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in phis]
     if not psis or len(psis) != len(phis):
         raise ValueError("need one psi and one phi per pair")
-    d = psis[0].size
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
-    for v in psis + phis:
-        if v.size != d:
-            raise ValueError("all vectors must share one local dimension")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise DomainError("vectors must have unit norm")
-    pi = np.ones(1)
-    for psi, phi in zip(psis, phis):
-        a = abs(np.vdot(psi, phi)) ** 2
-        b = abs(np.vdot(psi, phi.conj())) ** 2
-        pi = np.kron(pi, [(1.0 + a) / 2.0 - b / d, (1.0 - a) / 2.0, b / d])
-    return FidelityVector(d, len(psis), pi)
+    if any(v.size != psis[0].size for v in psis + phis):
+        raise ValueError("all vectors must share one local dimension")
+    pi = product_state_fidelities_rows(np.array([psis]), np.array([phis]))[0]
+    return FidelityVector(psis[0].size, len(psis), pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +399,41 @@ def _pair_legs(K: int) -> list[int]:
     return [leg for i in range(K) for leg in (i, K + i, 2 * K + i, 3 * K + i)]
 
 
+def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.ndarray:
+    """:func:`twirl_coords` of every density matrix of a (T, D, D) stack.
+
+    Returns the (T, 3**K) coordinates.  Each check runs on the whole stack,
+    in the order of :func:`twirl_coords`, and raises its error for the first
+    failing matrix.  Each pair is contracted by one matrix product per
+    matrix, so a row gives the floats of a stack of one.
+    """
+    dim = stack.shape[-1]
+    # for d >= 2, d**(2K) is over the dimension once 2K reaches its bit length, so
+    # capping 2K there keeps the verdict and forms no enormous power (1**x is 1)
+    if dim != d ** min(2 * K, dim.bit_length()):
+        raise DomainError(f"state dimension {dim} is not {d}^(2*{K})")
+    if dim > MAX_DIM:
+        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    if not np.isfinite(stack).all():
+        raise DomainError("state has non-finite entries")
+    traces = np.trace(stack, axis1=1, axis2=2)
+    off = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
+    if off.size:
+        raise DomainError(f"state trace {complex(traces[off[0]]):.12g} is not 1")
+    if not is_psd_rows(stack, tol).all():
+        raise DomainError("state is not positive semidefinite within tolerance")
+    t = len(stack)
+    # [k, (a b a' b')] = Pi_k[a' b', a b], the transposed factor of the trace
+    pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
+    legs = [0] + [1 + leg for leg in _pair_legs(K)]
+    x = stack.reshape((t,) + (d,) * (4 * K)).transpose(legs).reshape((t,) + (d**4,) * K)
+    for _ in range(K):
+        x = np.moveaxis(x, 1, -1)
+        x = (x.reshape(t, -1, d**4) @ pair.T).reshape(x.shape[:-1] + (3,))
+    pi = x.real.reshape(t, -1)
+    return pi / pi.sum(axis=1, keepdims=True)
+
+
 def twirl_coords(
     rho: ComplexOperator, d: int, K: int, tol: float = PSD_TOL
 ) -> FidelityVector:
@@ -389,41 +444,36 @@ def twirl_coords(
     result is state-valued, idempotent with :func:`reconstruct`, and rescaled
     by its sum so that a trace off by up to 1e-10 still yields unit-sum output.
     """
-    # for d >= 2, d**(2K) is over the dimension once 2K reaches its bit length, so
-    # capping 2K there keeps the verdict and forms no enormous power (1**x is 1)
-    if rho.dim != d ** min(2 * K, rho.dim.bit_length()):
-        raise DomainError(f"state dimension {rho.dim} is not {d}^(2*{K})")
-    if rho.dim > MAX_DIM:
-        raise CapacityError(f"dimension {rho.dim} exceeds the cap {MAX_DIM}")
-    if not np.isfinite(rho.matrix).all():
-        raise DomainError("state has non-finite entries")
-    if abs(rho.trace() - 1.0) > 1e-10:
-        raise DomainError(f"state trace {rho.trace():.12g} is not 1")
-    if not is_psd(rho, tol):
-        raise DomainError("state is not positive semidefinite within tolerance")
-    # [k, (a b a' b')] = Pi_k[a' b', a b], the transposed factor of the trace
-    pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
-    x = rho.matrix.reshape((d,) * (4 * K)).transpose(_pair_legs(K)).reshape((d**4,) * K)
+    return FidelityVector(d, K, twirl_rows(rho.matrix[None], d, K, tol)[0])
+
+
+def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
+    """:func:`reconstruct` of every row of an (N, 3**K) coordinate array.
+
+    Returns the (N, D, D) stack of dense states, D = d**(2K).  Each pair is
+    contracted by one matrix product per row, so a row gives the floats of a
+    stack of one.
+    """
+    if pi.ndim != 2 or pi.shape[1] != 3 ** min(K, pi.shape[1].bit_length()):
+        raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
+    if not _state_rows(pi).all():
+        raise DomainError("reconstruct requires state-valued coordinates")
+    dim = d ** (2 * K)
+    if dim > MAX_DIM:
+        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    n = len(pi)
+    pair = _pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
+    x = pi.reshape((n,) + (3,) * K)
     for _ in range(K):
-        x = np.tensordot(x, pair, axes=([0], [1]))
-    pi = x.real.reshape(-1)
-    return FidelityVector(d, K, pi / pi.sum())
+        x = np.moveaxis(x, 1, -1)
+        x = (x.reshape(n, -1, 3) @ pair).reshape(x.shape[:-1] + (d**4,))
+    legs = [0] + [1 + leg for leg in np.argsort(_pair_legs(K))]
+    return x.reshape((n,) + (d,) * (4 * K)).transpose(legs).reshape(n, dim, dim)
 
 
 def reconstruct(f: FidelityVector) -> ComplexOperator:
     """Dense sum_alpha pi_alpha * (projector / trace): the twirl contraction in reverse."""
-    if not f.is_state():
-        raise DomainError("reconstruct requires state-valued coordinates")
-    d, K = f.d, f.K
-    dim = d ** (2 * K)
-    if dim > MAX_DIM:
-        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
-    pair = _pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
-    x = f.pi.reshape((3,) * K)
-    for _ in range(K):
-        x = np.tensordot(x, pair, axes=([0], [0]))
-    grouped = x.reshape((d,) * (4 * K)).transpose(np.argsort(_pair_legs(K)))
-    return ComplexOperator(grouped.reshape(dim, dim), (d,) * (2 * K))
+    return ComplexOperator(reconstruct_rows(f.pi[None], f.d, f.K)[0], (f.d,) * (2 * f.K))
 
 
 def reduce_pair(f: FidelityVector, pair_index: int) -> FidelityVector:

@@ -14,11 +14,11 @@ from typing import Iterator
 import numpy as np
 
 from .dense import (
-    HERM_RTOL,
     MAX_DIM,
     CapacityError,
     ComplexOperator,
     DomainError,
+    min_eigenvalue_rows,
     partial_transpose,
     random_orthogonal,
     random_unit_vector,
@@ -36,11 +36,11 @@ from .simplex import (
     bob_subsystems,
     c_matrix,
     coordinate_bounds,
-    product_state_fidelities,
+    product_state_fidelities_rows,
     pt_map_rows,
-    reconstruct,
+    reconstruct_rows,
     reduce_pair,
-    twirl_coords,
+    twirl_rows,
 )
 
 #: Seed used by every stochastic check unless the caller overrides it.
@@ -111,22 +111,6 @@ def _transpose_axes(mask, K: int) -> list[int]:
     for s in bob_subsystems(mask, K):
         axes[1 + s], axes[1 + 2 * K + s] = axes[1 + 2 * K + s], axes[1 + s]
     return axes
-
-
-def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of every matrix of a (T, D, D) stack.
-
-    Raises :class:`DomainError` as ``dense.min_eigenvalue`` does when any
-    matrix deviates from Hermiticity by more than HERM_RTOL relative to its
-    largest entry magnitude.
-    """
-    adjoint = stack.conj().swapaxes(1, 2)
-    scale = np.abs(stack).max(axis=(1, 2))
-    if (np.abs(stack - adjoint).max(axis=(1, 2)) > HERM_RTOL * scale).any():
-        raise DomainError("matrix is not Hermitian within tolerance")
-    herm = stack + adjoint
-    herm /= 2.0
-    return np.linalg.eigvalsh(herm)[:, 0]
 
 
 def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
@@ -209,7 +193,7 @@ def verify_pt_consistency(
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
         pis = rows[chunk]
-        rho = np.stack([reconstruct(FidelityVector(d, K, pi)).matrix for pi in pis])
+        rho = reconstruct_rows(pis, d, K)
         tensor = rho.reshape((len(pis),) + (d,) * (4 * K))
         for mask in all_masks(K):
             transposed = tensor.transpose(_transpose_axes(mask, K)).reshape(rho.shape)
@@ -221,7 +205,7 @@ def verify_pt_consistency(
             mixture -= transposed
             residual = max(residual, float(np.abs(mixture).max()))
             del mixture  # before the eigenvalue temporaries
-            eig = _min_eigenvalues(transposed)
+            eig = min_eigenvalue_rows(transposed)
             residual = max(residual, float(np.abs(eig - (g / traces).min(axis=1)).max()))
     params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("pt_consistency", params, residual, tolerance)
@@ -253,15 +237,14 @@ def verify_product_fidelities(
                 sigma = _kron_rows(sigma, projectors[:, i])
             # one member at a time: a single einsum over the family sums in another order
             dense = np.array([np.einsum("tij,ji->t", sigma, p.matrix) for p in family]).real.T
-            for v, s, row in zip(vs, sigma, dense):
-                f = product_state_fidelities(v[:K], v[K:])
-                twirled = twirl_coords(ComplexOperator(s, (d,) * (2 * K)), d, K).pi
-                residual = max(
-                    residual,
-                    float(np.abs(row - f.pi).max()),
-                    float(np.abs(row - twirled).max()),
-                    float((f.pi - bounds).max()),
-                )
+            f = product_state_fidelities_rows(vs[:, :K], vs[:, K:])
+            twirled = twirl_rows(sigma, d, K)
+            residual = max(
+                residual,
+                float(np.abs(dense - f).max()),
+                float(np.abs(dense - twirled).max()),
+                float((f - bounds).max()),
+            )
     params = {"d": d, "K": K, "trials": trials, "seed": _seed_param(seed)}
     return VerificationReport.build("product_fidelities", params, residual, tolerance)
 
@@ -295,16 +278,16 @@ def verify_reduction(
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
         fs = [FidelityVector(d, K, pi) for pi in rows[chunk]]
-        rho = np.stack([reconstruct(f).matrix for f in fs])
-        tensor = rho.reshape((len(fs),) + (d,) * (4 * K))
+        tensor = reconstruct_rows(rows[chunk], d, K).reshape((len(fs),) + (d,) * (4 * K))
+        reduced = []
         for pair in range(K):
             # Bob's leg K + pair first, then Alice's leg pair, as partial_trace does
-            reduced = np.trace(tensor, axis1=1 + K + pair, axis2=1 + 3 * K + pair)
-            reduced = np.trace(reduced, axis1=1 + pair, axis2=2 * K + pair)
-            for f, m in zip(fs, reduced.reshape(len(fs), dim, dim)):
-                dense = twirl_coords(ComplexOperator(m, (d,) * (2 * K - 2)), d, K - 1)
-                coords = reduce_pair(f, pair).pi
-                residual = max(residual, float(np.abs(coords - dense.pi).max()))
+            m = np.trace(tensor, axis1=1 + K + pair, axis2=1 + 3 * K + pair)
+            reduced.append(np.trace(m, axis1=1 + pair, axis2=2 * K + pair))
+        # the reduced states of every pair in one stack, pair by pair
+        dense = twirl_rows(np.reshape(reduced, (K * len(fs), dim, dim)), d, K - 1)
+        coords = [reduce_pair(f, pair).pi for pair in range(K) for f in fs]
+        residual = max(residual, float(np.abs(np.array(coords) - dense).max()))
     params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("reduction", params, residual, tolerance)
 

@@ -12,8 +12,10 @@ from orthosym import (
     DomainError,
     identity,
     is_psd,
+    is_psd_rows,
     kron,
     min_eigenvalue,
+    min_eigenvalue_rows,
     partial_trace,
     partial_transpose,
     pure_state_projector,
@@ -233,10 +235,10 @@ class TestIsPsdCertificate:
     def test_certificate_skips_eigvalsh(self, monkeypatch):
         op = state_with_lambda_min(random_unitary(16, 3).matrix, 0.5, 3)
 
-        def no_eigvalsh(a):
+        def no_eigvalsh(stack):
             raise AssertionError("eigvalsh reached on a certified matrix")
 
-        monkeypatch.setattr(dense_module, "min_eigenvalue", no_eigvalsh)
+        monkeypatch.setattr(dense_module, "min_eigenvalue_rows", no_eigvalsh)
         assert is_psd(op, PSD_TOL)
 
     @pytest.mark.parametrize(
@@ -249,10 +251,12 @@ class TestIsPsdCertificate:
         op = ComplexOperator(scale * np.eye(16), (16,))
         calls = []
         monkeypatch.setattr(
-            dense_module, "min_eigenvalue", lambda a: calls.append(a) or scale
+            dense_module,
+            "min_eigenvalue_rows",
+            lambda stack: calls.append(stack) or np.full(len(stack), scale),
         )
         assert is_psd(op, tol)
-        assert calls == [op]
+        assert len(calls) == 1 and np.array_equal(calls[0], op.matrix[None])
 
     def test_non_hermitian_raises_the_eigenvalue_error(self):
         bad = ComplexOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
@@ -262,6 +266,55 @@ class TestIsPsdCertificate:
             with pytest.raises(DomainError) as from_psd:
                 is_psd(bad, tol)
             assert str(from_psd.value) == str(from_eig.value)
+
+
+class TestStackedGate:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.sampled_from([4, 16]),
+        factors=st.lists(st.sampled_from(LAMBDA_FACTORS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_scalar_verdicts(self, dim, factors, seed):
+        u = random_unitary(dim, seed).matrix
+        ops = [state_with_lambda_min(u, f, seed + i) for i, f in enumerate(factors)]
+        stack = np.array([op.matrix for op in ops])
+        for tol in (0.0, PSD_TOL):
+            assert is_psd_rows(stack, tol).tolist() == [is_psd(op, tol) for op in ops]
+        eig = min_eigenvalue_rows(stack)
+        assert np.array_equal(eig, [min_eigenvalue(op) for op in ops])
+
+    @pytest.mark.parametrize("factors", [(0.0, 0.9, 0.3), (0.0, 0.9, 2.0)])
+    def test_one_failed_certificate_gives_eigvalsh_verdicts(self, monkeypatch, factors):
+        u = random_unitary(16, 5).matrix
+        stack = np.array([state_with_lambda_min(u, f, 5).matrix for f in factors])
+        # shifted by tol / 2, only the member at -0.9 tol (and one at -2 tol) has no
+        # Cholesky factor
+        for m, f in zip(stack, factors):
+            shifted = (m + m.conj().T) / 2.0 + PSD_TOL / 2 * np.eye(16)
+            if f < 0.5:
+                np.linalg.cholesky(shifted)
+            else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(shifted)
+        calls = []
+        eigvalsh = dense_module.min_eigenvalue_rows
+        monkeypatch.setattr(
+            dense_module, "min_eigenvalue_rows", lambda s: calls.append(s) or eigvalsh(s)
+        )
+        verdicts = is_psd_rows(stack, PSD_TOL)
+        assert len(calls) == 1
+        assert verdicts.tolist() == (eigvalsh(stack) >= -PSD_TOL).tolist()
+        assert verdicts.tolist() == [f <= 1.0 for f in factors]
+
+    def test_non_hermitian_member_raises_the_eigenvalue_error(self):
+        stack = np.array([np.eye(2) / 2.0, [[0.5, 1.0], [0.0, 0.5]], np.eye(2) / 2.0])
+        with pytest.raises(DomainError) as from_eig:
+            min_eigenvalue(ComplexOperator(stack[1], (2,)))
+        for call in (min_eigenvalue_rows, is_psd_rows):
+            with pytest.raises(DomainError) as from_rows:
+                call(stack)
+            assert str(from_rows.value) == str(from_eig.value)
 
 
 class TestRandomSampling:

@@ -40,17 +40,20 @@ from orthosym import (
     ppt_check,
     ppt_inequalities,
     product_state_fidelities,
+    product_state_fidelities_rows,
     projector_family,
     pt_map,
     pt_map_rows,
     pure_state_projector,
     random_unit_vector,
     reconstruct,
+    reconstruct_rows,
     reduce_mixed,
     reduce_pair,
     sep_bound_check,
     simplex_grid,
     twirl_coords,
+    twirl_rows,
 )
 from orthosym import simplex as simplex_module
 
@@ -66,6 +69,25 @@ def wishart_state(d, K, seed):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     mat = g @ g.conj().T
     return ComplexOperator(mat / np.trace(mat).real, (d,) * (2 * K))
+
+
+def product_vectors(d, K, T, field, seed):
+    """(T, K, d) stacks of psi and phi unit vectors over ``field``."""
+    children = iter(np.random.SeedSequence(seed).spawn(2 * T * K))
+    draws = [random_unit_vector(d, field, next(children)) for _ in range(2 * T * K)]
+    vectors = np.array(draws, dtype=np.complex128).reshape(T, 2 * K, d)
+    return vectors[:, :K], vectors[:, K:]
+
+
+def product_states(psis, phis):
+    """The dense psi_1 (x) .. (x) psi_K (x) phi_1 (x) .. (x) phi_K of every row."""
+    states = []
+    for row in np.concatenate([psis, phis], axis=1):
+        sigma = pure_state_projector(row[0])
+        for v in row[1:]:
+            sigma = kron(sigma, pure_state_projector(v))
+        states.append(sigma.matrix)
+    return np.array(states)
 
 
 def grid_points(d, K, n):
@@ -718,6 +740,116 @@ class TestBatchedCore:
     def test_lattice_rejects_d1(self):
         with pytest.raises(ValueError):
             next(classify_lattice(1, 1, 2))
+
+
+def bad_member(kind, good):
+    """``good`` broken in one way that :func:`twirl_coords` rejects."""
+    m = good.copy()
+    if kind == "nan":
+        m[1, 2] = np.nan
+    elif kind == "trace":
+        m *= 1.0 + 1e-9
+    elif kind == "negative":
+        # unit trace, smallest eigenvalue -2 PSD_TOL
+        lam = np.full(len(m), (1.0 + 2 * PSD_TOL) / (len(m) - 1))
+        lam[0] = -2 * PSD_TOL
+        m = np.diag(lam).astype(np.complex128)
+    elif kind == "non-hermitian":
+        m[0, 1] += 1e-3
+    return m
+
+
+class TestDenseRows:
+    @given(
+        d=st.sampled_from([2, 3]),
+        K=st.sampled_from([1, 2]),
+        T=st.integers(1, 6),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_rows_equal_scalar_wrappers_bitwise(self, d, K, T, field, seed):
+        psis, phis = product_vectors(d, K, T, field, seed)
+        coords = product_state_fidelities_rows(psis, phis)
+        assert coords.shape == (T, 3**K)
+        for t in range(T):
+            scalar = product_state_fidelities(list(psis[t]), list(phis[t]))
+            assert np.array_equal(coords[t], scalar.pi)
+            one = product_state_fidelities_rows(psis[t : t + 1], phis[t : t + 1])
+            assert np.array_equal(coords[t], one[0])
+
+        rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=T)
+        rho = reconstruct_rows(rows, d, K)
+        assert rho.shape == (T, d ** (2 * K), d ** (2 * K))
+        for t in range(T):
+            assert np.array_equal(rho[t], reconstruct(FidelityVector(d, K, rows[t])).matrix)
+            assert np.array_equal(rho[t], reconstruct_rows(rows[t : t + 1], d, K)[0])
+
+        wishart = [wishart_state(d, K, seed + t).matrix for t in range(T)]
+        states = np.concatenate([rho, product_states(psis, phis), wishart])
+        twirled = twirl_rows(states, d, K)
+        for m, row in zip(states, twirled):
+            scalar = twirl_coords(ComplexOperator(m, (d,) * (2 * K)), d, K)
+            assert np.array_equal(row, scalar.pi)
+            assert np.array_equal(row, twirl_rows(m[None], d, K)[0])
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("nan", "non-finite"),
+            ("trace", "trace 1.000000001"),
+            ("negative", "positive semidefinite"),
+            ("non-hermitian", "Hermitian"),
+        ],
+    )
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_one_bad_member_raises_the_scalar_error(self, kind, message, position):
+        good = reconstruct_rows(np.random.default_rng(1).dirichlet(np.ones(9), size=3), 2, 2)
+        stack = good.copy()
+        stack[position] = bad_member(kind, good[position])
+        with pytest.raises(ValueError, match=message) as scalar:
+            twirl_coords(ComplexOperator(stack[position], (2,) * 4), 2, 2)
+        with pytest.raises(ValueError) as stacked:
+            twirl_rows(stack, 2, 2)
+        assert type(stacked.value) is type(scalar.value) is DomainError
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_wrong_dimension_raises_the_scalar_error(self):
+        stack = reconstruct_rows(np.full((3, 9), 1.0 / 9.0), 2, 2)
+        with pytest.raises(DomainError) as scalar:
+            twirl_coords(ComplexOperator(stack[1], (2,) * 4), 2, 1)
+        with pytest.raises(DomainError) as stacked:
+            twirl_rows(stack, 2, 1)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_errors_follow_the_scalar_check_order(self):
+        # each member fails an earlier check than the one before it, and every
+        # check runs on the whole stack, so a prefix fails as its last member does
+        good = reconstruct_rows(np.full((4, 9), 1.0 / 9.0), 2, 2)
+        kinds = ["negative", "non-hermitian", "trace", "nan"]
+        stack = np.array([bad_member(k, m) for k, m in zip(kinds, good)])
+        for n in range(1, 5):
+            with pytest.raises(DomainError) as scalar:
+                twirl_coords(ComplexOperator(stack[n - 1], (2,) * 4), 2, 2)
+            with pytest.raises(DomainError) as stacked:
+                twirl_rows(stack[:n], 2, 2)
+            assert str(stacked.value) == str(scalar.value)
+
+    def test_product_rows_reject_non_unit_vector(self):
+        psis, phis = product_vectors(2, 2, 3, "complex", 0)
+        phis = phis.copy()
+        phis[1, 1] *= 1.001
+        with pytest.raises(DomainError, match="unit norm"):
+            product_state_fidelities_rows(psis, phis)
+        with pytest.raises(ValueError, match="one psi and one phi"):
+            product_state_fidelities_rows(psis, phis[:, :1])
+
+    def test_reconstruct_rows_reject_bad_rows(self):
+        with pytest.raises(DomainError, match="state-valued"):
+            reconstruct_rows(np.array([[1.0, 0.0, 0.0], [1.2, -0.2, 0.0]]), 2, 1)
+        with pytest.raises(ValueError, match="3\\*\\*2"):
+            reconstruct_rows(np.full((2, 3), 1.0 / 3.0), 2, 2)
+        with pytest.raises(ValueError, match="3\\*\\*1000000000"):
+            reconstruct_rows(np.full((2, 3), 1.0 / 3.0), 2, 10**9)
 
 
 class TestScanBudget:

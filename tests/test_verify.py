@@ -1,5 +1,7 @@
 """Tests for the dense verification suite itself."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from orthosym import (
     random_orthogonal,
     random_unit_vector,
     reconstruct,
+    reconstruct_rows,
     reduce_pair,
     run_suite,
     twirl_coords,
@@ -35,6 +38,7 @@ from orthosym import (
     verify_resolution,
 )
 from orthosym import projectors as projectors_module
+from orthosym import simplex as simplex_module
 from orthosym import verify as verify_module
 from orthosym.projectors import (
     all_multi_indices,
@@ -225,6 +229,53 @@ class TestStackedChecks:
         assert "note" not in report.params
 
 
+class TestBatchedFastPaths:
+    SCALAR = ("twirl_coords", "reconstruct", "product_state_fidelities")
+    ROWS = ("twirl_rows", "reconstruct_rows", "product_state_fidelities_rows")
+
+    @pytest.mark.parametrize("per_chunk", [7, 3])
+    def test_rows_forms_run_once_per_chunk(self, monkeypatch, per_chunk):
+        # d = 2, K = 2: 7 samples in chunks of ``per_chunk``
+        monkeypatch.setattr(verify_module, "STACK_BYTES", per_chunk * 16 * 16**2)
+        chunks = -(-7 // per_chunk)
+        current = [None]
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[current[0], name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.SCALAR + self.ROWS:
+            fn = getattr(simplex_module, name)
+            monkeypatch.setattr(simplex_module, name, counting(name, fn))
+            if hasattr(verify_module, name):
+                monkeypatch.setattr(verify_module, name, counting(name, fn))
+        for check in ("verify_pt_consistency", "verify_product_fidelities", "verify_reduction"):
+
+            def tracked(*args, _check=check, _fn=getattr(verify_module, check), **kwargs):
+                current[0] = _check
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    current[0] = None
+
+            monkeypatch.setattr(verify_module, check, tracked)
+        assert first_failure(run_suite(combos=((2, 2),), trials=7, samples=7)) is None
+        assert calls == Counter(
+            {
+                ("verify_pt_consistency", "reconstruct_rows"): chunks,
+                # one stack per chunk for each of the real and the complex draws
+                ("verify_product_fidelities", "product_state_fidelities_rows"): 2 * chunks,
+                ("verify_product_fidelities", "twirl_rows"): 2 * chunks,
+                ("verify_reduction", "reconstruct_rows"): chunks,
+                ("verify_reduction", "twirl_rows"): chunks,
+            }
+        )
+
+
 def _shift_coords(fast):
     """``fast`` with its first output coordinate moved by 1e-6."""
 
@@ -241,14 +292,15 @@ def _shift_coords(fast):
     return shifted
 
 
-def _shift_state(fast):
-    """``fast`` with 1e-6 moved between the first two diagonal entries of its state."""
+def _shift_states(fast):
+    """``fast`` with 1e-6 moved between the first two diagonal entries of every
+    state of its (T, D, D) stack."""
 
-    def shifted(f):
-        m = fast(f).matrix.copy()
-        m[0, 0] += 1e-6
-        m[1, 1] -= 1e-6
-        return ComplexOperator(m, (f.d,) * (2 * f.K))
+    def shifted(*args, **kwargs):
+        m = fast(*args, **kwargs).copy()
+        m[:, 0, 0] += 1e-6
+        m[:, 1, 1] -= 1e-6
+        return m
 
     return shifted
 
@@ -257,13 +309,13 @@ class TestOracleStrength:
     @pytest.mark.parametrize(
         "check, name, shift",
         [
-            (verify_product_fidelities, "product_state_fidelities", _shift_coords),
-            (verify_product_fidelities, "twirl_coords", _shift_coords),
+            (verify_product_fidelities, "product_state_fidelities_rows", _shift_coords),
+            (verify_product_fidelities, "twirl_rows", _shift_coords),
             (verify_pt_consistency, "pt_map_rows", _shift_coords),
-            (verify_pt_consistency, "reconstruct", _shift_state),
+            (verify_pt_consistency, "reconstruct_rows", _shift_states),
             (verify_reduction, "reduce_pair", _shift_coords),
-            (verify_reduction, "twirl_coords", _shift_coords),
-            (verify_reduction, "reconstruct", _shift_state),
+            (verify_reduction, "twirl_rows", _shift_coords),
+            (verify_reduction, "reconstruct_rows", _shift_states),
         ],
     )
     @pytest.mark.parametrize("d", [2, 3])
@@ -285,12 +337,12 @@ class TestOracleStrength:
         assert not verify_invariance(2, 2, 3).passed
 
     def test_non_hermitian_transposed_stack_raises(self, monkeypatch):
-        def skewed(f):
-            m = reconstruct(f).matrix.copy()
-            m[0, 1] += 1e-3
-            return ComplexOperator(m, (f.d,) * (2 * f.K))
+        def skewed(pi, d, K):
+            m = reconstruct_rows(pi, d, K).copy()
+            m[:, 0, 1] += 1e-3
+            return m
 
-        monkeypatch.setattr(verify_module, "reconstruct", skewed)
+        monkeypatch.setattr(verify_module, "reconstruct_rows", skewed)
         with pytest.raises(DomainError, match="Hermitian"):
             verify_pt_consistency(2, 2, 3)
 

@@ -62,9 +62,7 @@ from .simplex import (
     hull_vertices,
     intersection_point,
     mask_digits,
-    mask_rank,
     pair_vertex_coords,
-    ppt_all,
     ppt_check,
     ppt_inequalities,
     product_state_fidelities,
@@ -73,7 +71,6 @@ from .simplex import (
     pt_map_rows,
     reconstruct,
     reconstruct_rows,
-    reduce_mixed,
     reduce_pair,
     sep_bound_check,
     simplex_grid,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
-from .jsonio import dumps, format_float
+from .jsonio import dumps, format_float, loads
 from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
     FidelityVector,
@@ -55,7 +55,7 @@ def _parse_mask(text: str, K: int) -> tuple[int, ...]:
 
 
 def _load_json(path: str) -> dict:
-    doc = json.loads(_read_input(path))
+    doc = loads(_read_input(path))
     if type(doc) is not dict:
         raise ValueError(f"input {path} must hold a JSON object, got {type(doc).__name__}")
     return doc

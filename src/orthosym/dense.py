@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .jsonio import float_array
+
 #: Hard cap on the total Hilbert dimension of any dense construction.
 MAX_DIM = 4096
 
@@ -83,8 +85,8 @@ class ComplexOperator:
         dim, shape = data["dim"], data["shape"]
         if type(shape) is not list or any(type(x) is not int for x in [dim, *shape]):
             raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
-        re = np.asarray(data["re"], dtype=float).reshape(dim, dim)
-        im = np.asarray(data["im"], dtype=float).reshape(dim, dim)
+        re = float_array(data["re"], "re").reshape(dim, dim)
+        im = float_array(data["im"], "im").reshape(dim, dim)
         return cls(re + 1j * im, tuple(shape))
 
 

@@ -28,6 +28,7 @@ from .dense import (
     DomainError,
     is_psd_rows,
 )
+from .jsonio import float_array
 from .projectors import (
     all_multi_indices,
     bipartite_traces,
@@ -93,12 +94,7 @@ class FidelityVector:
     def from_json(cls, data: dict) -> "FidelityVector":
         if type(data["d"]) is not int or type(data["K"]) is not int:
             raise ValueError(f"d and K must be JSON integers, got {data['d']!r}, {data['K']!r}")
-        raw = data["pi"]
-        pi = np.asarray(raw)
-        # numpy turns booleans mixed with numbers into numbers: test each entry
-        if pi.dtype.kind not in "iuf" or (type(raw) is list and bool in set(map(type, raw))):
-            raise ValueError("pi must hold JSON numbers only, not booleans, strings or null")
-        return cls(data["d"], data["K"], pi)
+        return cls(data["d"], data["K"], float_array(data["pi"], "pi"))
 
 
 def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -106,18 +102,8 @@ def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return (pi.min(axis=1) >= -tol) & (np.abs(pi.sum(axis=1) - 1.0) <= SUM_TOL)
 
 
-def mask_rank(bits: Sequence[int]) -> int:
-    """Binary rank of a transposition mask, most significant bit = first pair."""
-    rank = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"binary digit expected, got {b}")
-        rank = 2 * rank + b
-    return rank
-
-
 def mask_digits(rank: int, K: int) -> tuple[int, ...]:
-    """Inverse of :func:`mask_rank` for K bits."""
+    """The K binary digits of a transposition mask's rank, first pair most significant."""
     if not 0 <= rank < 2**K:
         raise ValueError(f"rank {rank} out of range for K={K}")
     bits = []
@@ -248,11 +234,6 @@ def ppt_check(f: FidelityVector, mask: Sequence[int], tol: float = PSD_TOL) -> P
         (multi_index_digits(int(r), f.K), float(g.pi[r])) for r in bad
     )
     return PPTVerdict(bits, len(bad) == 0, g, violations)
-
-
-def ppt_all(f: FidelityVector, tol: float = PSD_TOL) -> dict[tuple[int, ...], PPTVerdict]:
-    """Run :func:`ppt_check` for every nonzero mask, in binary rank order."""
-    return {mask: ppt_check(f, mask, tol) for mask in all_masks(f.K)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,19 +470,6 @@ def reduce_pair(f: FidelityVector, pair_index: int) -> FidelityVector:
         raise IndexError(f"pair index {pair_index} out of range for K={f.K}")
     tensor = f.pi.reshape((3,) * f.K).sum(axis=pair_index)
     return FidelityVector(f.d, f.K - 1, tensor.reshape(-1))
-
-
-def reduce_mixed(f: FidelityVector, pair_i: int, pair_j: int) -> FidelityVector:
-    """Marginal after a mixed trace-out (Alice of one pair, Bob of another).
-
-    For invariant states this is the composition of the two natural
-    reductions, so both digits are summed out and the result has K - 2
-    pairs (requiring K >= 3).
-    """
-    if pair_i == pair_j:
-        raise ValueError("mixed reduction needs two distinct pairs")
-    first, second = max(pair_i, pair_j), min(pair_i, pair_j)
-    return reduce_pair(reduce_pair(f, first), second)
 
 
 VERTEX_LABELS = ("Q0", "Q1", "P0", "P1")

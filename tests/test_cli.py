@@ -117,6 +117,34 @@ class TestProjectorsAndTwirl:
         assert code == 0
         assert json.loads(out2)["verdicts"][0]["is_ppt"] is False
 
+    # SHA-256 of twirl stdout for seeded Wishart states written with repr
+    # floats, so that any change in how the state file is read fails here.
+    # (2, 2) holds arrays shorter than jsonio.PIECE_CHARS; the other two are
+    # read in several pieces
+    @pytest.mark.parametrize(
+        "d, K, digest",
+        [
+            (2, 2, "4239e916e3499de8ec2d987dd6cfae35a6901501064024d1382d1e197881e72e"),
+            (2, 3, "90b70521b749f54ae5c5b804205c75e72f79dd1116f057d8b497696ca2a952eb"),
+            (3, 2, "18cfbd732208374a11656f26dbf92815966c1858457f4a1bb9b6a7e0d505d71a"),
+        ],
+    )
+    def test_pinned_twirl_digest(self, capsys, tmp_path, d, K, digest):
+        dim = d ** (2 * K)
+        rng = np.random.default_rng([d, K, 2026])
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        flat = rho.reshape(-1)
+        doc = {"dim": dim, "shape": [d] * (2 * K), "re": flat.real.tolist(),
+               "im": flat.imag.tolist()}
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "twirl", "--d", str(d), "--K", str(K), "--state", str(state))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_projectors_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, "projectors", "--d", "3", "--K", "4", "--alpha", "0,0,0,0")
         assert code == 3
@@ -568,6 +596,26 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "integers" in err
+
+    # numpy would read "0.25" and false as numbers, turn null into NaN (exit 4)
+    # and fail on a dict with a TypeError traceback
+    @pytest.mark.parametrize(
+        "field",
+        [{"re": "0.25"}, {"re": False}, {"re": None}, {"im": False}, {"im": [0.0]}, "dict"],
+    )
+    def test_twirl_operator_entries_must_be_numbers(self, capsys, tmp_path, field):
+        doc = ComplexOperator(np.eye(4) / 4, (2, 2)).to_json()
+        if field == "dict":
+            doc["re"] = {"a": 1}
+        else:
+            (key, value), = field.items()
+            doc[key][5 if key == "re" else 1] = value  # 5: a diagonal 0.25, 1: a zero
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "JSON numbers" in err
 
     @pytest.mark.parametrize(
         "pi, code",

@@ -30,13 +30,11 @@ from orthosym import (
     intersection_point,
     kron,
     mask_digits,
-    mask_rank,
     min_eigenvalue,
     multi_index_rank,
     multipartite_trace,
     pair_vertex_coords,
     partial_transpose,
-    ppt_all,
     ppt_check,
     ppt_inequalities,
     product_state_fidelities,
@@ -48,7 +46,6 @@ from orthosym import (
     random_unit_vector,
     reconstruct,
     reconstruct_rows,
-    reduce_mixed,
     reduce_pair,
     sep_bound_check,
     simplex_grid,
@@ -235,22 +232,15 @@ class TestPPTCheck:
         with pytest.raises(DomainError):
             ppt_check(f, (1,))
 
-    def test_ppt_all_enumeration(self):
-        f = random_state_vector(2, 2, 1)
-        verdicts = ppt_all(f)
-        assert list(verdicts) == [(0, 1), (1, 0), (1, 1)]
-        single = ppt_all(random_state_vector(2, 1, 2))
-        assert list(single) == [(1,)]
-
     def test_uniform_k2_d2_all_ppt(self):
         f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
-        assert all(v.is_ppt for v in ppt_all(f).values())
+        assert all(ppt_check(f, mask).is_ppt for mask in all_masks(2))
 
 
 class TestMaskHelpers:
     def test_rank_roundtrip(self):
-        assert mask_rank((0, 1)) == 1
-        assert mask_rank((1, 0)) == 2
+        assert mask_digits(1, 2) == (0, 1)
+        assert mask_digits(2, 2) == (1, 0)
         assert mask_digits(3, 2) == (1, 1)
         assert all_masks(1) == [(1,)]
 
@@ -968,31 +958,3 @@ class TestFidelityVectorType:
     def test_coordinate_lookup(self):
         f = random_state_vector(2, 2, 6)
         assert f.coordinate((1, 2)) == f.pi[5]
-
-
-class TestReduceMixed:
-    def test_composition_of_natural_reductions(self):
-        f = random_state_vector(2, 3, 55)
-        out = reduce_mixed(f, 0, 2)
-        manual = f.pi.reshape(3, 3, 3).sum(axis=2).sum(axis=0)
-        assert np.abs(out.pi - manual).max() <= 1e-15
-        assert out.K == 1
-        swapped = reduce_mixed(f, 2, 0)
-        assert np.array_equal(out.pi, swapped.pi)
-
-    def test_dense_oracle_agreement(self):
-        from orthosym import partial_trace
-
-        f = random_state_vector(2, 3, 99)
-        rho = reconstruct(f)
-        # discard both full pairs 0 and 2 densely, then re-extract
-        dense = twirl_coords(partial_trace(rho, (0, 3, 2, 5)), 2, 1)
-        assert np.abs(reduce_mixed(f, 0, 2).pi - dense.pi).max() <= 1e-12
-
-    def test_rejects_equal_pairs(self):
-        with pytest.raises(ValueError):
-            reduce_mixed(random_state_vector(2, 3, 0), 1, 1)
-
-    def test_k2_collapses_to_domain_error(self):
-        with pytest.raises(DomainError):
-            reduce_mixed(random_state_vector(2, 2, 0), 0, 1)

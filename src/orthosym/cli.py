@@ -57,7 +57,9 @@ def _parse_mask(text: str, K: int) -> tuple[int, ...]:
 def _load_json(path: str) -> dict:
     doc = loads(_read_input(path))
     if type(doc) is not dict:
-        raise ValueError(f"input {path} must hold a JSON object, got {type(doc).__name__}")
+        # loads reads a long array of numbers as a float64 array
+        kind = "list" if type(doc) is np.ndarray else type(doc).__name__
+        raise ValueError(f"input {path} must hold a JSON object, got {kind}")
     return doc
 
 
@@ -125,7 +127,7 @@ def cmd_ppt(args) -> int:
             {
                 "mask": _digits_string(mask),
                 "is_ppt": verdict.is_ppt,
-                "pi": list(verdict.transformed.pi),
+                "pi": verdict.transformed.pi,
                 "violations": [
                     {"alpha": _digits_string(digits), "value": value}
                     for digits, value in verdict.violations
@@ -196,14 +198,14 @@ def cmd_vertices(args) -> int:
         "d": args.d,
         "K": args.K,
         "vertices": [
-            {"pairs": list(labels), "pi": list(f.pi)}
+            {"pairs": list(labels), "pi": f.pi}
             for labels, f in hull_vertices(args.d, args.K)
         ],
         "intersection": {
             "q": crossing.q,
             "p": crossing.p,
-            "coords": list(crossing.coords),
-            "coords_isotropic": list(crossing.coords_isotropic),
+            "coords": crossing.coords,
+            "coords_isotropic": crossing.coords_isotropic,
         },
     }
     _emit(args, dumps(doc) + "\n")

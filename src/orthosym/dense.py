@@ -76,8 +76,8 @@ class ComplexOperator:
         return {
             "dim": self.dim,
             "shape": list(self.shape),
-            "re": [float(x) for x in flat.real],
-            "im": [float(x) for x in flat.imag],
+            "re": flat.real.tolist(),
+            "im": flat.imag.tolist(),
         }
 
     @classmethod
@@ -87,7 +87,9 @@ class ComplexOperator:
             raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
         re = float_array(data["re"], "re").reshape(dim, dim)
         im = float_array(data["im"], "im").reshape(dim, dim)
-        return cls(re + 1j * im, tuple(shape))
+        matrix = np.empty((dim, dim), dtype=np.complex128)
+        matrix.real, matrix.imag = re, im
+        return cls(matrix, tuple(shape))
 
 
 def identity(shape: Sequence[int]) -> ComplexOperator:

@@ -5,8 +5,8 @@ instead uses a fixed 17-significant-digit form so output is byte-stable and
 still losslessly round-trips through a double.
 
 :func:`loads` reads the long flat number arrays of a dense operator with
-orjson's correctly rounded number parser and everything else with the
-standard library, and returns exactly what :func:`json.loads` returns.
+orjson's correctly rounded number parser straight into float64 arrays, and
+everything else with the standard library.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ def _parse_array(s_and_end, scan_once):
     """``json.decoder.JSONArray``, with long flat number arrays read by orjson.
 
     A flat array has no bracket, brace or quote before its first ``]``.  It is
-    split at commas into pieces of about PIECE_CHARS characters, and each piece
-    must read as a non-empty list of ints and floats strictly inside
-    (-2**63, 2**63): an empty piece is a doubled or trailing comma, and orjson
-    turns integers beyond 64 bits into floats.  Anything else raises
+    split at commas into pieces of about PIECE_CHARS characters, each read by
+    orjson and converted to float64 at once, and comes back as one float64
+    array.  A piece holding true, false or null, an empty piece (a doubled or
+    trailing comma), a piece orjson refuses or a non-finite value raises
     ValueError, and :func:`loads` then reads the whole text with :mod:`json`.
     """
     s, idx = s_and_end
@@ -42,18 +42,20 @@ def _parse_array(s_and_end, scan_once):
         return json.decoder.JSONArray(s_and_end, scan_once)
     import orjson
 
-    values: list = []
-    while True:
+    pieces = []
+    while idx <= end:
         cut = s.find(",", idx + PIECE_CHARS, end)
-        piece = orjson.loads("[" + s[idx : end if cut < 0 else cut] + "]")
-        if not piece or not set(map(type, piece)) <= {int, float}:
+        cut = end if cut < 0 else cut
+        text = s[idx:cut]
+        # with no bracket, brace or quote, only true, false and null are not numbers
+        if any(c in text for c in "tfn") or not (piece := orjson.loads("[" + text + "]")):
             raise ValueError("not a list of numbers")
-        if not (-(2**63) < min(piece) and max(piece) < 2**63):
-            raise ValueError("a number beyond 64-bit integers")
-        values += piece
-        if cut < 0:
-            return values, end + 1
+        pieces.append(np.array(piece, dtype=float))
         idx = cut + 1
+    values = np.concatenate(pieces)
+    if not np.isfinite(values).all():
+        raise ValueError("a number beyond the float64 range")
+    return values, end + 1
 
 
 class _Decoder(json.JSONDecoder):
@@ -66,13 +68,15 @@ class _Decoder(json.JSONDecoder):
 
 
 def loads(text: str):
-    """``json.loads(text)``: the same value, or the same exception and message.
+    """``json.loads(text)``, with long flat number arrays as float64 arrays.
 
-    ASCII text is first read by :class:`_Decoder`.  ``json.loads`` reads the
-    text instead when it is not ASCII (the pure-Python scanner's ``\\d`` also
-    matches non-ASCII digits), or when the decoder raises: on malformed JSON,
-    on a piece orjson refuses or reads differently, on nesting deeper than the
-    pure-Python scanner's recursion allows, or when orjson is missing.
+    A flat array of finite JSON numbers, at least PIECE_CHARS characters long,
+    comes back as ``np.array(value, dtype=float)``; every other value, and
+    every exception and message, is that of ``json.loads``.  ``json.loads``
+    reads the text when :class:`_Decoder` raises (on malformed JSON, on a
+    piece it refuses, on nesting deeper than the pure-Python scanner's
+    recursion allows, or when orjson is missing) and when the text is not
+    ASCII (the pure-Python scanner's ``\\d`` also matches non-ASCII digits).
     """
     if text.isascii():
         try:
@@ -83,57 +87,48 @@ def loads(text: str):
 
 
 def float_array(raw, name: str) -> np.ndarray:
-    """The JSON list ``raw`` as a float64 array.
-
-    Raises ValueError unless ``raw`` is a list of JSON numbers: numpy would
-    otherwise read numeric strings, booleans and null as numbers.
+    """``raw`` as a float64 array: a 1-D float64 array from :func:`loads` as it
+    is, or a list of JSON numbers (ValueError otherwise: numpy would read
+    numeric strings, booleans and null as numbers).
     """
+    if type(raw) is np.ndarray and raw.dtype == np.float64 and raw.ndim == 1:
+        return raw
     if type(raw) is not list or not set(map(type, raw)) <= {int, float}:
         raise ValueError(f"{name} must hold JSON numbers only, not booleans, strings or null")
     return np.array(raw, dtype=float)
+
+
+#: The 17-significant-digit text of a float, with no finiteness check.
+_float_text = "{:.17g}".format
 
 
 def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"non-finite float {x!r} in data output")
-    return format(x, ".17g")
-
-
-def _render(obj, out: list) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _render(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render(value, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _render(obj.tolist(), out)
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _float_text(x)
 
 
 def dumps(obj) -> str:
-    out: list = []
-    _render(obj, out)
-    return "".join(out)
+    """JSON text of ``obj``, with every float in 17 significant digits."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        # a list of finite floats is rendered at once; anything else item by
+        # item, so that format_float names the first non-finite float
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            return "[" + ", ".join(map(_float_text, obj)) + "]"
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

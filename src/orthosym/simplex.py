@@ -88,7 +88,7 @@ class FidelityVector:
         return float(self.pi[multi_index_rank(digits)])
 
     def to_json(self) -> dict:
-        return {"d": self.d, "K": self.K, "pi": [float(x) for x in self.pi]}
+        return {"d": self.d, "K": self.K, "pi": self.pi.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "FidelityVector":

@@ -29,13 +29,26 @@ from orthosym import (
 from orthosym import projectors as projectors_module
 from orthosym import simplex as simplex_module
 from orthosym.cli import main
-from orthosym.jsonio import format_float
+from orthosym.jsonio import PIECE_CHARS, format_float
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def wishart_doc(d, K):
+    """Operator JSON of a seeded Wishart state G G^+ / tr, as json.dumps writes it."""
+    dim = d ** (2 * K)
+    rng = np.random.default_rng([d, K, 2026])
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    rho /= np.trace(rho).real
+    flat = rho.reshape(-1)
+    return {"dim": dim, "shape": [d] * (2 * K), "re": flat.real.tolist(),
+            "im": flat.imag.tolist()}
 
 
 def write_fid(tmp_path, name, d, K, pi):
@@ -130,18 +143,53 @@ class TestProjectorsAndTwirl:
         ],
     )
     def test_pinned_twirl_digest(self, capsys, tmp_path, d, K, digest):
-        dim = d ** (2 * K)
-        rng = np.random.default_rng([d, K, 2026])
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = g @ g.conj().T
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= np.trace(rho).real
-        flat = rho.reshape(-1)
-        doc = {"dim": dim, "shape": [d] * (2 * K), "re": flat.real.tolist(),
-               "im": flat.imag.tolist()}
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(wishart_doc(d, K)))
+        code, out, _ = run(capsys, "twirl", "--d", str(d), "--K", str(K), "--state", str(state))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_large_magnitudes_are_read_without_json(self, capsys, tmp_path, monkeypatch):
+        # entries of 2**63 and more, a float and a 20-digit integer, in arrays
+        # long enough to be read in pieces: no such operator is a state, so
+        # the twirl exits 4 on both paths, after reading the same matrix
+        doc = wishart_doc(2, 3)
+        doc["re"][1], doc["im"][2] = 6.02214076e23, 12345678901234567890
         state = tmp_path / "state.json"
         state.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "twirl", "--d", str(d), "--K", str(K), "--state", str(state))
+        argv = ["twirl", "--d", "2", "--K", "3", "--state", str(state)]
+        want = run(capsys, *argv), ComplexOperator.from_json(json.loads(state.read_text()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator file was read by json.loads")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        got = run(capsys, *argv), ComplexOperator.from_json(cli._load_json(str(state)))
+        assert got[0] == want[0]
+        assert got[0][0] == 4
+        assert got[1].matrix.tobytes() == want[1].matrix.tobytes()
+
+    # SHA-256 of the dense JSON outputs, so that any change in how arrays of
+    # floats are rendered fails here
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["projectors", "--d", "2", "--K", "2", "--alpha", "0,2"],
+                "7de2bc2b7b1660d6c0c3ade08ead81d41cfa6b51ec37114c401529cfb7b2bbe2",
+            ),
+            (
+                ["vertices", "--d", "2", "--K", "3"],
+                "550641949a43aa34e473eea31dd987da87a7b4a4fe349d2dacfd94e27116e892",
+            ),
+            (
+                ["vertices", "--d", "3", "--K", "2"],
+                "8a9dcdae440acfb59714b96661291bca0aad66dfc6a584ae8d86d9d45d968806",
+            ),
+        ],
+    )
+    def test_pinned_dense_json_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -296,6 +344,22 @@ class TestPpt:
     @staticmethod
     def no_check(*args):
         raise AssertionError("ppt started a check before its output budget")
+
+    # all seven masks of one K=3 vector: at d=2 four masks pass and three fail
+    # with violations, at d=3 all fail
+    @pytest.mark.parametrize(
+        "d, digest",
+        [
+            (2, "06dc5f670d3df60079766e7012ea664c00cee0a4d11285c3e6c5a3ee9bdec2e9"),
+            (3, "ef546dbc7fd4a0f42ac34d8a332f0cc599de0851091ad2eaed4cb646c5db4322"),
+        ],
+    )
+    def test_pinned_ppt_digest(self, capsys, tmp_path, d, digest):
+        weights = [11 + (7 * k) % 11 for k in range(27)]
+        fid = write_fid(tmp_path, "fid.json", d, 3, [w / sum(weights) for w in weights])
+        code, out, _ = run(capsys, "ppt", "--fid", fid)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSep:
@@ -573,7 +637,8 @@ class TestInputBudget:
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("doc", [[1.0, 0.0, 0.0], "pi"])
+    # the long array is read as a float64 array, and still named a list
+    @pytest.mark.parametrize("doc", [[1.0, 0.0, 0.0], "pi", [0.5] * 30000])
     @pytest.mark.parametrize("command", ["ppt", "sep", "reduce"])
     def test_document_must_be_an_object(self, capsys, tmp_path, command, doc):
         path = tmp_path / "fid.json"
@@ -582,7 +647,7 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "JSON object" in err
+        assert err.endswith(f"must hold a JSON object, got {type(doc).__name__}\n")
 
     @pytest.mark.parametrize(
         "field",
@@ -616,6 +681,25 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "JSON numbers" in err
+
+    # the same checks on an array long enough to be read in pieces
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (10**400, "error: int too large to convert to float\n"),
+            (True, "error: re must hold JSON numbers only, not booleans, strings or null\n"),
+            (None, "error: re must hold JSON numbers only, not booleans, strings or null\n"),
+            ("0.25", "error: re must hold JSON numbers only, not booleans, strings or null\n"),
+        ],
+    )
+    def test_long_operator_entries_must_be_finite_numbers(self, capsys, tmp_path, value, message):
+        doc = wishart_doc(2, 3)
+        doc["re"][3000] = value  # in the second piece
+        assert len(json.dumps(doc["re"][:3000])) > PIECE_CHARS
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "twirl", "--d", "2", "--K", "3", "--state", str(path))
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
         "pi, code",

@@ -376,6 +376,14 @@ class TestOperatorType:
         assert np.array_equal(back.matrix, op.matrix)
         assert back.shape == op.shape
 
+    def test_from_json_keeps_each_part_bit_for_bit(self):
+        # re + 1j * im would turn these -0.0 parts into 0.0, and the infinite
+        # imaginary part into a NaN real part
+        re, im = [-0.0, 0.5, -0.0, 1.0], [-0.0, -0.0, 0.25, float("inf")]
+        m = ComplexOperator.from_json({"dim": 2, "shape": [2], "re": re, "im": im}).matrix
+        assert m.real.tobytes() == np.array(re).tobytes()
+        assert m.imag.tobytes() == np.array(im).tobytes()
+
     def test_pure_state_projector(self):
         v = random_unit_vector(3, "complex", 2)
         p = pure_state_projector(v)

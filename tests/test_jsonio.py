@@ -1,15 +1,20 @@
 """Parity of :func:`orthosym.jsonio.loads` with :func:`json.loads`.
 
 ``loads`` must return the same value, bitwise and in type (``int`` against
-``float``), or raise the same exception with the same message.  Every array
-case is padded past :data:`jsonio.PIECE_CHARS`, so that the chunked orjson
-path reads it and not only the standard library's small-array path.
+``float``), or raise the same exception with the same message.  The one
+difference allowed is that a long flat array of numbers comes back as a
+float64 array: it is compared with the list ``json.loads`` gives after
+:func:`float_array` on both sides, bit for bit, with the same exception and
+message where ``float_array`` refuses.  Every array case is padded past
+:data:`jsonio.PIECE_CHARS`, so that the chunked orjson path reads it and not
+only the standard library's small-array path.
 """
 
 import json
 import math
 import struct
 import sys
+import types
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -21,23 +26,32 @@ from orthosym import jsonio
 from orthosym.jsonio import PIECE_CHARS, float_array, loads
 
 
-def identical(a, b) -> bool:
-    """Equal values of equal types, floats compared bit for bit."""
-    if type(a) is not type(b):
+def identical(got, want) -> bool:
+    """Equal values of equal types, floats compared bit for bit; a float64
+    array ``got`` stands for the list of numbers ``want``."""
+    if type(got) is np.ndarray:
+        return type(want) is list and as_floats(got) == as_floats(want)
+    if type(got) is not type(want):
         return False
-    if type(a) is float:
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    if type(a) is list:
-        return len(a) == len(b) and all(map(identical, a, b))
-    if type(a) is dict:
-        return list(a) == list(b) and all(identical(a[k], b[k]) for k in a)
-    return a == b
+    if type(got) is float:
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    if type(got) is list:
+        return len(got) == len(want) and all(map(identical, got, want))
+    if type(got) is dict:
+        return list(got) == list(want) and all(identical(got[k], want[k]) for k in got)
+    return got == want
 
 
-def outcome(parse, text):
+def as_floats(value):
+    """The bytes of ``float_array(value)``, or its exception and message."""
+    kind, out = outcome(float_array, value, "re")
+    return kind, out.tobytes() if kind == "value" else out
+
+
+def outcome(parse, *args):
     try:
-        return "value", parse(text)
-    except (ValueError, RecursionError) as exc:
+        return "value", parse(*args)
+    except (ValueError, RecursionError, OverflowError) as exc:
         return type(exc), str(exc)
 
 
@@ -60,11 +74,11 @@ PAD = padded(["0.125", "-3", "6.02214076e-23", "-9.2e18", "1e-300"])
 
 
 def assert_read_by_orjson(text):
-    """The fast decoder alone, with no fall-back to :mod:`json`, reads an
-    array of numbers within 64-bit integer range."""
-    want = json.loads(text)
-    assert max(map(abs, want)) < 2**63
-    assert identical(jsonio._Decoder().decode(text), want)
+    """The fast decoder alone, with no fall-back to :mod:`json`, reads a long
+    flat array of numbers as a float64 array."""
+    got = jsonio._Decoder().decode(text)
+    assert type(got) is np.ndarray
+    assert identical(got, json.loads(text))
 
 
 def halfway(x: float) -> Decimal:
@@ -82,10 +96,10 @@ class TestNumberParity:
     def test_float_lists(self, xs, render):
         text = "[" + padded([render(x) for x in xs]) + "]"
         assert_same(text)
-        if max(map(abs, xs)) < 2**63:
-            assert_read_by_orjson(text)
+        assert_read_by_orjson(text)
 
-    @given(finite.filter(lambda x: abs(x) < 2**62), st.integers(0, 4))
+    # the midpoint above the largest double rounds to infinity
+    @given(finite.filter(lambda x: x < sys.float_info.max), st.integers(0, 4))
     def test_halfway_decimals(self, x, shift):
         mid = halfway(x)
         # the exact midpoint, and the midpoint moved by one unit in its last
@@ -98,9 +112,15 @@ class TestNumberParity:
         assert_same(text)
         assert_read_by_orjson(text)
 
-    @given(st.lists(st.integers(-(2**63) + 1, 2**63 - 1), min_size=1, max_size=40))
-    def test_integers_stay_int(self, ns):
+    @given(st.lists(st.integers(-(10**308), 10**308), min_size=1, max_size=40))
+    def test_integers(self, ns):
         assert_read_by_orjson("[" + padded([str(n) for n in ns] + ["1.0"]) + "]")
+
+    def test_short_arrays_keep_their_ints(self):
+        text = "[" + ", ".join(["7", "-0", "2.5"] * 100) + "]"
+        assert len(text) < PIECE_CHARS
+        assert identical(jsonio._Decoder().decode(text), json.loads(text))
+        assert type(loads(text)[0]) is int
 
 
 EDGE_ARRAYS = [
@@ -126,6 +146,10 @@ EDGE_ARRAYS = [
     "\f1",
     "1}",
     "1:",
+    "1" + "0" * 400,
+    "6.02214076e23",
+    "12345678901234567890",
+    "true",
 ]
 
 
@@ -149,6 +173,34 @@ class TestEdgeTable:
             head = "1" * ones + ",1" * ((size - ones) // 2)
             assert len(head) == size
             assert_same(template.format(h=head, p=PAD))
+
+    # magnitudes of 2**63 and more: orjson reads integers beyond 64 bits as
+    # floats, which a float64 result does not need to tell apart from ints
+    @pytest.mark.parametrize(
+        "case",
+        ["6.02214076e23", "12345678901234567890", "18446744073709551616",
+         "-9223372036854775809", "9223372036854775808", "-1e19", "1.7976931348623157e308"],
+    )
+    def test_large_magnitudes_are_read_by_orjson(self, case):
+        assert_read_by_orjson(f"[{PAD}, {case}]")
+        assert_read_by_orjson(f"[{case}, {PAD}]")
+
+    # json.loads reads these as inf, nan or a Python int beyond the float range
+    @pytest.mark.parametrize("case", ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400])
+    def test_non_finite_numbers_fall_back(self, case):
+        text = f"[{PAD}, {case}]"
+        with pytest.raises(ValueError):
+            jsonio._Decoder().decode(text)
+        assert type(loads(text)) is list
+        assert identical(loads(text), json.loads(text))
+
+    def test_a_non_finite_piece_falls_back(self, monkeypatch):
+        # orjson refuses numbers beyond the double range; one that read them
+        # as infinity must still not reach the caller
+        fake = types.SimpleNamespace(loads=lambda text: [math.inf])
+        monkeypatch.setitem(sys.modules, "orjson", fake)
+        with pytest.raises(ValueError):
+            jsonio._Decoder().decode(f"[{PAD}]")
 
     def test_valid_arrays_on_every_side_of_a_piece_boundary(self):
         for size in range(PIECE_CHARS - 4, PIECE_CHARS + 4):
@@ -209,10 +261,83 @@ class TestFloatArray:
         assert out.dtype == np.float64
         assert out.tolist() == [float(x) for x in raw]
 
+    def test_returns_a_float64_array_unchanged(self):
+        raw = np.array([1.0, -0.0, 2.5])
+        assert float_array(raw, "re") is raw
+
     @pytest.mark.parametrize(
         "raw",
-        [["0.25"], [1.0, False], [None], [True], [[1.0]], [{"a": 1}], {"a": 1}, 0.5, "1", None],
+        [["0.25"], [1.0, False], [None], [True], [[1.0]], [{"a": 1}], {"a": 1}, 0.5, "1", None,
+         np.array([1, 2]), np.array([True]), np.array([[1.0]]), np.array(["1.0"])],
     )
     def test_rejects_everything_else(self, raw):
         with pytest.raises(ValueError, match="re must hold JSON numbers only"):
             float_array(raw, "re")
+
+    def test_int_beyond_the_float_range(self):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            float_array([1.0, 10**400], "re")
+
+
+def reference_dumps(obj) -> str:
+    """The item-by-item renderer that :func:`jsonio.dumps` replaced."""
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {reference_dumps(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(reference_dumps, obj)) + "]"
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return jsonio.format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    assert obj is None
+    return "null"
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True)
+scalars = (
+    finite | st.integers() | st.booleans() | st.none() | st.text(max_size=3)
+    | finite.map(np.float64) | st.integers(-5, 5).map(np.int64) | st.booleans().map(np.bool_)
+)
+float_lists = st.lists(finite, max_size=20) | st.lists(floats, max_size=20)
+documents = st.recursive(
+    scalars | float_lists | float_lists.map(np.array),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @given(documents)
+    def test_same_text_or_error_as_item_by_item(self, doc):
+        assert outcome(jsonio.dumps, doc) == outcome(reference_dumps, doc)
+
+    @pytest.mark.parametrize(
+        "doc, text",
+        [
+            ([0.1, 1 / 3], "[0.10000000000000001, 0.33333333333333331]"),
+            (np.array([[0.5, -0.0], [1e300, 5e-324]]),
+             "[[0.5, -0], [1.0000000000000001e+300, 4.9406564584124654e-324]]"),
+            ([True, 1, np.float64(0.1), 0.1],
+             "[true, 1, 0.10000000000000001, 0.10000000000000001]"),
+            ({"pi": np.array([1.0]), "ok": np.array([True, False])},
+             '{"pi": [1], "ok": [true, false]}'),
+            ([], "[]"),
+        ],
+    )
+    def test_text(self, doc, text):
+        assert jsonio.dumps(doc) == text
+
+    @pytest.mark.parametrize(
+        "doc", [[0.5, math.nan, math.inf], np.array([0.5, math.nan, math.inf])]
+    )
+    def test_first_non_finite_float_is_named(self, doc):
+        with pytest.raises(ValueError, match=r"^non-finite float nan in data output$"):
+            jsonio.dumps({"pi": doc})

@@ -18,14 +18,13 @@ from .dense import (
     is_psd,
     is_psd_rows,
     kron,
+    kron_rows,
     min_eigenvalue,
     min_eigenvalue_rows,
     partial_trace,
     partial_transpose,
-    pure_state_projector,
     random_orthogonal,
     random_unit_vector,
-    random_unitary,
 )
 from .projectors import (
     BipartiteBasis,
@@ -34,7 +33,6 @@ from .projectors import (
     build_bipartite,
     build_multipartite,
     check_family_budget,
-    doubled_tensor,
     flip,
     maximally_entangled,
     multi_index_digits,

@@ -19,11 +19,10 @@ import numpy as np
 
 from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
 from .jsonio import dumps, format_float, loads
-from .projectors import build_multipartite, multipartite_trace
+from .projectors import all_multi_indices, build_multipartite, multipartite_trace
 from .simplex import (
     FidelityVector,
     all_masks,
-    all_multi_indices,
     check_output_budget,
     check_scan_budget,
     check_vertex_budget,
@@ -220,9 +219,9 @@ def cmd_verify(args) -> int:
         seed = DEFAULT_SEED
     if args.d is not None or args.K is not None:
         combos = ((args.d if args.d is not None else 2, args.K if args.K is not None else 1),)
+        reports = run_suite(seed=seed, combos=combos)
     else:
-        combos = ((2, 1), (2, 2), (3, 1))
-    reports = run_suite(seed=seed, combos=combos)
+        reports = run_suite(seed=seed)
     _emit(args, dumps([r.to_json() for r in reports]) + "\n")
     failed = first_failure(reports)
     if failed is not None:

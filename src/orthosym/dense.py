@@ -2,7 +2,7 @@
 
 Everything here works on explicit matrices: Kronecker products, partial
 transposes and traces over arbitrary subsystem subsets, Hermitian eigenvalue
-bounds, and seeded random orthogonal/unitary sampling.  All functions are
+bounds, and seeded random rotations and unit vectors.  All functions are
 pure and all returned operators are immutable, so values can be shared
 freely across threads.
 """
@@ -97,12 +97,6 @@ def identity(shape: Sequence[int]) -> ComplexOperator:
     return ComplexOperator(np.eye(prod(shape)), tuple(shape))
 
 
-def pure_state_projector(vector: np.ndarray) -> ComplexOperator:
-    """Rank-1 projector |v><v| onto a unit vector, as a single-factor operator."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    return ComplexOperator(np.outer(v, v.conj()), (v.size,))
-
-
 def _subsystems(op: ComplexOperator, subs: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(int(s) for s in subs))
     if len(set(out)) != len(out):
@@ -120,6 +114,20 @@ def kron(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
     if a.dim * b.dim > MAX_DIM:
         raise CapacityError(f"kron dimension {a.dim * b.dim} exceeds the cap {MAX_DIM}")
     return ComplexOperator(np.kron(a.matrix, b.matrix), a.shape + b.shape)
+
+
+def kron_rows(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of (T, m, n) stacks, member by member.
+
+    The factors are folded left to right, and a stack of one broadcasts
+    against the others.  Each entry is one product of the running entry and
+    a factor entry, as in ``np.kron``.
+    """
+    out = factors[0]
+    for b in factors[1:]:
+        x = out[:, :, None, :, None] * b[:, None, :, None, :]
+        out = x.reshape(len(x), x.shape[1] * x.shape[2], x.shape[3] * x.shape[4])
+    return out
 
 
 def partial_transpose(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
@@ -237,19 +245,6 @@ def random_orthogonal(d: int, seed) -> ComplexOperator:
     g = rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return ComplexOperator(q, (d,))
-
-
-def random_unitary(d: int, seed) -> ComplexOperator:
-    """Haar-distributed unitary matrix (complex Ginibre + QR phase fix)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r).copy()
-    diag[diag == 0] = 1.0
-    q = q * (diag / np.abs(diag))
     return ComplexOperator(q, (d,))
 
 

@@ -213,17 +213,3 @@ def projector_family(d: int, K: int) -> list[ComplexOperator]:
     check_family_budget(d, K)
     return [build_multipartite(d, K, alpha) for alpha in all_multi_indices(K)]
 
-
-def doubled_tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
-    """Tensor product of ``ops`` followed by a second copy of the same list.
-
-    With K single-factor rotations this builds O1 (x) ... (x) OK (x) O1 (x)
-    ... (x) OK, the joint rotation the pair projectors commute with.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    seq = list(ops) + list(ops)
-    out = seq[0]
-    for op in seq[1:]:
-        out = kron(out, op)
-    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
-from math import comb, prod
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,10 +27,10 @@ from .dense import (
     ComplexOperator,
     DomainError,
     is_psd_rows,
+    kron_rows,
 )
 from .jsonio import float_array
 from .projectors import (
-    all_multi_indices,
     bipartite_traces,
     build_bipartite,
     multi_index_digits,
@@ -276,7 +276,7 @@ def product_state_fidelities_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndar
     phis = np.asarray(phis, dtype=np.complex128)
     if psis.ndim != 3 or psis.shape != phis.shape or psis.shape[1] < 1:
         raise ValueError("need one psi and one phi per pair")
-    t, K, d = psis.shape
+    d = psis.shape[2]
     if d < 2:
         raise DomainError("local dimension must be >= 2")
     for v in (psis, phis):
@@ -290,10 +290,7 @@ def product_state_fidelities_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndar
         for z in (bra @ phis[..., None], bra @ phis.conj()[..., None])
     )
     triples = np.stack([(1.0 + a) / 2.0 - b / d, (1.0 - a) / 2.0, b / d], axis=2)
-    pi = triples[:, 0]
-    for i in range(1, K):
-        pi = (pi[:, :, None] * triples[:, i, None, :]).reshape(t, -1)
-    return pi
+    return kron_rows(*triples.swapaxes(0, 1)[:, :, None])[:, 0]
 
 
 def product_state_fidelities(
@@ -341,10 +338,9 @@ def coordinate_bounds(d: int, K: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _coordinate_bounds(d: int, K: int) -> np.ndarray:
-    weights = (1.0, 2.0, float(d))
-    bounds = np.array(
-        [1.0 / prod(weights[g] for g in alpha) for alpha in all_multi_indices(K)]
-    )
+    weights = np.array([[[1.0, 2.0, float(d)]]])
+    with np.errstate(over="ignore"):  # a product past the float range is inf: ceiling 0
+        bounds = 1.0 / kron_rows(*[weights] * K)[0, 0]
     bounds.setflags(write=False)
     return bounds
 
@@ -380,6 +376,19 @@ def _pair_legs(K: int) -> list[int]:
     return [leg for i in range(K) for leg in (i, K + i, 2 * K + i, 3 * K + i)]
 
 
+def _contract_pairs(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Contract every pair axis of a batched (T, p, ..., p) tensor with a (p, q) matrix.
+
+    The pair axes are taken first to last, one moveaxis and one matrix product
+    each, so the (T, q, ..., q) output keeps them in order.
+    """
+    t, (p, q) = len(x), m.shape
+    for _ in range(x.ndim - 1):
+        x = np.moveaxis(x, 1, -1)
+        x = (x.reshape(t, -1, p) @ m).reshape(x.shape[:-1] + (q,))
+    return x
+
+
 def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.ndarray:
     """:func:`twirl_coords` of every density matrix of a (T, D, D) stack.
 
@@ -408,10 +417,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.nd
     pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
     legs = [0] + [1 + leg for leg in _pair_legs(K)]
     x = stack.reshape((t,) + (d,) * (4 * K)).transpose(legs).reshape((t,) + (d**4,) * K)
-    for _ in range(K):
-        x = np.moveaxis(x, 1, -1)
-        x = (x.reshape(t, -1, d**4) @ pair.T).reshape(x.shape[:-1] + (3,))
-    pi = x.real.reshape(t, -1)
+    pi = _contract_pairs(x, pair.T).real.reshape(t, -1)
     return pi / pi.sum(axis=1, keepdims=True)
 
 
@@ -444,10 +450,7 @@ def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
         raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
     n = len(pi)
     pair = _pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
-    x = pi.reshape((n,) + (3,) * K)
-    for _ in range(K):
-        x = np.moveaxis(x, 1, -1)
-        x = (x.reshape(n, -1, 3) @ pair).reshape(x.shape[:-1] + (d**4,))
+    x = _contract_pairs(pi.reshape((n,) + (3,) * K), pair)
     legs = [0] + [1 + leg for leg in np.argsort(_pair_legs(K))]
     return x.reshape((n,) + (d,) * (4 * K)).transpose(legs).reshape(n, dim, dim)
 
@@ -475,6 +478,19 @@ def reduce_pair(f: FidelityVector, pair_index: int) -> FidelityVector:
 VERTEX_LABELS = ("Q0", "Q1", "P0", "P1")
 
 
+def _vertex_table(d: int) -> np.ndarray:
+    """Coordinates of the normalized hull generators, one row each in VERTEX_LABELS order."""
+    werner, isotropic = d * (d + 1), 2 * (d + 1)
+    return np.array(
+        [
+            [(d - 1) * (d + 2) / werner, 0.0, 2.0 / werner],
+            [0.0, 1.0, 0.0],
+            [(d + 2) / isotropic, d / isotropic, 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+
+
 def pair_vertex_coords(d: int, family: str, index: int) -> np.ndarray:
     """Simplex coordinates of one normalized bipartite hull generator.
 
@@ -491,26 +507,9 @@ def pair_vertex_coords(d: int, family: str, index: int) -> np.ndarray:
     if index not in (0, 1):
         raise ValueError("index must be 0 or 1")
     fam = family.lower()
-    if fam == "werner":
-        if index == 0:
-            den = d * (d + 1)
-            return np.array([(d - 1) * (d + 2) / den, 0.0, 2.0 / den])
-        return np.array([0.0, 1.0, 0.0])
-    if fam == "isotropic":
-        if index == 0:
-            den = 2 * (d + 1)
-            return np.array([(d + 2) / den, d / den, 0.0])
-        return np.array([0.0, 0.0, 1.0])
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _vertex_coords_by_label(d: int) -> dict[str, np.ndarray]:
-    return {
-        "Q0": pair_vertex_coords(d, "werner", 0),
-        "Q1": pair_vertex_coords(d, "werner", 1),
-        "P0": pair_vertex_coords(d, "isotropic", 0),
-        "P1": pair_vertex_coords(d, "isotropic", 1),
-    }
+    if fam not in ("werner", "isotropic"):
+        raise ValueError(f"unknown family {family!r}")
+    return _vertex_table(d)[2 * (fam == "isotropic") + index]
 
 
 def check_output_budget(sizes: Iterable[int], what: str) -> None:
@@ -543,14 +542,11 @@ def hull_vertices(d: int, K: int) -> list[tuple[tuple[str, ...], FidelityVector]
     after :func:`check_vertex_budget`.
     """
     check_vertex_budget(K)
-    singles = _vertex_coords_by_label(d)
-    out = []
-    for labels in product(VERTEX_LABELS, repeat=K):
-        pi = np.ones(1)
-        for name in labels:
-            pi = np.kron(pi, singles[name])
-        out.append((labels, FidelityVector(d, K, pi)))
-    return out
+    table = kron_rows(*[_vertex_table(d)[None]] * K)[0]
+    return [
+        (labels, FidelityVector(d, K, pi))
+        for labels, pi in zip(product(VERTEX_LABELS, repeat=K), table)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,10 +582,7 @@ def intersection_point(d: int) -> IntersectionPoint:
     s = Fraction(1, d * (d + 1))
     q = float(Fraction(1, 2) - s)
     p = float(2 * s * (Fraction(1, 2) + s))
-    w0 = pair_vertex_coords(d, "werner", 0)
-    w1 = pair_vertex_coords(d, "werner", 1)
-    i0 = pair_vertex_coords(d, "isotropic", 0)
-    i1 = pair_vertex_coords(d, "isotropic", 1)
+    w0, w1, i0, i1 = _vertex_table(d)
     return IntersectionPoint(q, p, (1 - q) * w0 + q * w1, (1 - p) * i0 + p * i1)
 
 

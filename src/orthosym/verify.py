@@ -18,16 +18,16 @@ from .dense import (
     CapacityError,
     ComplexOperator,
     DomainError,
+    kron_rows,
     min_eigenvalue_rows,
     partial_transpose,
     random_orthogonal,
     random_unit_vector,
 )
 from .projectors import (
-    all_multi_indices,
+    bipartite_traces,
     build_bipartite,
     check_family_budget,
-    multipartite_trace,
     projector_family,
 )
 from .simplex import (
@@ -99,12 +99,6 @@ def _dirichlet_rows(rng: np.random.Generator, count: int, width: int) -> np.ndar
     return np.array(rows, dtype=float).reshape(count, width)
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of a (T, m, m) and a (T, n, n) stack, sample by sample."""
-    t, m, n = len(a), a.shape[1], b.shape[1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(t, m * n, m * n)
-
-
 def _transpose_axes(mask, K: int) -> list[int]:
     """Axes of a (T, d, ..., d) stack of 2K-party matrices swapping the masked Bob legs."""
     axes = list(range(4 * K + 1))
@@ -161,11 +155,9 @@ def verify_invariance(
     rotations = rotations.reshape(trials, K, d, d)
     residual = 0.0
     for chunk in _chunks(trials, d ** (2 * K)):
-        ops = rotations[chunk]
-        # O1 (x) ... (x) OK (x) O1 (x) ... (x) OK, as doubled_tensor builds it
-        big = ops[:, 0]
-        for i in [*range(1, K), *range(K)]:
-            big = _kron_rows(big, ops[:, i])
+        ops = rotations[chunk].swapaxes(0, 1)
+        # the doubled rotation O1 (x) ... (x) OK (x) O1 (x) ... (x) OK
+        big = kron_rows(*ops, *ops)
         for p in family:
             m = p.matrix
             commutator = big @ m
@@ -187,7 +179,7 @@ def verify_pt_consistency(
     check_family_budget(d, K, copies=2)  # the family and its normalized copy
     rng = np.random.default_rng(seed)
     rows = _dirichlet_rows(rng, samples, 3**K)
-    traces = np.array([multipartite_trace(d, a) for a in all_multi_indices(K)], dtype=float)
+    traces = kron_rows(*[np.array([[bipartite_traces(d)]], dtype=float)] * K)[0, 0]
     tildes = [p.matrix / t for p, t in zip(projector_family(d, K), traces)]
     c = c_matrix(d)
     residual = 0.0
@@ -232,9 +224,7 @@ def verify_product_fidelities(
         for chunk in _chunks(trials, d ** (2 * K)):
             vs = vectors[chunk]
             projectors = vs[..., :, None] * vs.conj()[..., None, :]
-            sigma = projectors[:, 0]
-            for i in range(1, 2 * K):
-                sigma = _kron_rows(sigma, projectors[:, i])
+            sigma = kron_rows(*projectors.swapaxes(0, 1))
             # one member at a time: a single einsum over the family sums in another order
             dense = np.array([np.einsum("tij,ji->t", sigma, p.matrix) for p in family]).real.T
             f = product_state_fidelities_rows(vs[:, :K], vs[:, K:])

@@ -14,14 +14,13 @@ from orthosym import (
     is_psd,
     is_psd_rows,
     kron,
+    kron_rows,
     min_eigenvalue,
     min_eigenvalue_rows,
     partial_trace,
     partial_transpose,
-    pure_state_projector,
     random_orthogonal,
     random_unit_vector,
-    random_unitary,
 )
 from orthosym import dense as dense_module
 from orthosym.projectors import (
@@ -31,6 +30,8 @@ from orthosym.projectors import (
     flip,
     maximally_entangled,
 )
+
+from oracles import pure_state_projector, random_unitary
 
 
 def swap_oracle(d):
@@ -78,6 +79,38 @@ class TestKron:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             kron(identity((64,)), identity((65,)))
+
+
+class TestKronRows:
+    @given(
+        factors=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()), min_size=2, max_size=4
+        ),
+        t=st.sampled_from([1, 3]),
+        single=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_np_kron_member_by_member(self, factors, t, single, seed):
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for i, (m, n, is_complex) in enumerate(factors):
+            size = (1 if i == single % len(factors) else t, m, n)
+            x = rng.standard_normal(size)
+            if is_complex:
+                x = x + 1j * rng.standard_normal(size)
+            # signed zeros, so that bitwise equality also covers their signs
+            x[rng.random(size) < 0.2] = -0.0
+            stacks.append(x)
+        got = kron_rows(*stacks)
+        want = []
+        for k in range(t):
+            member = stacks[0][min(k, len(stacks[0]) - 1)]
+            for x in stacks[1:]:
+                member = np.kron(member, x[min(k, len(x) - 1)])
+            want.append(member)
+        want = np.array(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPartialTranspose:

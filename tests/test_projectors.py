@@ -13,7 +13,6 @@ from orthosym import (
     build_bipartite,
     build_multipartite,
     check_family_budget,
-    doubled_tensor,
     flip,
     identity,
     kron,
@@ -25,9 +24,10 @@ from orthosym import (
     projector_family,
     random_orthogonal,
     random_unit_vector,
-    random_unitary,
 )
 from orthosym import projectors as projectors_module
+
+from oracles import doubled_tensor, random_unitary
 
 
 class TestFlip:

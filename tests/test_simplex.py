@@ -1,7 +1,8 @@
 """Tests for the fidelity-coordinate calculus."""
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from orthosym import (
     projector_family,
     pt_map,
     pt_map_rows,
-    pure_state_projector,
     random_unit_vector,
     reconstruct,
     reconstruct_rows,
@@ -53,6 +53,9 @@ from orthosym import (
     twirl_rows,
 )
 from orthosym import simplex as simplex_module
+from orthosym.simplex import VERTEX_LABELS
+
+from oracles import pure_state_projector
 
 
 def random_state_vector(d, K, seed):
@@ -367,6 +370,15 @@ class TestSepBounds:
         with pytest.raises(DomainError):
             sep_bound_check(FidelityVector(2, 1, [0.5, 0.6, -0.1]))
 
+    @pytest.mark.parametrize("d", [*range(2, 13), 10**150])
+    def test_bounds_equal_multi_index_loop(self, d):
+        # the product over each multi-index, then one division, bitwise; at
+        # d = 1e150 the products from K = 3 on overflow to inf, silently
+        weights = (1.0, 2.0, float(d))
+        for K in range(1, 7):
+            expected = [1.0 / prod(weights[g] for g in alpha) for alpha in all_multi_indices(K)]
+            assert coordinate_bounds(d, K).tobytes() == np.array(expected).tobytes()
+
     def test_bounds_cached_and_read_only(self):
         bounds = coordinate_bounds(3, 2)
         assert coordinate_bounds(3, 2) is bounds
@@ -537,6 +549,25 @@ class TestVertices:
         assert np.abs(f.pi - np.kron(single, single)).max() <= 1e-15
         for _, vec in vertices:
             assert vec.is_state(tol=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_hull_vertices_equal_kron_chain(self, d):
+        # the np.kron chain over each label sequence, one pair at a time; each
+        # prefix is built once, with the floats of building it per sequence
+        pairs = product(("werner", "isotropic"), (0, 1))
+        singles = dict(zip(VERTEX_LABELS, (pair_vertex_coords(d, *p) for p in pairs)))
+        chains = {(): np.ones(1)}
+        for K in range(1, 7):
+            chains = {
+                labels + (name,): np.kron(pi, singles[name])
+                for labels, pi in chains.items()
+                for name in VERTEX_LABELS
+            }
+            vertices = hull_vertices(d, K)
+            assert [labels for labels, _ in vertices] == list(product(VERTEX_LABELS, repeat=K))
+            got = np.array([f.pi for _, f in vertices])
+            want = np.array([chains[labels] for labels, _ in vertices])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestIntersectionPoint:
@@ -925,7 +956,7 @@ class TestVertexBudget:
         def no_build(*args):
             raise AssertionError("a hull vertex was built before the budget check")
 
-        monkeypatch.setattr(simplex_module, "_vertex_coords_by_label", no_build)
+        monkeypatch.setattr(simplex_module, "_vertex_table", no_build)
         with pytest.raises(CapacityError, match="output budget"):
             hull_vertices(2, 8)
 

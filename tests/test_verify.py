@@ -21,7 +21,6 @@ from orthosym import (
     partial_transpose,
     pt_map,
     product_state_fidelities,
-    pure_state_projector,
     random_orthogonal,
     random_unit_vector,
     reconstruct,
@@ -42,10 +41,11 @@ from orthosym import simplex as simplex_module
 from orthosym import verify as verify_module
 from orthosym.projectors import (
     all_multi_indices,
-    doubled_tensor,
     multipartite_trace,
     projector_family,
 )
+
+from oracles import doubled_tensor, pure_state_projector
 
 
 # The sampled checks as one loop per sample, on ComplexOperator and the dense

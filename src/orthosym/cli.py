@@ -37,7 +37,6 @@ from .simplex import (
 )
 from .verify import DEFAULT_SEED, first_failure, run_suite
 
-SEED_ENV_VAR = "ORTHOSYM_SEED"
 #: Largest JSON input file read, in bytes.  An operator at the dimension cap
 #: MAX_DIM, written with shortest round-trip floats, is about 840 MB.
 INPUT_BYTES = 2**30
@@ -80,6 +79,15 @@ def _read_input(path: str) -> str:
     return data.decode()
 
 
+def _load(cls, path: str):
+    """``cls.from_json`` of the JSON object in ``path``, naming a missing key."""
+    doc = _load_json(path)
+    try:
+        return cls.from_json(doc)
+    except KeyError as exc:
+        raise ValueError(f"input {path} has no key {exc}") from None
+
+
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -109,14 +117,13 @@ def cmd_projectors(args) -> int:
 
 
 def cmd_twirl(args) -> int:
-    op = ComplexOperator.from_json(_load_json(args.state))
-    f = twirl_coords(op, args.d, args.K)
+    f = twirl_coords(_load(ComplexOperator, args.state), args.d, args.K)
     _emit(args, dumps(f.to_json()) + "\n")
     return 0
 
 
 def cmd_ppt(args) -> int:
-    f = FidelityVector.from_json(_load_json(args.fid))
+    f = _load(FidelityVector, args.fid)
     check_output_budget([(1 if args.mask else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
     masks = [_parse_mask(args.mask, f.K)] if args.mask else all_masks(f.K)
     verdicts = []
@@ -138,7 +145,7 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_sep(args) -> int:
-    f = FidelityVector.from_json(_load_json(args.fid))
+    f = _load(FidelityVector, args.fid)
     result = sep_bound_check(f)
     violated = set(result.violated)
     rows = [
@@ -185,7 +192,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f = FidelityVector.from_json(_load_json(args.fid))
+    f = _load(FidelityVector, args.fid)
     _emit(args, dumps(reduce_pair(f, args.pair).to_json()) + "\n")
     return 0
 
@@ -212,16 +219,11 @@ def cmd_vertices(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None and SEED_ENV_VAR in os.environ:
-        seed = int(os.environ[SEED_ENV_VAR])
-    if seed is None:
-        seed = DEFAULT_SEED
     if args.d is not None or args.K is not None:
         combos = ((args.d if args.d is not None else 2, args.K if args.K is not None else 1),)
-        reports = run_suite(seed=seed, combos=combos)
+        reports = run_suite(seed=args.seed, combos=combos)
     else:
-        reports = run_suite(seed=seed)
+        reports = run_suite(seed=args.seed)
     _emit(args, dumps([r.to_json() for r in reports]) + "\n")
     failed = first_failure(reports)
     if failed is not None:
@@ -238,6 +240,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the dense verification suite")
     p.add_argument("--d", type=_positive_int)
     p.add_argument("--K", type=_positive_int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, islice, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -45,8 +44,10 @@ SUM_TOL = 1e-12
 #: coordinates of ``vertices``, the masks x 3**K coordinates of ``ppt`` and the
 #: 2 x d**(4K) floats of one ``projectors`` matrix.
 SCAN_OUTPUT_COORDS = 10**7
-#: Coordinates per row block of :func:`classify_lattice` (at least one row).
-SCAN_BLOCK_COORDS = 2**12
+#: Coordinates per row block of :func:`classify_lattice` (at least one row).  A
+#: block's 2**K transformed copies hold at most 2**K x SCAN_BLOCK_COORDS floats,
+#: 16 MiB at K = 7, the largest K the output bound admits.
+SCAN_BLOCK_COORDS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,16 +146,9 @@ class CMatrix:
 
 
 def c_matrix(d: int) -> CMatrix:
-    """The coordinate transposition matrix at local dimension d, built once per d."""
+    """The coordinate transposition matrix at local dimension d."""
     if d < 2:
         raise DomainError("local dimension must be >= 2")
-    return _c_matrix(d)
-
-
-# The public builders stay plain functions around the cached ones so that
-# perfbench/traced.py, which wraps plain functions only, still counts calls.
-@lru_cache(maxsize=16)
-def _c_matrix(d: int) -> CMatrix:
     m = np.array(
         [
             [d - 2, d, 2],
@@ -329,20 +323,10 @@ class SeparabilityBounds:
 
 
 def coordinate_bounds(d: int, K: int) -> np.ndarray:
-    """Product-state ceilings 1 / (f_s1 ... f_sK) with (f_0, f_1, f_2) = (1, 2, d).
-
-    The array is read-only and built once per (d, K).
-    """
-    return _coordinate_bounds(d, K)
-
-
-@lru_cache(maxsize=16)
-def _coordinate_bounds(d: int, K: int) -> np.ndarray:
+    """Product-state ceilings 1 / (f_s1 ... f_sK) with (f_0, f_1, f_2) = (1, 2, d)."""
     weights = np.array([[[1.0, 2.0, float(d)]]])
     with np.errstate(over="ignore"):  # a product past the float range is inf: ceiling 0
-        bounds = 1.0 / kron_rows(*[weights] * K)[0, 0]
-    bounds.setflags(write=False)
-    return bounds
+        return 1.0 / kron_rows(*[weights] * K)[0, 0]
 
 
 def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBounds:
@@ -359,16 +343,10 @@ def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBoun
     )
 
 
-@lru_cache(maxsize=16)
 def _pair_projectors(d: int) -> np.ndarray:
-    """(Pi0, Pi1, Pi2) stacked as one (3, d, d, d, d) tensor with legs (a, b, a', b').
-
-    Built once per d; the array is read-only.
-    """
+    """(Pi0, Pi1, Pi2) stacked as one (3, d, d, d, d) tensor with legs (a, b, a', b')."""
     basis = build_bipartite(d)
-    pair = np.stack([basis.pi(k).matrix for k in range(3)]).reshape((3,) + (d,) * 4)
-    pair.setflags(write=False)
-    return pair
+    return np.stack([basis.pi(k).matrix for k in range(3)]).reshape((3,) + (d,) * 4)
 
 
 def _pair_legs(K: int) -> list[int]:
@@ -431,7 +409,12 @@ def twirl_coords(
     result is state-valued, idempotent with :func:`reconstruct`, and rescaled
     by its sum so that a trace off by up to 1e-10 still yields unit-sum output.
     """
-    return FidelityVector(d, K, twirl_rows(rho.matrix[None], d, K, tol)[0])
+    pi = twirl_rows(rho.matrix[None], d, K, tol)[0]
+    # the dimension is d**(2K) by now, so all factors d make the shape (d,) * 2K;
+    # no 2K-tuple is built, since d = 1 admits any K
+    if any(s != d for s in rho.shape):
+        raise DomainError(f"state shape {list(rho.shape)} is not {2 * K} factors of {d}")
+    return FidelityVector(d, K, pi)
 
 
 def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:

@@ -649,6 +649,43 @@ class TestMalformedInput:
         assert out == ""
         assert err.endswith(f"must hold a JSON object, got {type(doc).__name__}\n")
 
+    @pytest.mark.parametrize("command", ["ppt", "sep", "reduce"])
+    def test_missing_pi_is_named(self, capsys, tmp_path, command):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"d": 2, "K": 1}))
+        argv = [command, "--fid", str(path)] + (["--pair", "0"] if command == "reduce" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: input {path} has no key 'pi'\n"
+
+    def test_twirl_missing_im_is_named(self, capsys, tmp_path):
+        doc = ComplexOperator(np.eye(4) / 4, (2, 2)).to_json()
+        del doc["im"]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: input {path} has no key 'im'\n"
+
+    # the dimension is checked first, so a wrong one is still named as such
+    @pytest.mark.parametrize(
+        "shape, d, K, message",
+        [
+            ([4], 2, 1, "state shape [4] is not 2 factors of 2"),
+            ([4, 4], 2, 2, "state shape [4, 4] is not 4 factors of 2"),
+            ([2, 2, 4], 2, 2, "state shape [2, 2, 4] is not 4 factors of 2"),
+            ([4], 3, 1, "state dimension 4 is not 3^(2*1)"),
+        ],
+    )
+    def test_twirl_shape_must_be_2K_factors_of_d(self, capsys, tmp_path, shape, d, K, message):
+        dim = int(np.prod(shape))
+        doc = ComplexOperator(np.eye(dim) / dim, tuple(shape)).to_json()
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "twirl", "--d", str(d), "--K", str(K), "--state", str(path))
+        assert (code, out) == (4, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "field",
         [{"shape": 5}, {"dim": 4.7, "shape": [2.9, "2"]}, {"dim": 4.0}, {"shape": [2, True]}],
@@ -798,14 +835,19 @@ class TestVerify:
         assert out_a != out_b
 
     def test_seed_env_var(self, capsys, monkeypatch):
+        # the output depends on the arguments alone: the variable is not read
         monkeypatch.setenv("ORTHOSYM_SEED", "77")
         _, out_env, _ = run(capsys, "verify", "--d", "2", "--K", "1")
-        _, out_flag_wins, _ = run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "12")
-        monkeypatch.delenv("ORTHOSYM_SEED")
-        _, out_flag, _ = run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "77")
-        _, out_12, _ = run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "12")
-        assert out_env == out_flag
-        assert out_flag_wins == out_12
+        _, out_default, _ = run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "8191")
+        assert out_env == out_default
+        assert '"seed": 8191' in out_env
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--d", "2", "--K", "1", "--seed", "-5"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "0")[0] == 0
 
 
 class TestArgumentHandling:

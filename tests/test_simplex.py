@@ -141,9 +141,11 @@ class TestCMatrix:
         with pytest.raises(DomainError):
             c_matrix(1)
 
-    def test_cached_per_d(self):
-        assert c_matrix(3) is c_matrix(3)
-        assert not c_matrix(3).entries.flags.writeable
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_entries_read_only_closed_form(self, d):
+        entries = c_matrix(d).entries
+        assert not entries.flags.writeable
+        assert np.array_equal(entries, exact_c(d))
 
 
 class TestPtMap:
@@ -379,20 +381,15 @@ class TestSepBounds:
             expected = [1.0 / prod(weights[g] for g in alpha) for alpha in all_multi_indices(K)]
             assert coordinate_bounds(d, K).tobytes() == np.array(expected).tobytes()
 
-    def test_bounds_cached_and_read_only(self):
-        bounds = coordinate_bounds(3, 2)
-        assert coordinate_bounds(3, 2) is bounds
-        with pytest.raises(ValueError):
-            bounds[0] = 2.0
-
 
 class TestTwirlAndReconstruct:
     @pytest.mark.parametrize("d", [2, 3])
-    def test_pair_tensor_cached_per_d(self, d):
+    def test_pair_tensor_matches_build_bipartite(self, d):
         pair = simplex_module._pair_projectors(d)
-        assert simplex_module._pair_projectors(d) is pair
-        assert not pair.flags.writeable
         assert pair.shape == (3,) + (d,) * 4
+        basis = build_bipartite(d)
+        for k in range(3):
+            assert np.array_equal(pair[k].reshape(d * d, d * d), basis.pi(k).matrix)
 
     def test_maximally_mixed_coordinates(self):
         rho = ComplexOperator(np.eye(4) / 4.0, (2, 2))
@@ -722,6 +719,12 @@ class TestBatchedCore:
         assert sizes == [2] * 82 + [1]  # 165 points, two 9-coordinate rows per block
         monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 5)
         assert {len(pi) for pi, _, _ in classify_lattice(2, 2, 1, PSD_TOL)} == {1}
+
+    def test_k7_blocks_hold_several_rows(self):
+        # K = 7 is the largest K a scan admits; its rows have 3**7 coordinates
+        comp, _, _ = next(classify_lattice(2, 7, 1))
+        assert comp.shape == (simplex_module.SCAN_BLOCK_COORDS // 3**7, 3**7)
+        assert len(comp) >= 2
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_one_contraction_per_mask_bitwise_equal(self, monkeypatch, K):

@@ -171,11 +171,9 @@ def build_multipartite(d: int, K: int, alpha: Sequence[int]) -> ComplexOperator:
     relabeled into grouped order, so the result lives on shape [d]*2K with
     all Alice factors first.
     """
-    alpha = tuple(int(x) for x in alpha)
     if len(alpha) != K:
         raise ValueError(f"alpha has {len(alpha)} digits, expected K={K}")
-    if any(g not in (0, 1, 2) for g in alpha):
-        raise ValueError(f"alpha digits must be trinary, got {alpha}")
+    alpha = _trinary(alpha)
     if d ** (2 * K) > MAX_DIM:
         raise CapacityError(f"dimension {d ** (2 * K)} exceeds the cap {MAX_DIM}")
     basis = build_bipartite(d)
@@ -188,7 +186,14 @@ def build_multipartite(d: int, K: int, alpha: Sequence[int]) -> ComplexOperator:
 def multipartite_trace(d: int, alpha: Sequence[int]) -> int:
     """Exact trace of the pair projector with the given digits."""
     traces = bipartite_traces(d)
-    return prod(traces[int(g)] for g in alpha)
+    return prod(traces[g] for g in _trinary(alpha))
+
+
+def _trinary(alpha: Sequence[int]) -> tuple[int, ...]:
+    """``alpha`` as ints, each digit checked against {0, 1, 2} before int() could round it."""
+    if any(g not in (0, 1, 2) for g in alpha):
+        raise ValueError(f"alpha digits must be trinary, got {tuple(alpha)}")
+    return tuple(int(g) for g in alpha)
 
 
 def check_family_budget(d: int, K: int, copies: int = 1) -> None:

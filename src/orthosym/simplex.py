@@ -65,7 +65,7 @@ class FidelityVector:
 
     def __post_init__(self) -> None:
         if self.d < 2:
-            raise ValueError("local dimension must be >= 2")
+            raise DomainError("local dimension must be >= 2")
         if self.K < 1:
             raise ValueError("pair count must be >= 1")
         pi = np.array(self.pi, dtype=float, copy=True)
@@ -161,12 +161,12 @@ def c_matrix(d: int) -> CMatrix:
 
 
 def _check_mask(mask: Sequence[int], width: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in mask)
-    if 3 ** len(bits) != width:
-        raise IndexError(f"mask length {len(bits)} does not match {width} coordinates")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"mask must be binary, got {bits}")
-    return bits
+    if 3 ** len(mask) != width:
+        raise IndexError(f"mask length {len(mask)} does not match {width} coordinates")
+    # checked before int(), which would take 0.7 to 0 and 1.9 to 1
+    if any(b not in (0, 1) for b in mask):
+        raise ValueError(f"mask must be binary, got {tuple(mask)}")
+    return tuple(int(b) for b in mask)
 
 
 def pt_map_rows(pi: np.ndarray, c: CMatrix, mask: Sequence[int]) -> np.ndarray:
@@ -179,15 +179,22 @@ def pt_map_rows(pi: np.ndarray, c: CMatrix, mask: Sequence[int]) -> np.ndarray:
     """
     bits = _check_mask(mask, pi.shape[1])
     tensor = pi.reshape((len(pi),) + (3,) * len(bits))
-    for axis, bit in enumerate(bits, start=1):
-        if bit:
-            tensor = _apply_c(tensor, c, axis)
-    return tensor.reshape(pi.shape)
+    axes = [axis for axis, bit in enumerate(bits, start=1) if bit]
+    return _contract_axes(tensor, c.entries, axes).reshape(pi.shape)
 
 
-def _apply_c(tensor: np.ndarray, c: CMatrix, axis: int) -> np.ndarray:
-    """Contract one digit axis of a batched (N, 3, ..., 3) tensor with C."""
-    return np.moveaxis(np.tensordot(tensor, c.entries, axes=([axis], [0])), -1, axis)
+def _contract_axes(x: np.ndarray, m: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Contract the listed axes of a batched (T, p, ..., p) tensor with a (p, q) matrix.
+
+    The axes are taken in the order given, one matrix product each, and each
+    keeps its place.  The product runs row by row of the batch axis, so a row
+    gives the floats of a batch of one.
+    """
+    t, (p, q) = len(x), m.shape
+    for axis in axes:
+        x = np.moveaxis(x, axis, -1)
+        x = np.moveaxis((x.reshape(t, -1, p) @ m).reshape(x.shape[:-1] + (q,)), -1, axis)
+    return x
 
 
 def pt_map(f: FidelityVector, mask: Sequence[int]) -> FidelityVector:
@@ -354,19 +361,6 @@ def _pair_legs(K: int) -> list[int]:
     return [leg for i in range(K) for leg in (i, K + i, 2 * K + i, 3 * K + i)]
 
 
-def _contract_pairs(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Contract every pair axis of a batched (T, p, ..., p) tensor with a (p, q) matrix.
-
-    The pair axes are taken first to last, one moveaxis and one matrix product
-    each, so the (T, q, ..., q) output keeps them in order.
-    """
-    t, (p, q) = len(x), m.shape
-    for _ in range(x.ndim - 1):
-        x = np.moveaxis(x, 1, -1)
-        x = (x.reshape(t, -1, p) @ m).reshape(x.shape[:-1] + (q,))
-    return x
-
-
 def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.ndarray:
     """:func:`twirl_coords` of every density matrix of a (T, D, D) stack.
 
@@ -395,7 +389,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.nd
     pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
     legs = [0] + [1 + leg for leg in _pair_legs(K)]
     x = stack.reshape((t,) + (d,) * (4 * K)).transpose(legs).reshape((t,) + (d**4,) * K)
-    pi = _contract_pairs(x, pair.T).real.reshape(t, -1)
+    pi = _contract_axes(x, pair.T, range(1, K + 1)).real.reshape(t, -1)
     return pi / pi.sum(axis=1, keepdims=True)
 
 
@@ -433,7 +427,7 @@ def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
         raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
     n = len(pi)
     pair = _pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
-    x = _contract_pairs(pi.reshape((n,) + (3,) * K), pair)
+    x = _contract_axes(pi.reshape((n,) + (3,) * K), pair, range(1, K + 1))
     legs = [0] + [1 + leg for leg in np.argsort(_pair_legs(K))]
     return x.reshape((n,) + (d,) * (4 * K)).transpose(legs).reshape(n, dim, dim)
 
@@ -646,7 +640,7 @@ def classify_lattice(
     :func:`pt_map_rows`, which keeps the floats bitwise equal to it.
     """
     if d < 2:
-        raise ValueError("local dimension must be >= 2")
+        raise DomainError("local dimension must be >= 2")
     check_scan_budget(n, K)
     m = 3**K
     c = c_matrix(d)
@@ -659,7 +653,7 @@ def classify_lattice(
         for r in range(1, 2**K):
             # the lowest rank bit is the last pair, axis K - lowest bit index
             axis = K - ((r & -r).bit_length() - 1)
-            transformed.append(_apply_c(transformed[r & (r - 1)], c, axis))
+            transformed.append(_contract_axes(transformed[r & (r - 1)], c.entries, [axis]))
         ppt = np.stack(
             [~(t.reshape(pi.shape) < -tol).any(axis=1) for t in transformed[1:]], axis=1
         )

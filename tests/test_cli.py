@@ -842,6 +842,23 @@ class TestVerify:
         assert out_env == out_default
         assert '"seed": 8191' in out_env
 
+    # SHA-256 of verify stdout, so that any change in the floats of the dense
+    # checks or of the coordinate kernels they compare against fails here
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "4992d10b6bf60d6b5dcbc6f75eb590bcb4dbb44c7fcc8e56301ab62690fab376"),
+            (
+                ["--d", "2", "--K", "2", "--seed", "5"],
+                "ba0e49b6cea1b38eea3471f33260727fcb57de44a0645df0df327dcac3c53c61",
+            ),
+        ],
+    )
+    def test_pinned_verify_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--d", "2", "--K", "1", "--seed", "-5"])
@@ -872,6 +889,24 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--d", "2", "--K", "1", "--grid", "0", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", ["scan", "ppt", "sep", "reduce", "vertices", "projectors", "verify"]
+    )
+    def test_d1_is_a_domain_error(self, capsys, tmp_path, command):
+        fid = ["--fid", write_fid(tmp_path, "d1.json", 1, 1, [0.2, 0.3, 0.5])]
+        argv = {
+            "scan": ["--d", "1", "--K", "1", "--out", str(tmp_path / "s.csv")],
+            "ppt": fid,
+            "sep": fid,
+            "reduce": fid + ["--pair", "0"],
+            "vertices": ["--d", "1"],
+            "projectors": ["--d", "1", "--K", "1", "--alpha", "0"],
+            "verify": ["--d", "1"],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (4, "", "error: local dimension must be >= 2\n")
+        assert not (tmp_path / "s.csv").exists()
 
 
 HUGE_K = str(10**9)

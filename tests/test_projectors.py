@@ -279,6 +279,22 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             build_multipartite(2, 2, (0, 3))
 
+    @pytest.mark.parametrize("alpha", [(2.7,), (0.5,), (1.9,), (-1,), (2.0000001,)])
+    def test_fractional_digits_rejected(self, alpha):
+        # int() would take 2.7 to 2 and build Pi2, or give its trace
+        with pytest.raises(ValueError, match="trinary"):
+            build_multipartite(2, 1, alpha)
+        with pytest.raises(ValueError, match="expected K=2"):
+            build_multipartite(2, 2, alpha)  # the length is checked before the digits
+        with pytest.raises(ValueError, match="trinary"):
+            multipartite_trace(3, alpha)
+
+    def test_integral_digits_of_any_type_accepted(self):
+        want = build_multipartite(2, 2, (1, 2)).matrix
+        for alpha in [(1.0, 2.0), (np.int64(1), np.float64(2.0)), (True, 2)]:
+            assert np.array_equal(build_multipartite(2, 2, alpha).matrix, want)
+            assert multipartite_trace(3, alpha) == multipartite_trace(3, (1, 2)) == 3
+
     def test_two_pair_member_matches_manual_construction(self):
         # grouped-order projector must equal the manual tensor with row legs
         # (A1 A2 B1 B2): t1 carries (A1 B1 | A1' B1'), t2 carries (A2 B2 | ...)

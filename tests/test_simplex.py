@@ -1,7 +1,9 @@
 """Tests for the fidelity-coordinate calculus."""
 
+import hashlib
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 from math import comb, prod
 
 import numpy as np
@@ -104,13 +106,23 @@ def single_point_pt_map(pi, c, mask):
     return tensor.reshape(-1)
 
 
-def exact_c(d):
+def fraction_c(d):
+    """The coordinate transposition matrix at local dimension d, in Fractions."""
     rows = [
         [d - 2, d, 2],
         [d + 2, d, -2],
         [(d - 1) * (d + 2), -d * (d - 1), 2],
     ]
-    return np.array([[Fraction(x, 2 * d) for x in row] for row in rows], dtype=float)
+    return [[Fraction(x, 2 * d) for x in row] for row in rows]
+
+
+def exact_c(d):
+    return np.array(fraction_c(d), dtype=float)
+
+
+def maximally_mixed(d, K):
+    """Coordinates of the maximally mixed 2K-party state: pair traces / d**2, per pair."""
+    return reduce(np.kron, [np.array(bipartite_traces(d)) / d**2] * K)
 
 
 class TestCMatrix:
@@ -209,6 +221,28 @@ class TestPtMap:
         f = random_state_vector(2, 2, 0)
         with pytest.raises(IndexError):
             pt_map(f, (1,))
+        with pytest.raises(IndexError):
+            pt_map(f, (0.7,))  # the length is checked before the bits
+
+    @pytest.mark.parametrize("mask", [(0.7,), (1.9,), (0.5,), (-1,), (2,), (1.0000001,)])
+    def test_fractional_bits_rejected(self, mask):
+        # int() would take 0.7 to the zero mask and 1.9 to mask 1
+        f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="binary"):
+            pt_map(f, mask)
+        with pytest.raises(ValueError, match="binary"):
+            ppt_check(f, mask)
+        with pytest.raises(ValueError, match="binary"):
+            pt_map_rows(f.pi[None], c_matrix(2), mask)
+
+    def test_integral_bits_of_any_type_accepted(self):
+        f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
+        want = pt_map(f, (1,)).pi
+        for bit in (1.0, np.int64(1), np.float64(1.0), True):
+            assert np.array_equal(pt_map(f, (bit,)).pi, want)
+            verdict = ppt_check(f, (bit,))
+            assert verdict.mask == (1,) and type(verdict.mask[0]) is int
+            assert not verdict.is_ppt
 
 
 class TestPPTCheck:
@@ -240,6 +274,52 @@ class TestPPTCheck:
     def test_uniform_k2_d2_all_ppt(self):
         f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
         assert all(ppt_check(f, mask).is_ppt for mask in all_masks(2))
+
+
+class TestCutsAndCeilings:
+    """Multi-PPT covers every cut of the 2K parties and implies the ceilings."""
+
+    @pytest.mark.parametrize("d, K", [(2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_every_cut_is_a_bob_mask(self, d, K):
+        # Pi_k is real symmetric, so T_A T_B Pi = Pi and T_A Pi = T_B Pi: the cut S
+        # acts as the Bob mask m_i = [A_i in S] xor [B_i in S]
+        rho = reconstruct(random_state_vector(d, K, 11))
+        for size in range(2 * K + 1):
+            for cut in combinations(range(2 * K), size):
+                mask = [(i in cut) != (K + i in cut) for i in range(K)]
+                bob = partial_transpose(rho, bob_subsystems(mask, K))
+                assert np.array_equal(partial_transpose(rho, cut).matrix, bob.matrix)
+
+    @given(
+        st.integers(2, 50),
+        st.lists(st.fractions(-10, 10, max_denominator=1000), min_size=3, max_size=3),
+    )
+    def test_k1_ceilings_are_transposed_coordinates(self, d, pi):
+        # sum/2 - pi_1 = (d/2) (pi C)_2 and sum/d - pi_2 = (2/d) (pi C)_1, exactly
+        c = fraction_c(d)
+        pc = [sum(pi[b] * c[b][a] for b in range(3)) for a in range(3)]
+        total = sum(pi)
+        assert total / 2 - pi[1] == Fraction(d, 2) * pc[2]
+        assert total / d - pi[2] == Fraction(2, d) * pc[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([(d, K) for d in (2, 3, 4) for K in (1, 2, 3)] + [(7, 1), (7, 2)]),
+        st.integers(0, 2**31),
+    )
+    def test_one_pair_ppt_implies_ceilings(self, dK, seed):
+        # Dirichlet rows mixed toward the maximally mixed point, so that many are PPT
+        d, K = dK
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(size=(600, 1))
+        rows = w * rng.dirichlet(np.ones(3**K), size=600) + (1 - w) * maximally_mixed(d, K)
+        ppt = np.ones(len(rows), dtype=bool)
+        for k in range(K):
+            one_pair = tuple(int(i == k) for i in range(K))
+            ppt &= (pt_map_rows(rows, c_matrix(d), one_pair) >= 0).all(axis=1)  # tol 0
+        assert ppt.any()
+        for row in rows[ppt]:
+            assert sep_bound_check(FidelityVector(d, K, row)).passes
 
 
 class TestMaskHelpers:
@@ -729,19 +809,21 @@ class TestBatchedCore:
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_one_contraction_per_mask_bitwise_equal(self, monkeypatch, K):
         outputs = []
-        apply_c = simplex_module._apply_c
+        contract_axes = simplex_module._contract_axes
 
-        def recording(tensor, c, axis):
-            outputs.append(apply_c(tensor, c, axis))
+        def recording(x, m, axes):
+            axes = list(axes)
+            assert len(axes) == 1  # one single-axis contraction per mask
+            outputs.append(contract_axes(x, m, axes))
             return outputs[-1]
 
-        monkeypatch.setattr(simplex_module, "_apply_c", recording)
+        monkeypatch.setattr(simplex_module, "_contract_axes", recording)
         monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 3**K * 7)
         blocks = []
         for comp, _, _ in classify_lattice(3, K, 2, PSD_TOL):
             blocks.append((comp / 2, outputs[:]))
             outputs.clear()
-        monkeypatch.setattr(simplex_module, "_apply_c", apply_c)
+        monkeypatch.setattr(simplex_module, "_contract_axes", contract_axes)
         c = c_matrix(3)
         for pi, transformed in blocks:
             assert len(transformed) == 2**K - 1
@@ -762,7 +844,7 @@ class TestBatchedCore:
         assert list(map(tuple, comp.tolist())) == list(simplex_grid(3, 9))
 
     def test_lattice_rejects_d1(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             next(classify_lattice(1, 1, 2))
 
 
@@ -866,6 +948,20 @@ class TestDenseRows:
             product_state_fidelities_rows(psis, phis)
         with pytest.raises(ValueError, match="one psi and one phi"):
             product_state_fidelities_rows(psis, phis[:, :1])
+
+    # SHA-256 of the reconstructed stack of three seeded Dirichlet rows, so that
+    # any change in the floats of the pair contraction fails here
+    @pytest.mark.parametrize(
+        "d, K, digest",
+        [
+            (2, 2, "4e4ac73a8066e9913f0a072df362fb696659fdca4c9b302f024a5e4728dc6500"),
+            (3, 2, "4bac7740258a274f6bd989f7a122f07fd5623b15df39b18b60cc8e1c4aa449b4"),
+            (2, 3, "6f17fc585b7e642a034636f7f0a3947db747790bb6cd9cb68d6de50de9f5bcf0"),
+        ],
+    )
+    def test_pinned_reconstruct_digest(self, d, K, digest):
+        rows = np.random.default_rng([d, K, 2026]).dirichlet(np.ones(3**K), size=3)
+        assert hashlib.sha256(reconstruct_rows(rows, d, K).tobytes()).hexdigest() == digest
 
     def test_reconstruct_rows_reject_bad_rows(self):
         with pytest.raises(DomainError, match="state-valued"):

@@ -66,6 +66,7 @@ from .simplex import (
     product_state_fidelities,
     product_state_fidelities_rows,
     pt_map,
+    pt_map_masks,
     pt_map_rows,
     reconstruct,
     reconstruct_rows,

@@ -14,23 +14,25 @@ import json
 import math
 import os
 import sys
+from itertools import product
 
 import numpy as np
 
 from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
 from .jsonio import dumps, format_float, loads
-from .projectors import all_multi_indices, build_multipartite, multipartite_trace
+from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
     FidelityVector,
-    all_masks,
     check_output_budget,
     check_scan_budget,
     check_vertex_budget,
+    c_matrix,
     classify_lattice,
     default_grid_resolution,
     hull_vertices,
     intersection_point,
-    ppt_check,
+    pt_map_masks,
+    pt_map_rows,
     reduce_pair,
     sep_bound_check,
     twirl_coords,
@@ -42,8 +44,9 @@ from .verify import DEFAULT_SEED, first_failure, run_suite
 INPUT_BYTES = 2**30
 
 
-def _digits_string(digits) -> str:
-    return "".join(str(int(g)) for g in digits)
+def _digit_labels(K: int, digits: str) -> list[str]:
+    """All K-digit strings over ``digits`` in rank order: multi-indices or masks."""
+    return list(map("".join, product(digits, repeat=K)))
 
 
 def _parse_mask(text: str, K: int) -> tuple[int, ...]:
@@ -125,21 +128,26 @@ def cmd_twirl(args) -> int:
 def cmd_ppt(args) -> int:
     f = _load(FidelityVector, args.fid)
     check_output_budget([(1 if args.mask else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
-    masks = [_parse_mask(args.mask, f.K)] if args.mask else all_masks(f.K)
-    verdicts = []
-    for mask in masks:
-        verdict = ppt_check(f, mask, args.tol)
-        verdicts.append(
-            {
-                "mask": _digits_string(mask),
-                "is_ppt": verdict.is_ppt,
-                "pi": verdict.transformed.pi,
-                "violations": [
-                    {"alpha": _digits_string(digits), "value": value}
-                    for digits, value in verdict.violations
-                ],
-            }
-        )
+    c = c_matrix(f.d)
+    # all masks come from one walk; a lone mask contracts only its own axes
+    if args.mask:
+        masks, rows = [args.mask], pt_map_rows(f.pi[None], c, _parse_mask(args.mask, f.K))
+    else:
+        masks, rows = _digit_labels(f.K, "01")[1:], pt_map_masks(f.pi[None], c, f.K)[0, 1:]
+    if not f.is_state():
+        raise DomainError("ppt requires state-valued coordinates")
+    bad = rows < -args.tol
+    # built only for a violation: at K = 14, one --mask admits 4.8e6 labels
+    labels = _digit_labels(f.K, "012") if bad.any() else []
+    verdicts = [
+        {
+            "mask": label,
+            "is_ppt": not b.any(),
+            "pi": row,
+            "violations": [{"alpha": labels[r], "value": row[r]} for r in np.flatnonzero(b)],
+        }
+        for label, row, b in zip(masks, rows, bad)
+    ]
     _emit(args, dumps({"d": f.d, "K": f.K, "tol": args.tol, "verdicts": verdicts}) + "\n")
     return 0
 
@@ -147,22 +155,23 @@ def cmd_ppt(args) -> int:
 def cmd_sep(args) -> int:
     f = _load(FidelityVector, args.fid)
     result = sep_bound_check(f)
-    violated = set(result.violated)
+    violated = ["".join(map(str, a)) for a in result.violated]
+    failed = set(violated)
     rows = [
         {
-            "sigma": _digits_string(alpha),
+            "sigma": label,
             "pi": float(f.pi[rank]),
             "bound": float(result.bounds[rank]),
-            "ok": alpha not in violated,
+            "ok": label not in failed,
         }
-        for rank, alpha in enumerate(all_multi_indices(f.K))
+        for rank, label in enumerate(_digit_labels(f.K, "012"))
     ]
     doc = {
         "d": f.d,
         "K": f.K,
         "passes": result.passes,
         "scope": "sufficient" if result.sufficient else "necessary-only",
-        "violated": [_digits_string(a) for a in result.violated],
+        "violated": violated,
         "coordinates": rows,
     }
     _emit(args, dumps(doc) + "\n")
@@ -173,9 +182,9 @@ def cmd_scan(args) -> int:
     n = args.grid if args.grid else default_grid_resolution(args.K)
     check_scan_budget(n, args.K)
     header = (
-        [f"pi_{_digits_string(a)}" for a in all_multi_indices(args.K)]
+        [f"pi_{label}" for label in _digit_labels(args.K, "012")]
         + ["sep_bound"]
-        + [f"ppt_{_digits_string(m)}" for m in all_masks(args.K)]
+        + [f"ppt_{label}" for label in _digit_labels(args.K, "01")[1:]]
         + ["class"]
     )
     # every coordinate is c/n with an integer c in 0..n: format the n + 1 values

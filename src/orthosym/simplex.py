@@ -45,7 +45,7 @@ SUM_TOL = 1e-12
 #: 2 x d**(4K) floats of one ``projectors`` matrix.
 SCAN_OUTPUT_COORDS = 10**7
 #: Coordinates per row block of :func:`classify_lattice` (at least one row).  A
-#: block's 2**K transformed copies hold at most 2**K x SCAN_BLOCK_COORDS floats,
+#: block's :func:`pt_map_masks` walk holds at most 2**K x SCAN_BLOCK_COORDS floats,
 #: 16 MiB at K = 7, the largest K the output bound admits.
 SCAN_BLOCK_COORDS = 2**14
 
@@ -120,7 +120,9 @@ def all_masks(K: int) -> list[tuple[int, ...]]:
 
 
 def bob_subsystems(mask: Sequence[int], K: int) -> tuple[int, ...]:
-    """Dense subsystem positions transposed by ``mask``: {K + i : mask[i] = 1}."""
+    """Dense subsystems transposed by the K-bit ``mask``: {K + i : mask[i] = 1}."""
+    if len(mask) != K or any(b not in (0, 1) for b in mask):
+        raise ValueError(f"mask must be {K} binary digits, got {tuple(mask)}")
     return tuple(K + i for i, b in enumerate(mask) if b)
 
 
@@ -195,6 +197,27 @@ def _contract_axes(x: np.ndarray, m: np.ndarray, axes: Iterable[int]) -> np.ndar
         x = np.moveaxis(x, axis, -1)
         x = np.moveaxis((x.reshape(t, -1, p) @ m).reshape(x.shape[:-1] + (q,)), -1, axis)
     return x
+
+
+def pt_map_masks(pi: np.ndarray, c: CMatrix, K: int) -> np.ndarray:
+    """:func:`pt_map_rows` of every row of an (N, 3**K) array under all 2**K masks.
+
+    Returns the (N, 2**K, 3**K) walk: slice r holds the rows under the mask
+    of rank r (:func:`mask_digits`), slice 0 the rows themselves.  Mask r is
+    C on the last masked axis of mask r & (r - 1), already in the walk, so
+    each mask costs one contraction, and the axes are contracted in the
+    order of :func:`pt_map_rows`, which keeps every float bitwise equal to it.
+    """
+    if pi.ndim != 2 or pi.shape[1] != 3 ** min(K, pi.shape[1].bit_length()):
+        raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
+    # stored mask by mask: each block is one contiguous (N, 3, ..., 3) tensor
+    walk = np.empty((2**K, len(pi)) + (3,) * K)
+    walk[0] = pi.reshape(walk.shape[1:])
+    for r in range(1, 2**K):
+        # the lowest rank bit is the last pair, axis K - lowest bit index
+        axis = K - ((r & -r).bit_length() - 1)
+        walk[r] = _contract_axes(walk[r & (r - 1)], c.entries, [axis])
+    return walk.reshape(2**K, *pi.shape).swapaxes(0, 1)
 
 
 def pt_map(f: FidelityVector, mask: Sequence[int]) -> FidelityVector:
@@ -632,12 +655,8 @@ def classify_lattice(
     coordinates: ``comp`` is (B, 3**K), the integer compositions c of n of
     :func:`simplex_grid`, and with f = c / n, ``ppt[:, j]`` is ``ppt_check(f,
     all_masks(K)[j], tol).is_ppt`` and ``bound_ok`` ``sep_bound_check(f).passes``,
-    row by row.  :func:`check_scan_budget` runs before the first block.
-
-    Mask r is C applied on the last masked axis of mask r & (r - 1), the
-    block already transformed by the masks before it, so each mask costs one
-    contraction and the axes are contracted in the order of
-    :func:`pt_map_rows`, which keeps the floats bitwise equal to it.
+    row by row, the masks taken from one :func:`pt_map_masks` walk per block.
+    :func:`check_scan_budget` runs before the first block.
     """
     if d < 2:
         raise DomainError("local dimension must be >= 2")
@@ -649,12 +668,5 @@ def classify_lattice(
         pi = comp / n
         if not _state_rows(pi).all():
             raise DomainError("scan requires state-valued coordinates")
-        transformed = [pi.reshape((len(pi),) + (3,) * K)]
-        for r in range(1, 2**K):
-            # the lowest rank bit is the last pair, axis K - lowest bit index
-            axis = K - ((r & -r).bit_length() - 1)
-            transformed.append(_contract_axes(transformed[r & (r - 1)], c.entries, [axis]))
-        ppt = np.stack(
-            [~(t.reshape(pi.shape) < -tol).any(axis=1) for t in transformed[1:]], axis=1
-        )
+        ppt = ~(pt_map_masks(pi, c, K)[:, 1:] < -tol).any(axis=2)
         yield comp, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)

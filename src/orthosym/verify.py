@@ -37,7 +37,7 @@ from .simplex import (
     c_matrix,
     coordinate_bounds,
     product_state_fidelities_rows,
-    pt_map_rows,
+    pt_map_masks,
     reconstruct_rows,
     reduce_pair,
     twirl_rows,
@@ -187,9 +187,8 @@ def verify_pt_consistency(
         pis = rows[chunk]
         rho = reconstruct_rows(pis, d, K)
         tensor = rho.reshape((len(pis),) + (d,) * (4 * K))
-        for mask in all_masks(K):
+        for mask, g in zip(all_masks(K), pt_map_masks(pis, c, K).swapaxes(0, 1)[1:]):
             transposed = tensor.transpose(_transpose_axes(mask, K)).reshape(rho.shape)
-            g = pt_map_rows(pis, c, mask)
             # summed member by member, in the order of the scalar form
             mixture = g[:, 0, None, None] * tildes[0]
             for w, t in zip(g.T[1:], tildes[1:]):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from orthosym import (
 from orthosym import projectors as projectors_module
 from orthosym import simplex as simplex_module
 from orthosym.cli import main
-from orthosym.jsonio import PIECE_CHARS, format_float
+from orthosym.jsonio import PIECE_CHARS, dumps, format_float
 
 
 def run(capsys, *argv):
@@ -319,7 +320,7 @@ class TestPpt:
         code, _, _ = run(capsys, "ppt", "--fid", fid, *mask)
         assert code == 0
         monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", coords - 1)
-        monkeypatch.setattr(cli, "ppt_check", self.no_check)
+        self.forbid_transforms(monkeypatch)
         code, out, err = run(capsys, "ppt", "--fid", fid, *mask)
         assert code == 3
         assert out == ""
@@ -332,7 +333,7 @@ class TestPpt:
         # 511 masks x 19,683 coordinates = 1.0e7 is over the budget; one mask is not
         fid = write_fid(tmp_path, "u.json", 2, 9, [3.0**-9] * 3**9)
         if code:
-            monkeypatch.setattr(cli, "ppt_check", self.no_check)
+            self.forbid_transforms(monkeypatch)
         got, out, err = run(capsys, "ppt", "--fid", fid, *mask)
         assert got == code
         if code:
@@ -342,8 +343,12 @@ class TestPpt:
             assert json.loads(out)["verdicts"][0]["is_ppt"] is True
 
     @staticmethod
-    def no_check(*args):
-        raise AssertionError("ppt started a check before its output budget")
+    def forbid_transforms(monkeypatch):
+        def no_check(*args):
+            raise AssertionError("ppt started a check before its output budget")
+
+        monkeypatch.setattr(cli, "pt_map_masks", no_check)
+        monkeypatch.setattr(cli, "pt_map_rows", no_check)
 
     # all seven masks of one K=3 vector: at d=2 four masks pass and three fail
     # with violations, at d=3 all fail
@@ -359,6 +364,84 @@ class TestPpt:
         fid = write_fid(tmp_path, "fid.json", d, 3, [w / sum(weights) for w in weights])
         code, out, _ = run(capsys, "ppt", "--fid", fid)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def reference_ppt(f, masks, tol):
+    """``ppt`` stdout rendered mask by mask from ``ppt_check``."""
+    verdicts = []
+    for mask in masks:
+        verdict = ppt_check(f, mask, tol)
+        verdicts.append(
+            {
+                "mask": "".join(map(str, mask)),
+                "is_ppt": verdict.is_ppt,
+                "pi": verdict.transformed.pi,
+                "violations": [
+                    {"alpha": "".join(map(str, digits)), "value": value}
+                    for digits, value in verdict.violations
+                ],
+            }
+        )
+    return dumps({"d": f.d, "K": f.K, "tol": tol, "verdicts": verdicts}) + "\n"
+
+
+class TestPptWalk:
+    @pytest.mark.parametrize("tol", ["0", "1e-9", "0.05"])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_output_equals_ppt_check_reference(self, capsys, tmp_path, d, K, tol):
+        pi = np.random.default_rng([d, K, 17]).dirichlet(np.ones(3**K))
+        fid = write_fid(tmp_path, "fid.json", d, K, pi)
+        f = FidelityVector(d, K, pi)
+        code, out, _ = run(capsys, "ppt", "--fid", fid, "--tol", tol)
+        assert code == 0
+        assert out == reference_ppt(f, all_masks(K), float(tol))
+        for mask in all_masks(K):
+            text = "".join(map(str, mask))
+            code, out, _ = run(capsys, "ppt", "--fid", fid, "--tol", tol, "--mask", text)
+            assert code == 0
+            assert out == reference_ppt(f, [mask], float(tol))
+
+    def test_reference_cases_hold_violations(self):
+        # the comparisons above render violations at every d and tol (K = 1 has none)
+        for d, K in product([2, 3, 7], [2, 3]):
+            f = FidelityVector(d, K, np.random.default_rng([d, K, 17]).dirichlet(np.ones(3**K)))
+            assert any(ppt_check(f, mask, 0.05).violations for mask in all_masks(K))
+
+    def test_labels_follow_rank_order(self):
+        for K in (1, 2, 5):
+            indices = cli._digit_labels(K, "012")
+            assert indices == ["".join(map(str, a)) for a in all_multi_indices(K)]
+            assert cli._digit_labels(K, "01")[1:] == ["".join(map(str, m)) for m in all_masks(K)]
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_all_masks_cost_one_contraction_each(self, capsys, tmp_path, monkeypatch, K):
+        # one single-axis contraction per nonzero mask: 2**K - 1, where a
+        # contraction of every masked axis per mask would make K * 2**(K - 1)
+        calls = []
+        contract_axes = simplex_module._contract_axes
+
+        def recording(x, m, axes):
+            calls.append(list(axes))
+            return contract_axes(x, m, calls[-1])
+
+        fid = write_fid(tmp_path, "u.json", 3, K, [3.0**-K] * 3**K)
+        monkeypatch.setattr(simplex_module, "_contract_axes", recording)
+        assert run(capsys, "ppt", "--fid", fid)[0] == 0
+        assert len(calls) == 2**K - 1
+        assert all(len(axes) == 1 for axes in calls)
+        calls.clear()
+        assert run(capsys, "ppt", "--fid", fid, "--mask", "1" * K)[0] == 0
+        assert calls == [list(range(1, K + 1))]  # a lone mask contracts its own axes
+
+    def test_pinned_k6_digest(self, capsys, tmp_path):
+        # all 63 masks of a seeded d=3, K=6 point, 18,607 violations in all
+        pi = np.random.default_rng([3, 6, 2026]).dirichlet(np.ones(3**6))
+        fid = write_fid(tmp_path, "fid.json", 3, 6, pi)
+        code, out, _ = run(capsys, "ppt", "--fid", fid)
+        assert code == 0
+        digest = "0088181da1391e11da5c577880230c42c538231a8d280dcb40b3b56593cedb4f"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -500,7 +583,7 @@ class TestScan:
             raise AssertionError("scan started work before its budget check")
 
         monkeypatch.setattr(cli, "classify_lattice", no_work)
-        monkeypatch.setattr(cli, "all_multi_indices", no_work)
+        monkeypatch.setattr(cli, "_digit_labels", no_work)
         out_file = tmp_path / "scan.csv"
         code, out, err = run(capsys, "scan", "--d", "2", *argv, "--out", str(out_file))
         assert code == 3

@@ -44,6 +44,7 @@ from orthosym import (
     product_state_fidelities_rows,
     projector_family,
     pt_map,
+    pt_map_masks,
     pt_map_rows,
     random_unit_vector,
     reconstruct,
@@ -333,6 +334,19 @@ class TestMaskHelpers:
         assert bob_subsystems((0, 1), 2) == (3,)
         assert bob_subsystems((1, 1), 2) == (2, 3)
         assert bob_subsystems((1,), 1) == (1,)
+        assert bob_subsystems((1.0, np.int64(0), True), 3) == (3, 5)
+
+    @pytest.mark.parametrize(
+        "mask, K",
+        [((0.7,), 1), ((0.0, 1.9), 2), ((1, 1, 1), 2), ((1,), 2), ((2,), 1), ((-1, 0), 2)],
+    )
+    def test_bob_subsystems_rejects_fractional_bits_and_wrong_length(self, mask, K):
+        with pytest.raises(ValueError, match="binary"):
+            bob_subsystems(mask, K)
+
+    def test_bob_subsystems_length_check_forms_no_power(self):
+        with pytest.raises(ValueError):
+            bob_subsystems((1,), 10**18)
 
 
 class TestPairInequalities:
@@ -806,6 +820,23 @@ class TestBatchedCore:
         assert comp.shape == (simplex_module.SCAN_BLOCK_COORDS // 3**7, 3**7)
         assert len(comp) >= 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, 7]),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(0, 2**31),
+    )
+    def test_walk_slices_equal_pt_map_rows(self, d, K, N, seed):
+        rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=N)
+        c = c_matrix(d)
+        walk = pt_map_masks(rows, c, K)
+        assert walk.shape == (N, 2**K, 3**K)
+        for r in range(2**K):  # slice 0 is the zero mask, the rows themselves
+            assert np.array_equal(walk[:, r], pt_map_rows(rows, c, mask_digits(r, K)))
+        for i in range(N):
+            assert np.array_equal(pt_map_masks(rows[i : i + 1], c, K), walk[i : i + 1])
+
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_one_contraction_per_mask_bitwise_equal(self, monkeypatch, K):
         outputs = []
@@ -818,18 +849,19 @@ class TestBatchedCore:
             return outputs[-1]
 
         monkeypatch.setattr(simplex_module, "_contract_axes", recording)
-        monkeypatch.setattr(simplex_module, "SCAN_BLOCK_COORDS", 3**K * 7)
-        blocks = []
-        for comp, _, _ in classify_lattice(3, K, 2, PSD_TOL):
-            blocks.append((comp / 2, outputs[:]))
-            outputs.clear()
-        monkeypatch.setattr(simplex_module, "_contract_axes", contract_axes)
+        pi = np.random.default_rng(K).dirichlet(np.ones(3**K), size=7)
         c = c_matrix(3)
-        for pi, transformed in blocks:
-            assert len(transformed) == 2**K - 1
-            for r, t in enumerate(transformed, start=1):
-                expected = pt_map_rows(pi, c, mask_digits(r, K))
-                assert np.array_equal(t.reshape(pi.shape), expected)
+        pt_map_masks(pi, c, K)
+        monkeypatch.setattr(simplex_module, "_contract_axes", contract_axes)
+        assert len(outputs) == 2**K - 1
+        for r, t in enumerate(outputs, start=1):
+            assert np.array_equal(t.reshape(pi.shape), pt_map_rows(pi, c, mask_digits(r, K)))
+
+    def test_walk_rejects_rows_of_another_width(self):
+        with pytest.raises(ValueError):
+            pt_map_masks(np.full((2, 9), 1.0 / 9.0), c_matrix(2), 3)
+        with pytest.raises(ValueError):
+            pt_map_masks(np.full(9, 1.0 / 9.0), c_matrix(2), 2)
 
     def test_mask_errors(self):
         rows = np.full((2, 9), 1.0 / 9.0)

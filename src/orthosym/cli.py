@@ -154,6 +154,7 @@ def cmd_ppt(args) -> int:
 
 def cmd_sep(args) -> int:
     f = _load(FidelityVector, args.fid)
+    check_output_budget([2 * f.pi.size], f"sep of K={f.K}")  # pi and bound
     result = sep_bound_check(f)
     violated = ["".join(map(str, a)) for a in result.violated]
     failed = set(violated)

@@ -97,12 +97,12 @@ def identity(shape: Sequence[int]) -> ComplexOperator:
     return ComplexOperator(np.eye(prod(shape)), tuple(shape))
 
 
-def _subsystems(op: ComplexOperator, subs: Iterable[int]) -> tuple[int, ...]:
+def _subsystems(shape: Sequence[int], subs: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(int(s) for s in subs))
     if len(set(out)) != len(out):
         raise IndexError(f"duplicate subsystem indices in {out}")
-    if out and (out[0] < 0 or out[-1] >= len(op.shape)):
-        raise IndexError(f"subsystem indices {out} out of range for shape {op.shape}")
+    if out and (out[0] < 0 or out[-1] >= len(shape)):
+        raise IndexError(f"subsystem indices {out} out of range for shape {shape}")
     return out
 
 
@@ -130,6 +130,18 @@ def kron_rows(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def partial_transpose_rows(
+    stack: np.ndarray, shape: Sequence[int], subs: Iterable[int]
+) -> np.ndarray:
+    """:func:`partial_transpose` of every matrix of a (T, D, D) stack on factors ``shape``."""
+    n = len(shape)
+    axes = list(range(2 * n + 1))
+    for s in _subsystems(shape, subs):
+        axes[1 + s], axes[1 + n + s] = axes[1 + n + s], axes[1 + s]
+    tensor = stack.reshape((len(stack), *shape, *shape))
+    return tensor.transpose(axes).reshape(stack.shape)
+
+
 def partial_transpose(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
     """Transpose the selected tensor factors, leaving the rest untouched.
 
@@ -140,13 +152,19 @@ def partial_transpose(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperato
 
     The map is a trace-preserving involution.
     """
-    subs = _subsystems(a, subs)
-    n = len(a.shape)
-    tensor = a.matrix.reshape(a.shape + a.shape)
-    axes = list(range(2 * n))
-    for s in subs:
-        axes[s], axes[n + s] = axes[n + s], axes[s]
-    return ComplexOperator(tensor.transpose(axes).reshape(a.dim, a.dim), a.shape)
+    return ComplexOperator(partial_transpose_rows(a.matrix[None], a.shape, subs)[0], a.shape)
+
+
+def partial_trace_rows(
+    stack: np.ndarray, shape: Sequence[int], subs: Iterable[int]
+) -> np.ndarray:
+    """:func:`partial_trace` of every matrix of a (T, D, D) stack on factors ``shape``."""
+    dims = list(shape)
+    tensor = stack.reshape((len(stack), *dims, *dims))
+    for s in reversed(_subsystems(shape, subs)):
+        tensor = np.trace(tensor, axis1=1 + s, axis2=1 + s + len(dims))
+        del dims[s]
+    return tensor.reshape(len(stack), prod(dims), prod(dims))
 
 
 def partial_trace(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
@@ -156,16 +174,9 @@ def partial_trace(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
     the input.  Tracing out every factor yields a 1x1 operator holding the
     full trace.
     """
-    subs = _subsystems(a, subs)
-    dims = list(a.shape)
-    tensor = a.matrix.reshape(a.shape + a.shape)
-    for s in sorted(subs, reverse=True):
-        tensor = np.trace(tensor, axis1=s, axis2=s + len(dims))
-        del dims[s]
-    if not dims:
-        dims = [1]
-    d = prod(dims)
-    return ComplexOperator(np.asarray(tensor).reshape(d, d), tuple(dims))
+    subs = _subsystems(a.shape, subs)
+    dims = tuple(s for i, s in enumerate(a.shape) if i not in subs) or (1,)
+    return ComplexOperator(partial_trace_rows(a.matrix[None], a.shape, subs)[0], dims)
 
 
 def _hermitian_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -114,9 +114,7 @@ def build_bipartite(d: int) -> BipartiteBasis:
 def multi_index_rank(digits: Sequence[int]) -> int:
     """Base-3 rank of a trinary multi-index, most significant digit first."""
     rank = 0
-    for g in digits:
-        if g not in (0, 1, 2):
-            raise ValueError(f"trinary digit expected, got {g}")
+    for g in _trinary(digits):
         rank = 3 * rank + g
     return rank
 

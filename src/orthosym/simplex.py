@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,8 +41,9 @@ SUM_TOL = 1e-12
 #: Most floats one command may write, checked by :func:`check_output_budget`:
 #: the lattice points x 3**K coordinates of ``scan`` (about 20 bytes of CSV text
 #: each; the largest default grid of K <= 7 is K = 4, 7.4e6), the 4**K x 3**K
-#: coordinates of ``vertices``, the masks x 3**K coordinates of ``ppt`` and the
-#: 2 x d**(4K) floats of one ``projectors`` matrix.
+#: coordinates of ``vertices``, the masks x 3**K coordinates of ``ppt``, the
+#: 2 x 3**K floats (``pi`` and ``bound``) of ``sep`` and the 2 x d**(4K) floats of
+#: one ``projectors`` matrix.
 SCAN_OUTPUT_COORDS = 10**7
 #: Coordinates per row block of :func:`classify_lattice` (at least one row).  A
 #: block's :func:`pt_map_masks` walk holds at most 2**K x SCAN_BLOCK_COORDS floats,
@@ -86,6 +87,9 @@ class FidelityVector:
         return bool(_state_rows(self.pi[None], tol)[0])
 
     def coordinate(self, digits: Sequence[int]) -> float:
+        """The coordinate of the K trinary ``digits``, first pair first."""
+        if len(digits) != self.K:
+            raise ValueError(f"expected {self.K} digits, got {tuple(digits)}")
         return float(self.pi[multi_index_rank(digits)])
 
     def to_json(self) -> dict:
@@ -195,7 +199,8 @@ def _contract_axes(x: np.ndarray, m: np.ndarray, axes: Iterable[int]) -> np.ndar
     t, (p, q) = len(x), m.shape
     for axis in axes:
         x = np.moveaxis(x, axis, -1)
-        x = np.moveaxis((x.reshape(t, -1, p) @ m).reshape(x.shape[:-1] + (q,)), -1, axis)
+        rows = x.reshape(t, prod(x.shape[1:-1]), p) @ m
+        x = np.moveaxis(rows.reshape(x.shape[:-1] + (q,)), -1, axis)
     return x
 
 
@@ -412,7 +417,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.nd
     pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
     legs = [0] + [1 + leg for leg in _pair_legs(K)]
     x = stack.reshape((t,) + (d,) * (4 * K)).transpose(legs).reshape((t,) + (d**4,) * K)
-    pi = _contract_axes(x, pair.T, range(1, K + 1)).real.reshape(t, -1)
+    pi = _contract_axes(x, pair.T, range(1, K + 1)).real.reshape(t, 3**K)
     return pi / pi.sum(axis=1, keepdims=True)
 
 
@@ -460,6 +465,16 @@ def reconstruct(f: FidelityVector) -> ComplexOperator:
     return ComplexOperator(reconstruct_rows(f.pi[None], f.d, f.K)[0], (f.d,) * (2 * f.K))
 
 
+def reduce_rows(pi: np.ndarray, K: int, pair_index: int) -> np.ndarray:
+    """:func:`reduce_pair` of every row of an (N, 3**K) array, as (N, 3**(K-1)) rows."""
+    if K < 2:
+        raise DomainError("reduction requires K >= 2")
+    if not 0 <= pair_index < K:
+        raise IndexError(f"pair index {pair_index} out of range for K={K}")
+    tensor = pi.reshape((len(pi),) + (3,) * K).sum(axis=1 + pair_index)
+    return tensor.reshape(len(pi), 3 ** (K - 1))
+
+
 def reduce_pair(f: FidelityVector, pair_index: int) -> FidelityVector:
     """Marginal coordinates after discarding one Alice-Bob pair.
 
@@ -467,12 +482,7 @@ def reduce_pair(f: FidelityVector, pair_index: int) -> FidelityVector:
     partial trace over subsystems (pair_index, K + pair_index) followed by
     re-extraction of coordinates.
     """
-    if f.K < 2:
-        raise DomainError("reduction requires K >= 2")
-    if not 0 <= pair_index < f.K:
-        raise IndexError(f"pair index {pair_index} out of range for K={f.K}")
-    tensor = f.pi.reshape((3,) * f.K).sum(axis=pair_index)
-    return FidelityVector(f.d, f.K - 1, tensor.reshape(-1))
+    return FidelityVector(f.d, f.K - 1, reduce_rows(f.pi[None], f.K, pair_index)[0])
 
 
 VERTEX_LABELS = ("Q0", "Q1", "P0", "P1")

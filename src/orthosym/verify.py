@@ -16,11 +16,11 @@ import numpy as np
 from .dense import (
     MAX_DIM,
     CapacityError,
-    ComplexOperator,
     DomainError,
     kron_rows,
     min_eigenvalue_rows,
-    partial_transpose,
+    partial_trace_rows,
+    partial_transpose_rows,
     random_orthogonal,
     random_unit_vector,
 )
@@ -31,7 +31,6 @@ from .projectors import (
     projector_family,
 )
 from .simplex import (
-    FidelityVector,
     all_masks,
     bob_subsystems,
     c_matrix,
@@ -39,7 +38,7 @@ from .simplex import (
     product_state_fidelities_rows,
     pt_map_masks,
     reconstruct_rows,
-    reduce_pair,
+    reduce_rows,
     twirl_rows,
 )
 
@@ -99,14 +98,6 @@ def _dirichlet_rows(rng: np.random.Generator, count: int, width: int) -> np.ndar
     return np.array(rows, dtype=float).reshape(count, width)
 
 
-def _transpose_axes(mask, K: int) -> list[int]:
-    """Axes of a (T, d, ..., d) stack of 2K-party matrices swapping the masked Bob legs."""
-    axes = list(range(4 * K + 1))
-    for s in bob_subsystems(mask, K):
-        axes[1 + s], axes[1 + 2 * K + s] = axes[1 + 2 * K + s], axes[1 + s]
-    return axes
-
-
 def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
     """Recompute the 3x3 transposition matrix from dense partial transposes.
 
@@ -120,13 +111,9 @@ def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
         raise CapacityError(f"d^4 = {d ** 4} exceeds the cap {MAX_DIM}")
     basis = build_bipartite(d)
     pis = (basis.Pi0, basis.Pi1, basis.Pi2)
-    traces = [float(p.trace().real) for p in pis]
-    dense = np.empty((3, 3))
-    for beta in range(3):
-        tilde = ComplexOperator(pis[beta].matrix / traces[beta], (d, d))
-        transposed = partial_transpose(tilde, (1,))
-        for alpha in range(3):
-            dense[beta, alpha] = _trace_product(transposed.matrix, pis[alpha].matrix)
+    tildes = np.array([p.matrix / p.trace().real for p in pis])
+    transposed = partial_transpose_rows(tildes, (d, d), (1,))
+    dense = np.array([[_trace_product(t, p.matrix) for p in pis] for t in transposed])
     residual = float(np.abs(dense - c_matrix(d).entries).max())
     return VerificationReport.build("c_matrix", {"d": d}, residual, tolerance)
 
@@ -186,9 +173,8 @@ def verify_pt_consistency(
     for chunk in _chunks(samples, d ** (2 * K)):
         pis = rows[chunk]
         rho = reconstruct_rows(pis, d, K)
-        tensor = rho.reshape((len(pis),) + (d,) * (4 * K))
         for mask, g in zip(all_masks(K), pt_map_masks(pis, c, K).swapaxes(0, 1)[1:]):
-            transposed = tensor.transpose(_transpose_axes(mask, K)).reshape(rho.shape)
+            transposed = partial_transpose_rows(rho, (d,) * (2 * K), bob_subsystems(mask, K))
             # summed member by member, in the order of the scalar form
             mixture = g[:, 0, None, None] * tildes[0]
             for w, t in zip(g.T[1:], tildes[1:]):
@@ -263,20 +249,15 @@ def verify_reduction(
         raise DomainError("reduction checks require K >= 2")
     rng = np.random.default_rng(seed)
     rows = _dirichlet_rows(rng, samples, 3**K)
-    dim = d ** (2 * K - 2)
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
-        fs = [FidelityVector(d, K, pi) for pi in rows[chunk]]
-        tensor = reconstruct_rows(rows[chunk], d, K).reshape((len(fs),) + (d,) * (4 * K))
-        reduced = []
-        for pair in range(K):
-            # Bob's leg K + pair first, then Alice's leg pair, as partial_trace does
-            m = np.trace(tensor, axis1=1 + K + pair, axis2=1 + 3 * K + pair)
-            reduced.append(np.trace(m, axis1=1 + pair, axis2=2 * K + pair))
+        pis = rows[chunk]
+        rho = reconstruct_rows(pis, d, K)
         # the reduced states of every pair in one stack, pair by pair
-        dense = twirl_rows(np.reshape(reduced, (K * len(fs), dim, dim)), d, K - 1)
-        coords = [reduce_pair(f, pair).pi for pair in range(K) for f in fs]
-        residual = max(residual, float(np.abs(np.array(coords) - dense).max()))
+        reduced = [partial_trace_rows(rho, (d,) * (2 * K), (pair, K + pair)) for pair in range(K)]
+        dense = twirl_rows(np.concatenate(reduced), d, K - 1)
+        coords = np.concatenate([reduce_rows(pis, K, pair) for pair in range(K)])
+        residual = max(residual, float(np.abs(coords - dense).max()))
     params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("reduction", params, residual, tolerance)
 

@@ -8,6 +8,7 @@ import sys
 import threading
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -484,6 +485,45 @@ class TestSep:
         for row in doc["coordinates"]:
             assert row["ok"] is (row["sigma"] not in doc["violated"])
 
+    def test_output_budget_is_two_floats_per_coordinate(self, capsys, tmp_path, monkeypatch):
+        # d=2, K=2: pi and bound of 9 coordinates, 18 floats
+        fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 18)
+        code, _, _ = run(capsys, "sep", "--fid", fid)
+        assert code == 0
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 17)
+        self.forbid_work(monkeypatch)
+        code, out, err = run(capsys, "sep", "--fid", fid)
+        assert code == 3
+        assert out == ""
+        assert "output budget" in err
+
+    @pytest.mark.parametrize("K, admitted", [(14, True), (15, False)])
+    def test_k15_exits_3_before_any_check(self, capsys, monkeypatch, K, admitted):
+        # 2 x 3**14 = 9.6e6 floats fit the budget, 2 x 3**15 = 2.9e7 do not; the
+        # coordinates are one broadcast value, so no 3**K array is allocated
+        f = SimpleNamespace(d=2, K=K, pi=np.broadcast_to(3.0**-K, (3**K,)))
+        monkeypatch.setattr(cli, "_load", lambda cls, path: f)
+
+        def reached(*args):
+            raise DomainError("check reached")
+
+        monkeypatch.setattr(cli, "sep_bound_check", reached)
+        code, out, err = run(capsys, "sep", "--fid", "unused.json")
+        assert out == ""
+        if admitted:
+            assert (code, err) == (4, "error: check reached\n")
+        else:
+            assert code == 3
+            assert "sep of K=15 exceeds the output budget" in err
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def no_work(*args):
+            raise AssertionError("sep started work before its output budget")
+
+        monkeypatch.setattr(cli, "sep_bound_check", no_work)
+        monkeypatch.setattr(cli, "_digit_labels", no_work)
 
     @pytest.mark.parametrize(
         "field", [{"d": 2.5}, {"K": 1.5}, {"d": 2.0}, {"d": "2"}, {"K": True}]

@@ -1,5 +1,8 @@
 """Contract tests for the dense linear-algebra layer."""
 
+from itertools import product
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,9 @@ from orthosym import (
     min_eigenvalue,
     min_eigenvalue_rows,
     partial_trace,
+    partial_trace_rows,
     partial_transpose,
+    partial_transpose_rows,
     random_orthogonal,
     random_unit_vector,
 )
@@ -186,6 +191,102 @@ class TestPartialTrace:
                 out = partial_trace(big, {0, 2})
                 expected = traces[a1] * basis.pi(a2).matrix
                 assert np.abs(out.matrix - expected).max() <= 1e-12
+
+
+def transpose_oracle(m, shape, subs):
+    """Partial transpose of one matrix, entry by entry over the multi-indices."""
+    out = np.empty_like(m)
+    for i in product(*map(range, shape)):
+        for j in product(*map(range, shape)):
+            i2 = tuple(j[k] if k in subs else i[k] for k in range(len(shape)))
+            j2 = tuple(i[k] if k in subs else j[k] for k in range(len(shape)))
+            row, col = np.ravel_multi_index(i2, shape), np.ravel_multi_index(j2, shape)
+            out[row, col] = m[np.ravel_multi_index(i, shape), np.ravel_multi_index(j, shape)]
+    return out
+
+
+def trace_oracle(m, shape, subs):
+    """Partial trace of one matrix, each entry an explicit sum over the traced indices."""
+    kept = [k for k in range(len(shape)) if k not in subs]
+    kept_shape = tuple(shape[k] for k in kept)
+    dim = prod(kept_shape)
+    out = np.zeros((dim, dim), dtype=m.dtype)
+
+    def rank(part, traced):
+        full = dict(zip(kept, part)) | dict(zip(subs, traced))
+        return np.ravel_multi_index(tuple(full[k] for k in range(len(shape))), shape)
+
+    for a in product(*map(range, kept_shape)):
+        for b in product(*map(range, kept_shape)):
+            for t in product(*(range(shape[k]) for k in subs)):
+                row = np.ravel_multi_index(a, kept_shape) if kept else 0
+                col = np.ravel_multi_index(b, kept_shape) if kept else 0
+                out[row, col] += m[rank(a, t), rank(b, t)]
+    return out
+
+
+@st.composite
+def gaussian_integer_stacks(draw):
+    """A (T, D, D) stack of Gaussian integers on 1-4 factors of dimension 1-3,
+    and a subset of the factors; every sum of its entries is exact."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    subs = sorted(draw(st.sets(st.integers(0, len(shape) - 1))))
+    t = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (t, prod(shape), prod(shape))
+    stack = rng.integers(-9, 10, size) + 1j * rng.integers(-9, 10, size)
+    return stack, shape, subs
+
+
+class TestLegRows:
+    KERNELS = [(partial_transpose_rows, transpose_oracle), (partial_trace_rows, trace_oracle)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(gaussian_integer_stacks())
+    def test_rows_equal_the_index_oracle_and_a_stack_of_one(self, case):
+        stack, shape, subs = case
+        for kernel, oracle in self.KERNELS:
+            got = kernel(stack, shape, subs)
+            want = np.array([oracle(m, shape, subs) for m in stack])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            for t in range(len(stack)):
+                assert got[t].tobytes() == kernel(stack[t : t + 1], shape, subs)[0].tobytes()
+
+    @given(gaussian_integer_stacks())
+    def test_scalar_forms_wrap_a_stack_of_one(self, case):
+        stack, shape, subs = case
+        op = ComplexOperator(stack[0], shape)
+        kept = tuple(s for k, s in enumerate(shape) if k not in subs) or (1,)
+        for scalar, kernel, out_shape in [
+            (partial_transpose, partial_transpose_rows, shape),
+            (partial_trace, partial_trace_rows, kept),
+        ]:
+            out = scalar(op, subs)
+            assert out.shape == out_shape
+            assert out.matrix.tobytes() == kernel(stack, shape, subs)[0].tobytes()
+
+    @pytest.mark.parametrize("kernel", [partial_transpose_rows, partial_trace_rows])
+    @pytest.mark.parametrize("subs", [[0, 0], [2], [-1], [1, 3]])
+    def test_bad_subsystems_raise_index_error(self, kernel, subs):
+        stack = np.zeros((2, 6, 6), dtype=np.complex128)
+        with pytest.raises(IndexError):
+            kernel(stack, (2, 3), subs)
+        scalar = partial_transpose if kernel is partial_transpose_rows else partial_trace
+        with pytest.raises(IndexError):
+            scalar(ComplexOperator(stack[0], (2, 3)), subs)
+
+    @pytest.mark.parametrize(
+        "kernel, subs, trailing",
+        [
+            (partial_transpose_rows, (1,), (6, 6)),
+            (partial_trace_rows, (1,), (2, 2)),
+            (partial_trace_rows, (0, 1), (1, 1)),
+        ],
+    )
+    def test_zero_rows(self, kernel, subs, trailing):
+        out = kernel(np.empty((0, 6, 6), dtype=np.complex128), (2, 3), subs)
+        assert out.shape == (0,) + trailing
 
 
 class TestMinEigenvalue:

@@ -132,6 +132,11 @@ class TestMultiIndex:
         for rank, digits in enumerate(idx):
             assert multi_index_rank(digits) == rank
 
+    @pytest.mark.parametrize("digits", [(1.0, 2), (np.int64(1), 2), (True, 2)])
+    def test_integral_digits_give_an_int(self, digits):
+        rank = multi_index_rank(digits)
+        assert rank == 5 and type(rank) is int
+
     @given(st.integers(1, 6), st.data())
     def test_rank_digit_bijection(self, K, data):
         rank = data.draw(st.integers(0, 3**K - 1))
@@ -142,6 +147,8 @@ class TestMultiIndex:
     def test_invalid_digits_rejected(self):
         with pytest.raises(ValueError):
             multi_index_rank((0, 3))
+        with pytest.raises(ValueError, match="trinary"):
+            multi_index_rank((2.7, 0))
         with pytest.raises(ValueError):
             multi_index_digits(9, 2)
 

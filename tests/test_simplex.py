@@ -50,6 +50,7 @@ from orthosym import (
     reconstruct,
     reconstruct_rows,
     reduce_pair,
+    reduce_rows,
     sep_bound_check,
     simplex_grid,
     twirl_coords,
@@ -599,6 +600,19 @@ class TestReduce:
         f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
         with pytest.raises(IndexError):
             reduce_pair(f, 2)
+        with pytest.raises(IndexError):
+            reduce_rows(f.pi[None], 2, -1)
+
+    @given(st.integers(2, 6), st.integers(1, 6), st.data())
+    def test_rows_equal_reduce_pair_bitwise(self, K, N, data):
+        pair = data.draw(st.integers(0, K - 1))
+        rows = np.random.default_rng(data.draw(st.integers(0, 2**31))).dirichlet(
+            np.ones(3**K), size=N
+        )
+        got = reduce_rows(rows, K, pair)
+        assert got.shape == (N, 3 ** (K - 1))
+        for t in range(N):
+            assert got[t].tobytes() == reduce_pair(FidelityVector(2, K, rows[t]), pair).pi.tobytes()
 
 
 class TestVertices:
@@ -856,6 +870,17 @@ class TestBatchedCore:
         assert len(outputs) == 2**K - 1
         for r, t in enumerate(outputs, start=1):
             assert np.array_equal(t.reshape(pi.shape), pt_map_rows(pi, c, mask_digits(r, K)))
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_zero_rows_give_empty_results(self, K):
+        empty, c = np.empty((0, 3**K)), c_matrix(3)
+        assert pt_map_rows(empty, c, (1,) * K).shape == (0, 3**K)
+        assert pt_map_masks(empty, c, K).shape == (0, 2**K, 3**K)
+        assert reconstruct_rows(empty, 2, K).shape == (0, 4**K, 4**K)
+        states = np.empty((0, 4**K, 4**K), dtype=np.complex128)
+        assert twirl_rows(states, 2, K).shape == (0, 3**K)
+        if K >= 2:
+            assert reduce_rows(empty, K, K - 1).shape == (0, 3 ** (K - 1))
 
     def test_walk_rejects_rows_of_another_width(self):
         with pytest.raises(ValueError):
@@ -1120,3 +1145,15 @@ class TestFidelityVectorType:
     def test_coordinate_lookup(self):
         f = random_state_vector(2, 2, 6)
         assert f.coordinate((1, 2)) == f.pi[5]
+        assert f.coordinate((1.0, 2)) == f.pi[5]
+        assert f.coordinate((np.int64(1), 2)) == f.pi[5]
+
+    @pytest.mark.parametrize("digits", [(2,), (0, 0, 1), ()])
+    def test_coordinate_needs_K_digits(self, digits):
+        # the rank of (2,) is that of (0, 2), and of (0, 0, 1) that of (0, 1)
+        with pytest.raises(ValueError, match="expected 2 digits"):
+            random_state_vector(2, 2, 6).coordinate(digits)
+
+    def test_coordinate_rejects_fractional_digits(self):
+        with pytest.raises(ValueError, match="trinary"):
+            random_state_vector(2, 2, 6).coordinate((2.7, 0))

@@ -231,7 +231,7 @@ class TestStackedChecks:
 
 class TestBatchedFastPaths:
     SCALAR = ("twirl_coords", "reconstruct", "product_state_fidelities")
-    ROWS = ("twirl_rows", "reconstruct_rows", "product_state_fidelities_rows")
+    ROWS = ("twirl_rows", "reconstruct_rows", "product_state_fidelities_rows", "reduce_rows")
 
     @pytest.mark.parametrize("per_chunk", [7, 3])
     def test_rows_forms_run_once_per_chunk(self, monkeypatch, per_chunk):
@@ -272,20 +272,17 @@ class TestBatchedFastPaths:
                 ("verify_product_fidelities", "twirl_rows"): 2 * chunks,
                 ("verify_reduction", "reconstruct_rows"): chunks,
                 ("verify_reduction", "twirl_rows"): chunks,
+                # one reduction of the chunk per pair
+                ("verify_reduction", "reduce_rows"): 2 * chunks,
             }
         )
 
 
 def _shift_coords(fast):
-    """``fast`` with its first output coordinate moved by 1e-6."""
+    """``fast`` with the first output coordinate of every row moved by 1e-6."""
 
     def shifted(*args, **kwargs):
-        out = fast(*args, **kwargs)
-        if isinstance(out, FidelityVector):
-            pi = out.pi.copy()
-            pi[0] += 1e-6
-            return FidelityVector(out.d, out.K, pi)
-        out = out.copy()
+        out = fast(*args, **kwargs).copy()
         out[:, 0] += 1e-6
         return out
 
@@ -325,7 +322,7 @@ class TestOracleStrength:
             (verify_product_fidelities, "twirl_rows", _shift_coords),
             (verify_pt_consistency, "pt_map_masks", _shift_walk),
             (verify_pt_consistency, "reconstruct_rows", _shift_states),
-            (verify_reduction, "reduce_pair", _shift_coords),
+            (verify_reduction, "reduce_rows", _shift_coords),
             (verify_reduction, "twirl_rows", _shift_coords),
             (verify_reduction, "reconstruct_rows", _shift_states),
         ],

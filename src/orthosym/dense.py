@@ -113,7 +113,7 @@ def kron(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
     """
     if a.dim * b.dim > MAX_DIM:
         raise CapacityError(f"kron dimension {a.dim * b.dim} exceeds the cap {MAX_DIM}")
-    return ComplexOperator(np.kron(a.matrix, b.matrix), a.shape + b.shape)
+    return ComplexOperator(kron_rows(a.matrix[None], b.matrix[None])[0], a.shape + b.shape)
 
 
 def kron_rows(*factors: np.ndarray) -> np.ndarray:
@@ -121,7 +121,7 @@ def kron_rows(*factors: np.ndarray) -> np.ndarray:
 
     The factors are folded left to right, and a stack of one broadcasts
     against the others.  Each entry is one product of the running entry and
-    a factor entry, as in ``np.kron``.
+    a factor entry, as in ``numpy.kron``.
     """
     out = factors[0]
     for b in factors[1:]:

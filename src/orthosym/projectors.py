@@ -5,8 +5,8 @@ projectors Q0, Q1 together with the maximally entangled projector; from them
 one forms the three-member orthogonal resolution Pi0 = Q0 - P1, Pi1 = Q1,
 Pi2 = P1 whose normalized members are the vertices of the invariant-state
 simplex.  For 2K parties the factor acting on pair i couples subsystems i
-and K+i, so building the tensor product requires an explicit leg
-permutation from pair order (A1 B1 A2 B2 ...) to grouped order
+and K+i, so each member of the family is the Kronecker product of its
+factors in pair order (A1 B1 A2 B2 ...) transposed to grouped order
 (A1..AK B1..BK).
 """
 
@@ -25,7 +25,7 @@ from .dense import (
     ComplexOperator,
     DomainError,
     identity,
-    kron,
+    kron_rows,
 )
 
 #: Most bytes of dense complex128 projector matrices one family build may hold.
@@ -135,50 +135,44 @@ def all_multi_indices(K: int) -> list[tuple[int, ...]]:
     return list(product((0, 1, 2), repeat=K))
 
 
-def pair_permutation(K: int) -> tuple[int, ...]:
-    """Leg destinations taking pair order (A1 B1 ... AK BK) to (A1..AK B1..BK).
+def pair_projectors(d: int) -> np.ndarray:
+    """(Pi0, Pi1, Pi2) of :func:`build_bipartite` as one read-only (3, d**2, d**2) stack."""
+    basis = build_bipartite(d)
+    stack = np.stack([basis.Pi0.matrix, basis.Pi1.matrix, basis.Pi2.matrix])
+    stack.setflags(write=False)
+    return stack
 
-    Entry i is the grouped-order position of pair-ordered leg i; for K = 2
-    this is (0, 2, 1, 3).
+
+def _family_rows(d: int, K: int, alphas: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The pair projectors of trinary K-digit ``alphas`` as one read-only (T, D, D) stack.
+
+    Each member is the Kronecker product of its factors in pair order, then
+    one transpose of its legs to grouped order, written into its row in turn,
+    so the build holds one family and one member besides.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    dest: list[int] = []
-    for i in range(K):
-        dest.extend((i, K + i))
-    return tuple(dest)
-
-
-def permute_subsystems(a: ComplexOperator, dest: Sequence[int]) -> ComplexOperator:
-    """Relabel tensor legs so that leg i of ``a`` becomes leg dest[i].
-
-    The same leg permutation is applied to the row and the column indices.
-    """
-    n = len(a.shape)
-    if sorted(dest) != list(range(n)):
-        raise ValueError(f"{dest} is not a permutation of {n} legs")
-    src = [int(i) for i in np.argsort(dest)]
-    tensor = a.matrix.reshape(a.shape + a.shape).transpose(src + [n + i for i in src])
-    return ComplexOperator(tensor.reshape(a.dim, a.dim), tuple(a.shape[i] for i in src))
+    dim = d ** (2 * K)
+    if dim > MAX_DIM:
+        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    pair = pair_projectors(d)[:, None]
+    # grouped leg j comes from pair-ordered leg legs[j]: A_i is leg 2i, B_i is 2i + 1
+    legs = [*range(0, 2 * K, 2), *range(1, 2 * K, 2)]
+    axes = legs + [2 * K + leg for leg in legs]
+    out = np.empty((len(alphas), dim, dim), dtype=np.complex128)
+    for row, alpha in zip(out, alphas):
+        member = kron_rows(*(pair[g] for g in alpha))
+        row[...] = member.reshape((d,) * (4 * K)).transpose(axes).reshape(dim, dim)
+    out.setflags(write=False)
+    return out
 
 
 def build_multipartite(d: int, K: int, alpha: Sequence[int]) -> ComplexOperator:
     """Tensor projector with factor alpha[i] acting on the (i, K+i) pair.
 
-    The bipartite factors are Kronecker-multiplied in pair order and then
-    relabeled into grouped order, so the result lives on shape [d]*2K with
-    all Alice factors first.
+    The result lives on shape [d]*2K with all Alice factors first.
     """
     if len(alpha) != K:
         raise ValueError(f"alpha has {len(alpha)} digits, expected K={K}")
-    alpha = _trinary(alpha)
-    if d ** (2 * K) > MAX_DIM:
-        raise CapacityError(f"dimension {d ** (2 * K)} exceeds the cap {MAX_DIM}")
-    basis = build_bipartite(d)
-    op = basis.pi(alpha[0])
-    for digit in alpha[1:]:
-        op = kron(op, basis.pi(digit))
-    return permute_subsystems(op, pair_permutation(K))
+    return ComplexOperator(_family_rows(d, K, [_trinary(alpha)])[0], (d,) * (2 * K))
 
 
 def multipartite_trace(d: int, alpha: Sequence[int]) -> int:
@@ -211,8 +205,9 @@ def check_family_budget(d: int, K: int, copies: int = 1) -> None:
             )
 
 
-def projector_family(d: int, K: int) -> list[ComplexOperator]:
-    """All 3**K pair projectors in multi-index rank order, within FAMILY_BYTES."""
+def projector_family(d: int, K: int) -> np.ndarray:
+    """All 3**K pair projectors in multi-index rank order, as one read-only
+    (3**K, D, D) stack within FAMILY_BYTES."""
     check_family_budget(d, K)
-    return [build_multipartite(d, K, alpha) for alpha in all_multi_indices(K)]
+    return _family_rows(d, K, all_multi_indices(K))
 

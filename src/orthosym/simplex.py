@@ -31,9 +31,9 @@ from .dense import (
 from .jsonio import float_array
 from .projectors import (
     bipartite_traces,
-    build_bipartite,
     multi_index_digits,
     multi_index_rank,
+    pair_projectors,
 )
 
 #: Absolute slack allowed on the unit-sum constraint of state coordinates.
@@ -378,12 +378,6 @@ def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBoun
     )
 
 
-def _pair_projectors(d: int) -> np.ndarray:
-    """(Pi0, Pi1, Pi2) stacked as one (3, d, d, d, d) tensor with legs (a, b, a', b')."""
-    basis = build_bipartite(d)
-    return np.stack([basis.pi(k).matrix for k in range(3)]).reshape((3,) + (d,) * 4)
-
-
 def _pair_legs(K: int) -> list[int]:
     """Legs of a grouped-order 2K-party matrix, pair by pair as (A_i, B_i, A'_i, B'_i)."""
     return [leg for i in range(K) for leg in (i, K + i, 2 * K + i, 3 * K + i)]
@@ -414,7 +408,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.nd
         raise DomainError("state is not positive semidefinite within tolerance")
     t = len(stack)
     # [k, (a b a' b')] = Pi_k[a' b', a b], the transposed factor of the trace
-    pair = _pair_projectors(d).transpose(0, 3, 4, 1, 2).reshape(3, d**4)
+    pair = pair_projectors(d).transpose(0, 2, 1).reshape(3, d**4)
     legs = [0] + [1 + leg for leg in _pair_legs(K)]
     x = stack.reshape((t,) + (d,) * (4 * K)).transpose(legs).reshape((t,) + (d**4,) * K)
     pi = _contract_axes(x, pair.T, range(1, K + 1)).real.reshape(t, 3**K)
@@ -454,7 +448,7 @@ def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
     if dim > MAX_DIM:
         raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
     n = len(pi)
-    pair = _pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
+    pair = pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
     x = _contract_axes(pi.reshape((n,) + (3,) * K), pair, range(1, K + 1))
     legs = [0] + [1 + leg for leg in np.argsort(_pair_legs(K))]
     return x.reshape((n,) + (d,) * (4 * K)).transpose(legs).reshape(n, dim, dim)
@@ -625,8 +619,11 @@ def default_grid_resolution(K: int) -> int:
 
     Never below 1, even when the n = 1 lattice (3**K points) is over the limit.
     From K = 17, the bit length of the limit, that is always so; K is capped
-    there, so an enormous K forms no enormous power.
+    there, so an enormous K forms no enormous power.  K < 1 is rejected: at
+    K = 0 every n would fit.
     """
+    if K < 1:
+        raise ValueError("pair count must be >= 1")
     limit = 100_000
     m = 3 ** min(K, limit.bit_length())
     n = 1

@@ -121,10 +121,10 @@ def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
 def verify_resolution(d: int, K: int, tolerance: float = 1e-12) -> VerificationReport:
     """Completeness and pairwise orthogonality of the projector family."""
     family = projector_family(d, K)
-    residual = float(np.abs(sum(p.matrix for p in family) - np.eye(d ** (2 * K))).max())
+    residual = float(np.abs(sum(family) - np.eye(d ** (2 * K))).max())
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
-            residual = max(residual, float(np.abs(a.matrix @ b.matrix).max()))
+            residual = max(residual, float(np.abs(a @ b).max()))
     return VerificationReport.build("resolution", {"d": d, "K": K}, residual, tolerance)
 
 
@@ -145,8 +145,7 @@ def verify_invariance(
         ops = rotations[chunk].swapaxes(0, 1)
         # the doubled rotation O1 (x) ... (x) OK (x) O1 (x) ... (x) OK
         big = kron_rows(*ops, *ops)
-        for p in family:
-            m = p.matrix
+        for m in family:
             commutator = big @ m
             commutator -= m @ big
             residual = max(residual, float(np.abs(commutator).max()))
@@ -167,7 +166,7 @@ def verify_pt_consistency(
     rng = np.random.default_rng(seed)
     rows = _dirichlet_rows(rng, samples, 3**K)
     traces = kron_rows(*[np.array([[bipartite_traces(d)]], dtype=float)] * K)[0, 0]
-    tildes = [p.matrix / t for p, t in zip(projector_family(d, K), traces)]
+    tildes = projector_family(d, K) / traces[:, None, None]
     c = c_matrix(d)
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
@@ -211,7 +210,7 @@ def verify_product_fidelities(
             projectors = vs[..., :, None] * vs.conj()[..., None, :]
             sigma = kron_rows(*projectors.swapaxes(0, 1))
             # one member at a time: a single einsum over the family sums in another order
-            dense = np.array([np.einsum("tij,ji->t", sigma, p.matrix) for p in family]).real.T
+            dense = np.array([np.einsum("tij,ji->t", sigma, m) for m in family]).real.T
             f = product_state_fidelities_rows(vs[:, :K], vs[:, K:])
             twirled = twirl_rows(sigma, d, K)
             residual = max(
@@ -273,6 +272,8 @@ def run_suite(
     for d in sorted({d for d, _ in combos}):
         reports.append(verify_c_matrix(d))
         reports.append(verify_coplanarity(d))
+    for d, K in combos:
+        check_family_budget(d, K, copies=2)  # the most that any check holds
     for d, K in combos:
         reports.append(verify_resolution(d, K))
         reports.append(verify_invariance(d, K, trials, seed=seed))

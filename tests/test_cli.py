@@ -30,6 +30,7 @@ from orthosym import (
 )
 from orthosym import projectors as projectors_module
 from orthosym import simplex as simplex_module
+from orthosym import verify as verify_module
 from orthosym.cli import main
 from orthosym.jsonio import PIECE_CHARS, dumps, format_float
 
@@ -938,16 +939,19 @@ class TestVerify:
         }
         assert err == ""
 
-    @pytest.mark.parametrize("d, K", [(2, 5), (2, 6), (4, 3)])
+    @pytest.mark.parametrize("d, K", [(2, 5), (2, 6), (4, 3), (7, 2)])
     def test_over_family_budget_exits_3_before_any_build(self, capsys, monkeypatch, d, K):
-        # dense families of 4.1 GB, 196 GB and 7.2 GB
-        def no_build(*args):
-            raise AssertionError("a dense projector was built before the budget check")
+        # dense families of 4.1 GB, 196 GB and 7.2 GB; at d=7, K=2 one family
+        # (830 MB) fits and the two copies of pt_consistency do not
+        def no_build(*args, **kwargs):
+            raise AssertionError("a check ran before the budget check")
 
-        monkeypatch.setattr(projectors_module, "build_multipartite", no_build)
+        monkeypatch.setattr(projectors_module, "_family_rows", no_build)
+        monkeypatch.setattr(verify_module, "verify_resolution", no_build)
+        monkeypatch.setattr(verify_module, "verify_invariance", no_build)
         code, out, err = run(capsys, "verify", "--d", str(d), "--K", str(K))
         assert code == 3
-        assert "budget" in err
+        assert "2 x the dense projector family" in err and "budget" in err
         assert out == ""
 
     def test_seed_flag_changes_residuals(self, capsys):

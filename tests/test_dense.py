@@ -85,6 +85,14 @@ class TestKron:
         with pytest.raises(CapacityError):
             kron(identity((64,)), identity((65,)))
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (4, 4)])
+    def test_equals_np_kron_bitwise(self, m, n):
+        a = random_operator(m, (m,), 10 * m + n)
+        b = random_operator(n, (n,), 100 + 10 * m + n)
+        out = kron(a, b)
+        assert out.shape == (m, n)
+        assert out.matrix.tobytes() == np.kron(a.matrix, b.matrix).tobytes()
+
 
 class TestKronRows:
     @given(

@@ -14,13 +14,9 @@ from orthosym import (
     build_multipartite,
     check_family_budget,
     flip,
-    identity,
-    kron,
     multi_index_digits,
     multi_index_rank,
     multipartite_trace,
-    pair_permutation,
-    permute_subsystems,
     projector_family,
     random_orthogonal,
     random_unit_vector,
@@ -153,58 +149,9 @@ class TestMultiIndex:
             multi_index_digits(9, 2)
 
 
-class TestPairPermutation:
-    def test_values(self):
-        assert pair_permutation(1) == (0, 1)
-        assert pair_permutation(2) == (0, 2, 1, 3)
-        assert pair_permutation(3) == (0, 3, 1, 4, 2, 5)
-
-    def test_identity_operator_fixed(self):
-        eye = identity((2,) * 4)
-        out = permute_subsystems(eye, pair_permutation(2))
-        assert np.array_equal(out.matrix, eye.matrix)
-
-    def test_permute_roundtrip(self):
-        rng = np.random.default_rng(0)
-        op_mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        from orthosym import ComplexOperator
-
-        op = ComplexOperator(op_mat, (2, 2, 2))
-        dest = (2, 0, 1)
-        inverse = tuple(np.argsort(dest))
-        back = permute_subsystems(permute_subsystems(op, dest), inverse)
-        assert np.array_equal(back.matrix, op.matrix)
-
-    def test_permute_mixed_dimensions(self):
-        # A (x) B with shapes (2,) and (3,) swapped must equal B (x) A
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3))
-        from orthosym import ComplexOperator
-
-        ab = ComplexOperator(np.kron(a, b), (2, 3))
-        out = permute_subsystems(ab, (1, 0))
-        assert np.abs(out.matrix - np.kron(b, a)).max() <= 1e-15
-        assert out.shape == (3, 2)
-
-    def test_permuted_kron_commutes_with_doubled_rotation(self):
-        # pair-ordered Pi0 (x) Pi1, relabeled to grouped order, must commute
-        # with O1 (x) O2 (x) O1 (x) O2 for every pair of rotations
-        d = 2
-        b = build_bipartite(d)
-        op = permute_subsystems(kron(b.Pi0, b.Pi1), pair_permutation(2))
-        worst = 0.0
-        for seed in range(50):
-            o1 = random_orthogonal(d, 2 * seed)
-            o2 = random_orthogonal(d, 2 * seed + 1)
-            big = doubled_tensor([o1, o2]).matrix
-            worst = max(worst, np.abs(big @ op.matrix - op.matrix @ big).max())
-        assert worst <= 1e-10
-
-
 class TestMultipartite:
     def test_completeness_d2_K2(self):
-        total = sum(p.matrix for p in projector_family(2, 2))
+        total = sum(projector_family(2, 2))
         assert np.abs(total - np.eye(16)).max() <= 1e-15
 
     def test_trace_factorizes(self):
@@ -218,11 +165,11 @@ class TestMultipartite:
         for i, a in enumerate(family):
             for j, b in enumerate(family):
                 if i != j:
-                    assert np.abs(a.matrix @ b.matrix).max() <= 1e-13
+                    assert np.abs(a @ b).max() <= 1e-13
 
     def test_idempotence_d2_K2(self):
         for p in projector_family(2, 2):
-            assert np.abs(p.matrix @ p.matrix - p.matrix).max() <= 1e-12
+            assert np.abs(p @ p - p).max() <= 1e-12
 
     def test_invariance_under_orthogonal_rotations_d3(self):
         family = projector_family(3, 1)
@@ -230,7 +177,20 @@ class TestMultipartite:
         for seed in range(100):
             big = doubled_tensor([random_orthogonal(3, seed)]).matrix
             for p in family:
-                worst = max(worst, np.abs(big @ p.matrix - p.matrix @ big).max())
+                worst = max(worst, np.abs(big @ p - p @ big).max())
+        assert worst <= 1e-10
+
+    def test_member_commutes_with_doubled_rotation(self):
+        # Pi0 on pair (A1, B1) and Pi1 on pair (A2, B2), in grouped order, must
+        # commute with O1 (x) O2 (x) O1 (x) O2 for every pair of rotations
+        d = 2
+        op = build_multipartite(d, 2, (0, 1)).matrix
+        worst = 0.0
+        for seed in range(50):
+            o1 = random_orthogonal(d, 2 * seed)
+            o2 = random_orthogonal(d, 2 * seed + 1)
+            big = doubled_tensor([o1, o2]).matrix
+            worst = max(worst, np.abs(big @ op - op @ big).max())
         assert worst <= 1e-10
 
     def test_unitary_rotations_separate_the_family(self):
@@ -266,7 +226,7 @@ class TestMultipartite:
         def no_build(*args):
             raise AssertionError("a dense projector was built before the budget check")
 
-        monkeypatch.setattr(projectors_module, "build_multipartite", no_build)
+        monkeypatch.setattr(projectors_module, "_family_rows", no_build)
         with pytest.raises(CapacityError, match="budget"):
             projector_family(d, K)
 
@@ -313,3 +273,42 @@ class TestMultipartite:
         grouped = np.einsum("ijkl,mnop->imjnkolp", t1, t2)
         expected = grouped.reshape(16, 16)
         assert np.abs(got.matrix - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("d, K", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+    def test_member_equals_kron_chain_oracle(self, d, K):
+        # np.kron of the factors in pair order (A1 B1 A2 B2 ...), then the legs
+        # moved to grouped order (A1..AK B1..BK), for rows and columns alike
+        b = build_bipartite(d)
+        grouped = [*range(0, 2 * K, 2), *range(1, 2 * K, 2)]
+        axes = grouped + [2 * K + leg for leg in grouped]
+        for alpha in all_multi_indices(K):
+            chain = b.pi(alpha[0]).matrix
+            for g in alpha[1:]:
+                chain = np.kron(chain, b.pi(g).matrix)
+            want = chain.reshape((d,) * (4 * K)).transpose(axes).reshape(d ** (2 * K), -1)
+            got = build_multipartite(d, K, alpha)
+            assert got.shape == (d,) * (2 * K)
+            assert got.matrix.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("d, K", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+    def test_family_is_one_read_only_stack_of_the_members(self, d, K):
+        family = projector_family(d, K)
+        dim = d ** (2 * K)
+        assert family.shape == (3**K, dim, dim) and family.dtype == np.complex128
+        assert not family.flags.writeable
+        with pytest.raises(ValueError):
+            family[0, 0, 0] = 1.0
+        for rank, p in enumerate(family):
+            member = build_multipartite(d, K, multi_index_digits(rank, K)).matrix
+            assert p.tobytes() == member.tobytes()
+
+    def test_family_build_constructs_the_pair_basis_once(self, monkeypatch):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return build_bipartite(d)
+
+        monkeypatch.setattr(projectors_module, "build_bipartite", counted)
+        projector_family(2, 3)
+        assert calls == [2]

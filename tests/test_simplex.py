@@ -36,6 +36,7 @@ from orthosym import (
     min_eigenvalue,
     multi_index_rank,
     multipartite_trace,
+    pair_projectors,
     pair_vertex_coords,
     partial_transpose,
     ppt_check,
@@ -480,11 +481,12 @@ class TestSepBounds:
 class TestTwirlAndReconstruct:
     @pytest.mark.parametrize("d", [2, 3])
     def test_pair_tensor_matches_build_bipartite(self, d):
-        pair = simplex_module._pair_projectors(d)
-        assert pair.shape == (3,) + (d,) * 4
+        pair = pair_projectors(d)
+        assert pair.shape == (3, d * d, d * d) and pair.dtype == np.complex128
+        assert not pair.flags.writeable
         basis = build_bipartite(d)
         for k in range(3):
-            assert np.array_equal(pair[k].reshape(d * d, d * d), basis.pi(k).matrix)
+            assert np.array_equal(pair[k], basis.pi(k).matrix)
 
     def test_maximally_mixed_coordinates(self):
         rho = ComplexOperator(np.eye(4) / 4.0, (2, 2))
@@ -538,11 +540,11 @@ class TestTwirlAndReconstruct:
     def test_matches_projector_family_oracle(self, d, K, seed):
         rho = wishart_state(d, K, seed)
         family = projector_family(d, K)
-        oracle = np.array([np.einsum("ij,ji->", rho.matrix, p.matrix).real for p in family])
+        oracle = np.array([np.einsum("ij,ji->", rho.matrix, p).real for p in family])
         f = twirl_coords(rho, d, K)
         assert np.abs(f.pi - oracle).max() <= 1e-12
         traces = [multipartite_trace(d, a) for a in all_multi_indices(K)]
-        mixture = sum(w / t * p.matrix for w, t, p in zip(f.pi, traces, family))
+        mixture = sum(w / t * p for w, t, p in zip(f.pi, traces, family))
         assert np.abs(reconstruct(f).matrix - mixture).max() <= 1e-12
 
     def test_twirl_check_order(self, monkeypatch):
@@ -778,6 +780,12 @@ class TestGrid:
             uncapped(K) for K in range(1, 21)
         ]
         assert default_grid_resolution(10**9) == 1
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_default_resolution_rejects_no_pairs(self, K):
+        # at K = 0 every lattice has one point, so the search would never stop
+        with pytest.raises(ValueError, match="pair count must be >= 1"):
+            default_grid_resolution(K)
 
 
 class TestBatchedCore:

@@ -7,7 +7,6 @@ import pytest
 
 from orthosym import (
     CapacityError,
-    ComplexOperator,
     DomainError,
     FidelityVector,
     VerificationReport,
@@ -58,7 +57,7 @@ def reference_invariance(d, K, trials, seed):
         ops = [random_orthogonal(d, children[t * K + i]) for i in range(K)]
         big = doubled_tensor(ops).matrix
         for p in family:
-            residual = max(residual, float(np.abs(big @ p.matrix - p.matrix @ big).max()))
+            residual = max(residual, float(np.abs(big @ p - p @ big).max()))
     return residual
 
 
@@ -67,7 +66,7 @@ def reference_pt_consistency(d, K, samples, seed):
     indices = all_multi_indices(K)
     family = projector_family(d, K)
     traces = np.array([multipartite_trace(d, a) for a in indices], dtype=float)
-    tildes = [p.matrix / t for p, t in zip(family, traces)]
+    tildes = [p / t for p, t in zip(family, traces)]
     residual = 0.0
     for _ in range(samples):
         f = FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
@@ -96,7 +95,7 @@ def reference_product_fidelities(d, K, trials, seed):
             for v in psis[1:] + phis:
                 sigma = kron(sigma, pure_state_projector(v))
             dense = np.array(
-                [float(np.einsum("ij,ji->", sigma.matrix, p.matrix).real) for p in family]
+                [float(np.einsum("ij,ji->", sigma.matrix, p).real) for p in family]
             )
             residual = max(residual, float(np.abs(dense - f.pi).max()))
             twirled = twirl_coords(sigma, d, K).pi
@@ -337,10 +336,9 @@ class TestOracleStrength:
 
     def test_non_invariant_family_member_fails(self, monkeypatch):
         def skewed_family(d, K):
-            family = projector_family(d, K)
-            m = family[0].matrix.copy()
-            m[0, 1] += 1e-6
-            return [ComplexOperator(m, family[0].shape)] + family[1:]
+            family = projector_family(d, K).copy()
+            family[0, 0, 1] += 1e-6
+            return family
 
         monkeypatch.setattr(verify_module, "projector_family", skewed_family)
         assert not verify_invariance(2, 2, 3).passed

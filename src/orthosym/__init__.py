@@ -44,7 +44,6 @@ from .projectors import (
     projector_family,
 )
 from .simplex import (
-    CMatrix,
     FidelityVector,
     IntersectionPoint,
     PairInequalities,

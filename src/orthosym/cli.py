@@ -56,7 +56,10 @@ def _parse_mask(text: str, K: int) -> tuple[int, ...]:
 
 
 def _load_json(path: str) -> dict:
-    doc = loads(_read_input(path))
+    try:
+        doc = loads(_read_input(path))
+    except RecursionError:
+        raise ValueError(f"input {path} nests JSON too deeply") from None
     if type(doc) is not dict:
         # loads reads a long array of numbers as a float64 array
         kind = "list" if type(doc) is np.ndarray else type(doc).__name__
@@ -127,10 +130,11 @@ def cmd_twirl(args) -> int:
 
 def cmd_ppt(args) -> int:
     f = _load(FidelityVector, args.fid)
-    check_output_budget([(1 if args.mask else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
+    single = args.mask is not None
+    check_output_budget([(1 if single else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
     c = c_matrix(f.d)
     # all masks come from one walk; a lone mask contracts only its own axes
-    if args.mask:
+    if single:
         masks, rows = [args.mask], pt_map_rows(f.pi[None], c, _parse_mask(args.mask, f.K))
     else:
         masks, rows = _digit_labels(f.K, "01")[1:], pt_map_masks(f.pi[None], c, f.K)[0, 1:]

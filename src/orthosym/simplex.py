@@ -130,29 +130,14 @@ def bob_subsystems(mask: Sequence[int], K: int) -> tuple[int, ...]:
     return tuple(K + i for i, b in enumerate(mask) if b)
 
 
-@dataclass(frozen=True, eq=False)
-class CMatrix:
-    """3x3 real matrix carrying one-pair partial transposition in coordinates.
+def c_matrix(d: int) -> np.ndarray:
+    """The read-only 3x3 matrix C of one-pair partial transposition at local dimension d.
 
     Rows index the input coordinate and columns the output, i.e.
-    pi'_a = sum_b pi_b * entries[b, a].  Every row sums to one, which is
-    exactly trace preservation; the entries are not all nonnegative, so the
-    matrix is not stochastic.  It squares to the identity.
+    pi'_a = sum_b pi_b * C[b, a].  Every row sums to one, which is exactly
+    trace preservation; the entries are not all nonnegative, so the matrix
+    is not stochastic.  It squares to the identity.
     """
-
-    d: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        if entries.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {entries.shape}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-def c_matrix(d: int) -> CMatrix:
-    """The coordinate transposition matrix at local dimension d."""
     if d < 2:
         raise DomainError("local dimension must be >= 2")
     m = np.array(
@@ -163,7 +148,8 @@ def c_matrix(d: int) -> CMatrix:
         ],
         dtype=float,
     ) / (2 * d)
-    return CMatrix(d, m)
+    m.setflags(write=False)
+    return m
 
 
 def _check_mask(mask: Sequence[int], width: int) -> tuple[int, ...]:
@@ -175,18 +161,27 @@ def _check_mask(mask: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int(b) for b in mask)
 
 
-def pt_map_rows(pi: np.ndarray, c: CMatrix, mask: Sequence[int]) -> np.ndarray:
+def _check_rows(pi: np.ndarray, K: int) -> None:
+    """Raise ValueError unless ``pi`` is an (N, 3**K) array of coordinate rows."""
+    # 3**K is over the width once K reaches its bit length: capped there, an
+    # enormous K forms no enormous power
+    if pi.ndim != 2 or pi.shape[1] != 3 ** min(K, pi.shape[1].bit_length()):
+        raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
+
+
+def pt_map_rows(pi: np.ndarray, c: np.ndarray, mask: Sequence[int]) -> np.ndarray:
     """:func:`pt_map` of every row of an (N, 3**K) coordinate array.
 
-    ``c`` is the :func:`c_matrix` of the local dimension and ``mask`` holds
-    one binary digit per pair.  Each masked digit axis is contracted with C
-    while the batch axis rides along in front, so a single row gives exactly
-    the floats of the one-vector contraction.
+    ``c`` is the (3, 3) map of one pair, :func:`c_matrix` of the local
+    dimension, and ``mask`` holds one binary digit per pair.  Each masked
+    digit axis is contracted with ``c`` while the batch axis rides along in
+    front, so a single row gives exactly the floats of the one-vector
+    contraction.
     """
     bits = _check_mask(mask, pi.shape[1])
     tensor = pi.reshape((len(pi),) + (3,) * len(bits))
     axes = [axis for axis, bit in enumerate(bits, start=1) if bit]
-    return _contract_axes(tensor, c.entries, axes).reshape(pi.shape)
+    return _contract_axes(tensor, c, axes).reshape(pi.shape)
 
 
 def _contract_axes(x: np.ndarray, m: np.ndarray, axes: Iterable[int]) -> np.ndarray:
@@ -204,24 +199,23 @@ def _contract_axes(x: np.ndarray, m: np.ndarray, axes: Iterable[int]) -> np.ndar
     return x
 
 
-def pt_map_masks(pi: np.ndarray, c: CMatrix, K: int) -> np.ndarray:
+def pt_map_masks(pi: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
     """:func:`pt_map_rows` of every row of an (N, 3**K) array under all 2**K masks.
 
     Returns the (N, 2**K, 3**K) walk: slice r holds the rows under the mask
     of rank r (:func:`mask_digits`), slice 0 the rows themselves.  Mask r is
-    C on the last masked axis of mask r & (r - 1), already in the walk, so
+    ``c`` on the last masked axis of mask r & (r - 1), already in the walk, so
     each mask costs one contraction, and the axes are contracted in the
     order of :func:`pt_map_rows`, which keeps every float bitwise equal to it.
     """
-    if pi.ndim != 2 or pi.shape[1] != 3 ** min(K, pi.shape[1].bit_length()):
-        raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
+    _check_rows(pi, K)
     # stored mask by mask: each block is one contiguous (N, 3, ..., 3) tensor
     walk = np.empty((2**K, len(pi)) + (3,) * K)
     walk[0] = pi.reshape(walk.shape[1:])
     for r in range(1, 2**K):
         # the lowest rank bit is the last pair, axis K - lowest bit index
         axis = K - ((r & -r).bit_length() - 1)
-        walk[r] = _contract_axes(walk[r & (r - 1)], c.entries, [axis])
+        walk[r] = _contract_axes(walk[r & (r - 1)], c, [axis])
     return walk.reshape(2**K, *pi.shape).swapaxes(0, 1)
 
 
@@ -440,8 +434,7 @@ def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
     contracted by one matrix product per row, so a row gives the floats of a
     stack of one.
     """
-    if pi.ndim != 2 or pi.shape[1] != 3 ** min(K, pi.shape[1].bit_length()):
-        raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
+    _check_rows(pi, K)
     if not _state_rows(pi).all():
         raise DomainError("reconstruct requires state-valued coordinates")
     dim = d ** (2 * K)
@@ -465,6 +458,7 @@ def reduce_rows(pi: np.ndarray, K: int, pair_index: int) -> np.ndarray:
         raise DomainError("reduction requires K >= 2")
     if not 0 <= pair_index < K:
         raise IndexError(f"pair index {pair_index} out of range for K={K}")
+    _check_rows(pi, K)
     tensor = pi.reshape((len(pi),) + (3,) * K).sum(axis=1 + pair_index)
     return tensor.reshape(len(pi), 3 ** (K - 1))
 

@@ -92,12 +92,6 @@ def _chunks(count: int, dim: int) -> Iterator[slice]:
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
-def _dirichlet_rows(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-    """``count`` flat-Dirichlet coordinate rows, one ``rng.dirichlet`` call each."""
-    rows = [rng.dirichlet(np.ones(width)) for _ in range(count)]
-    return np.array(rows, dtype=float).reshape(count, width)
-
-
 def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
     """Recompute the 3x3 transposition matrix from dense partial transposes.
 
@@ -114,7 +108,7 @@ def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
     tildes = np.array([p.matrix / p.trace().real for p in pis])
     transposed = partial_transpose_rows(tildes, (d, d), (1,))
     dense = np.array([[_trace_product(t, p.matrix) for p in pis] for t in transposed])
-    residual = float(np.abs(dense - c_matrix(d).entries).max())
+    residual = float(np.abs(dense - c_matrix(d)).max())
     return VerificationReport.build("c_matrix", {"d": d}, residual, tolerance)
 
 
@@ -163,8 +157,7 @@ def verify_pt_consistency(
     normalized output coordinate.
     """
     check_family_budget(d, K, copies=2)  # the family and its normalized copy
-    rng = np.random.default_rng(seed)
-    rows = _dirichlet_rows(rng, samples, 3**K)
+    rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
     traces = kron_rows(*[np.array([[bipartite_traces(d)]], dtype=float)] * K)[0, 0]
     tildes = projector_family(d, K) / traces[:, None, None]
     c = c_matrix(d)
@@ -246,8 +239,7 @@ def verify_reduction(
     """Coordinate reduction against dense partial trace plus re-twirling."""
     if K < 2:
         raise DomainError("reduction checks require K >= 2")
-    rng = np.random.default_rng(seed)
-    rows = _dirichlet_rows(rng, samples, 3**K)
+    rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
         pis = rows[chunk]

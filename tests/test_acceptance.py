@@ -55,7 +55,7 @@ def test_criterion_01_c_matrix_reproduction():
 def test_criterion_02_row_sums_and_involution():
     worst = 0.0
     for d in range(2, 11):
-        c = c_matrix(d).entries
+        c = c_matrix(d)
         worst = max(worst, float(np.abs(c.sum(axis=1) - 1.0).max()))
         worst = max(worst, float(np.abs(c @ c - np.eye(3)).max()))
     check("criterion 02: row sums = 1 and C.C = I for d=2..10",

@@ -289,6 +289,7 @@ class TestPpt:
         fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
         code, out, _ = run(capsys, "ppt", "--fid", fid)
         doc = json.loads(out)
+        assert code == 0
         assert [v["mask"] for v in doc["verdicts"]] == ["01", "10", "11"]
         assert all(v["is_ppt"] for v in doc["verdicts"])
 
@@ -303,6 +304,16 @@ class TestPpt:
         fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
         code, _, err = run(capsys, "ppt", "--fid", fid, "--mask", "2")
         assert code == 2
+
+    def test_empty_mask_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # an explicit "" is one mask, not all masks: with a budget of one mask's
+        # coordinates it still reaches the mask check
+        fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
+        monkeypatch.setattr(simplex_module, "SCAN_OUTPUT_COORDS", 9)
+        self.forbid_transforms(monkeypatch)
+        code, out, err = run(capsys, "ppt", "--fid", fid, "--mask", "")
+        assert (code, out) == (2, "")
+        assert err == "error: mask must be 2 binary digits, got ''\n"
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "ppt", "--fid", "/nonexistent/f.json")
@@ -890,6 +901,67 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "JSON numbers" in err
+
+
+DEPTH = 5000  # past the recursion limit of every JSON parser on the path
+DEEP_DOCUMENTS = {
+    "deep_arrays": "[" * DEPTH + "]" * DEPTH,
+    "deep_object": '{"a": ' * DEPTH + "1" + "}" * DEPTH,
+    "deep_pi": '{"d": 2, "K": 1, "pi": ' + "[" * DEPTH + "]" * DEPTH + "}",
+}
+# input files no command admits: deep, undecodable or out of range
+MALFORMED_DOCUMENTS = {
+    **DEEP_DOCUMENTS,
+    "empty": "",
+    "non_utf8": b"\xff\xfe{\x80}",
+    "top_level_list": "[1, 0, 0]",
+    "top_level_string": '"pi"',
+    "nan_pi": '{"d": 2, "K": 1, "pi": [NaN, 0, 1]}',
+    "long_d": '{"d": ' + "7" * 5000 + ', "K": 1, "pi": [1, 0, 0]}',
+    "overflow_pi": '{"d": 2, "K": 1, "pi": [1e999, 0, 0]}',
+    "true_pi": '{"d": 2, "K": 1, "pi": [true, 0, 0]}',
+    **{
+        f"dim_{dim}": json.dumps({**ComplexOperator(np.eye(4) / 4, (2, 2)).to_json(), "dim": dim})
+        for dim in (-1, 0)
+    },
+    "huge_K": '{"d": 2, "K": 1000000000000, "pi": [1, 0, 0]}',
+}
+INPUT_COMMANDS = [
+    ("ppt", "--fid"),
+    ("sep", "--fid"),
+    ("reduce", "--pair", "0", "--fid"),
+    ("twirl", "--d", "2", "--K", "1", "--state"),
+]
+
+
+class TestExitCodeContract:
+    """Exit 1 means failed verification only: a bad input file exits 2, 3 or 4."""
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", list(MALFORMED_DOCUMENTS))
+    def test_malformed_input_is_an_argument_capacity_or_domain_error(
+        self, capsys, tmp_path, name, argv
+    ):
+        text = MALFORMED_DOCUMENTS[name]
+        path = tmp_path / f"{name}.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code in (2, 3, 4)
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", list(DEEP_DOCUMENTS))
+    def test_deep_nesting_is_named(self, capsys, tmp_path, name, argv):
+        path = tmp_path / f"{name}.json"
+        path.write_text(DEEP_DOCUMENTS[name])
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: input {path} nests JSON too deeply\n"
 
 
 class TestReduce:

@@ -128,29 +128,29 @@ def maximally_mixed(d, K):
     return reduce(np.kron, [np.array(bipartite_traces(d)) / d**2] * K)
 
 
-class TestCMatrix:
+class TestTranspositionMatrix:
     def test_d2_values(self):
         expected = np.array([[0, 0.5, 0.5], [1, 0.5, -0.5], [1, -0.5, 0.5]])
-        assert np.array_equal(c_matrix(2).entries, expected)
-        assert np.abs(c_matrix(2).entries - exact_c(2)).max() == 0.0
+        assert np.array_equal(c_matrix(2), expected)
+        assert np.abs(c_matrix(2) - exact_c(2)).max() == 0.0
 
     def test_d3_values(self):
         expected = np.array([[1, 3, 2], [5, 3, -2], [10, -6, 2]]) / 6.0
-        assert np.abs(c_matrix(3).entries - expected).max() <= 1e-16
-        assert np.abs(c_matrix(3).entries - exact_c(3)).max() <= 1e-16
+        assert np.abs(c_matrix(3) - expected).max() <= 1e-16
+        assert np.abs(c_matrix(3) - exact_c(3)).max() <= 1e-16
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_rows_sum_to_one(self, d):
-        assert np.abs(c_matrix(d).entries.sum(axis=1) - 1.0).max() <= 1e-14
+        assert np.abs(c_matrix(d).sum(axis=1) - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_squares_to_identity(self, d):
-        c = c_matrix(d).entries
+        c = c_matrix(d)
         assert np.abs(c @ c - np.eye(3)).max() <= 1e-12
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_not_stochastic(self, d):
-        assert c_matrix(d).entries.min() < 0.0
+        assert c_matrix(d).min() < 0.0
 
     def test_rejects_d1(self):
         with pytest.raises(DomainError):
@@ -158,9 +158,11 @@ class TestCMatrix:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_entries_read_only_closed_form(self, d):
-        entries = c_matrix(d).entries
-        assert not entries.flags.writeable
-        assert np.array_equal(entries, exact_c(d))
+        c = c_matrix(d)
+        assert type(c) is np.ndarray
+        assert (c.dtype, c.shape) == (np.float64, (3, 3))
+        assert not c.flags.writeable
+        assert np.array_equal(c, exact_c(d))
 
 
 class TestPtMap:
@@ -190,7 +192,7 @@ class TestPtMap:
 
     def test_matches_matrix_oracle_for_each_mask(self):
         f = random_state_vector(2, 2, 9)
-        c = c_matrix(2).entries
+        c = c_matrix(2)
         p = f.pi.reshape(3, 3)
         oracles = {
             (0, 1): p @ c,
@@ -800,7 +802,7 @@ class TestBatchedCore:
         c = c_matrix(d)
         for mask in all_masks(K):
             batched = pt_map_rows(rows, c, mask)
-            single = np.array([single_point_pt_map(p, c.entries, mask) for p in rows])
+            single = np.array([single_point_pt_map(p, c, mask) for p in rows])
             assert np.array_equal(batched, single)
             wrapped = [pt_map(FidelityVector(d, K, p), mask).pi for p in rows]
             assert np.array_equal(batched, np.array(wrapped))
@@ -824,7 +826,7 @@ class TestBatchedCore:
         points = grid_points(d, K, n)
         assert np.array_equal(pi, np.array([f.pi for f in points]))
         for j, mask in enumerate(masks):
-            single = np.array([single_point_pt_map(f.pi, c.entries, mask) for f in points])
+            single = np.array([single_point_pt_map(f.pi, c, mask) for f in points])
             assert np.array_equal(pt_map_rows(pi, c, mask), single)
             assert ppt[:, j].tolist() == [ppt_check(f, mask, tol).is_ppt for f in points]
         assert bound_ok.tolist() == [sep_bound_check(f).passes for f in points]
@@ -895,6 +897,33 @@ class TestBatchedCore:
             pt_map_masks(np.full((2, 9), 1.0 / 9.0), c_matrix(2), 3)
         with pytest.raises(ValueError):
             pt_map_masks(np.full(9, 1.0 / 9.0), c_matrix(2), 2)
+
+    @pytest.mark.parametrize("K", [3, 10**18])
+    def test_reduction_rejects_rows_of_another_width(self, K):
+        # an enormous K forms no 3**K and no K-tuple: the width check comes first
+        with pytest.raises(ValueError, match=rf"expected rows of 3\*\*{K} coordinates"):
+            reduce_rows(np.ones((1, 9)), K, 0)
+        with pytest.raises(ValueError, match=r"expected rows of 3\*\*2 coordinates"):
+            reduce_rows(np.ones(9), 2, 0)
+
+    def test_reduction_checks_pairs_before_rows(self):
+        with pytest.raises(DomainError):
+            reduce_rows(np.ones((1, 2)), 1, 0)
+        with pytest.raises(IndexError):
+            reduce_rows(np.ones((1, 2)), 3, 3)
+
+    @pytest.mark.parametrize("d, K", [(2, 1), (2, 2), (3, 2), (4, 3)])
+    def test_unwrapped_integer_map_goes_straight_through(self, d, K):
+        # 2d C has integer entries; each masked axis scales the result by 2d
+        rows = np.random.default_rng([d, K]).dirichlet(np.ones(3**K), size=5)
+        c, scaled = c_matrix(d), 2 * d * c_matrix(d)
+        walk, scaled_walk = pt_map_masks(rows, c, K), pt_map_masks(rows, scaled, K)
+        for r in range(2**K):
+            mask = mask_digits(r, K)
+            factor = (2 * d) ** sum(mask)
+            got = pt_map_rows(rows, scaled, mask)
+            assert np.allclose(got, factor * pt_map_rows(rows, c, mask), rtol=1e-13, atol=1e-13)
+            assert np.allclose(scaled_walk[:, r], factor * walk[:, r], rtol=1e-13, atol=1e-13)
 
     def test_mask_errors(self):
         rows = np.full((2, 9), 1.0 / 9.0)

@@ -15,15 +15,10 @@ from .dense import (
     ComplexOperator,
     DomainError,
     identity,
-    is_psd,
     is_psd_rows,
-    kron,
     kron_rows,
-    min_eigenvalue,
     min_eigenvalue_rows,
-    partial_trace,
     partial_trace_rows,
-    partial_transpose,
     partial_transpose_rows,
     random_orthogonal,
     random_unit_vector,
@@ -60,10 +55,8 @@ from .simplex import (
     hull_vertices,
     intersection_point,
     mask_digits,
-    pair_vertex_coords,
     ppt_check,
     ppt_inequalities,
-    product_state_fidelities,
     product_state_fidelities_rows,
     pt_map,
     pt_map_masks,

@@ -1,10 +1,10 @@
 """Dense complex linear algebra over tensor-product Hilbert spaces.
 
-Everything here works on explicit matrices: Kronecker products, partial
-transposes and traces over arbitrary subsystem subsets, Hermitian eigenvalue
-bounds, and seeded random rotations and unit vectors.  All functions are
-pure and all returned operators are immutable, so values can be shared
-freely across threads.
+Everything here works on explicit matrices, batched as (T, D, D) stacks:
+Kronecker products, partial transposes and traces over arbitrary subsystem
+subsets, Hermitian eigenvalue bounds and PSD verdicts, and seeded random
+rotations and unit vectors.  All functions are pure and all returned
+operators are immutable, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -85,10 +85,14 @@ class ComplexOperator:
         dim, shape = data["dim"], data["shape"]
         if type(shape) is not list or any(type(x) is not int for x in [dim, *shape]):
             raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
-        re = float_array(data["re"], "re").reshape(dim, dim)
-        im = float_array(data["im"], "im").reshape(dim, dim)
+        re, im = float_array(data["re"], "re"), float_array(data["im"], "im")
+        if dim < 1 or re.size != dim * dim or im.size != dim * dim:
+            raise ValueError(
+                "dim must be positive with dim**2 entries in re and im, "
+                f"got dim {dim} with {re.size} and {im.size}"
+            )
         matrix = np.empty((dim, dim), dtype=np.complex128)
-        matrix.real, matrix.imag = re, im
+        matrix.real, matrix.imag = re.reshape(dim, dim), im.reshape(dim, dim)
         return cls(matrix, tuple(shape))
 
 
@@ -104,16 +108,6 @@ def _subsystems(shape: Sequence[int], subs: Iterable[int]) -> tuple[int, ...]:
     if out and (out[0] < 0 or out[-1] >= len(shape)):
         raise IndexError(f"subsystem indices {out} out of range for shape {shape}")
     return out
-
-
-def kron(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-    """Kronecker product; the factors of ``b`` are appended to those of ``a``.
-
-    Row index convention is the standard one: i_a * b.dim + i_b.
-    """
-    if a.dim * b.dim > MAX_DIM:
-        raise CapacityError(f"kron dimension {a.dim * b.dim} exceeds the cap {MAX_DIM}")
-    return ComplexOperator(kron_rows(a.matrix[None], b.matrix[None])[0], a.shape + b.shape)
 
 
 def kron_rows(*factors: np.ndarray) -> np.ndarray:
@@ -133,7 +127,8 @@ def kron_rows(*factors: np.ndarray) -> np.ndarray:
 def partial_transpose_rows(
     stack: np.ndarray, shape: Sequence[int], subs: Iterable[int]
 ) -> np.ndarray:
-    """:func:`partial_transpose` of every matrix of a (T, D, D) stack on factors ``shape``."""
+    """Transpose the factors ``subs`` (0-based) of every matrix of a (T, D, D) stack on
+    factors ``shape``, leaving the others untouched: a trace-preserving involution."""
     n = len(shape)
     axes = list(range(2 * n + 1))
     for s in _subsystems(shape, subs):
@@ -142,41 +137,17 @@ def partial_transpose_rows(
     return tensor.transpose(axes).reshape(stack.shape)
 
 
-def partial_transpose(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
-    """Transpose the selected tensor factors, leaving the rest untouched.
-
-    Parameters
-    ----------
-    a : operator with a declared factorization
-    subs : subsystem positions (0-based) whose row/column indices are swapped
-
-    The map is a trace-preserving involution.
-    """
-    return ComplexOperator(partial_transpose_rows(a.matrix[None], a.shape, subs)[0], a.shape)
-
-
 def partial_trace_rows(
     stack: np.ndarray, shape: Sequence[int], subs: Iterable[int]
 ) -> np.ndarray:
-    """:func:`partial_trace` of every matrix of a (T, D, D) stack on factors ``shape``."""
+    """Trace out the factors ``subs`` of every matrix of a (T, D, D) stack on factors
+    ``shape``, keeping its trace; tracing out every factor leaves a 1x1 matrix."""
     dims = list(shape)
     tensor = stack.reshape((len(stack), *dims, *dims))
     for s in reversed(_subsystems(shape, subs)):
         tensor = np.trace(tensor, axis1=1 + s, axis2=1 + s + len(dims))
         del dims[s]
     return tensor.reshape(len(stack), prod(dims), prod(dims))
-
-
-def partial_trace(a: ComplexOperator, subs: Iterable[int]) -> ComplexOperator:
-    """Trace out the selected tensor factors.
-
-    The result lives on the complementary factors and has the same trace as
-    the input.  Tracing out every factor yields a 1x1 operator holding the
-    full trace.
-    """
-    subs = _subsystems(a.shape, subs)
-    dims = tuple(s for i, s in enumerate(a.shape) if i not in subs) or (1,)
-    return ComplexOperator(partial_trace_rows(a.matrix[None], a.shape, subs)[0], dims)
 
 
 def _hermitian_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,26 +167,25 @@ def _hermitian_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_eigenvalue_rows(stack: np.ndarray) -> np.ndarray:
-    """:func:`min_eigenvalue` of every matrix of a (T, D, D) stack."""
+    """Smallest eigenvalue of every Hermitian matrix of a (T, D, D) stack.
+
+    Raises :class:`DomainError` when any matrix deviates from Hermiticity by
+    more than :data:`HERM_RTOL` relative to its largest entry magnitude.
+    """
     herm, _ = _hermitian_rows(stack)
     return np.linalg.eigvalsh(herm)[:, 0]
 
 
-def min_eigenvalue(a: ComplexOperator) -> float:
-    """Smallest eigenvalue of a Hermitian operator.
-
-    Raises :class:`DomainError` when the matrix deviates from Hermiticity by
-    more than :data:`HERM_RTOL` relative to its largest entry magnitude.
-    """
-    return float(min_eigenvalue_rows(a.matrix[None])[0])
-
-
 def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """:func:`is_psd` of every matrix of a (T, D, D) stack, as a boolean array.
+    """Whether each matrix of a (T, D, D) stack has smallest eigenvalue >= -tol.
 
-    The certificate is one stacked Cholesky factorization; when any matrix
-    is not certifiable or fails it, every verdict comes from
-    :func:`min_eigenvalue_rows`.
+    A Cholesky factorization of the Hermitian part shifted by ``tol / 2``
+    certifies the smallest eigenvalue to be at least ``-tol / 2`` up to the
+    factorization's backward error, which is below dim^2 * eps * max|a_ij|.
+    The certificate is one stacked factorization, tried only when that bound
+    is under the shift for every matrix; when it is not, or any matrix fails
+    it, every verdict is ``min_eigenvalue_rows(stack) >= -tol``, so every
+    rejection comes from eigvalsh.
     """
     herm, scale = _hermitian_rows(stack)
     dim = stack.shape[-1]
@@ -228,19 +198,6 @@ def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     return min_eigenvalue_rows(stack) >= -tol
-
-
-def is_psd(a: ComplexOperator, tol: float = PSD_TOL) -> bool:
-    """True when the smallest eigenvalue is above ``-tol``.
-
-    A Cholesky factorization of the Hermitian part shifted by ``tol / 2``
-    certifies the smallest eigenvalue to be at least ``-tol / 2`` up to the
-    factorization's backward error, which is below dim^2 * eps * max|a_ij|.
-    The certificate is tried only when that bound is under the shift; when
-    it is not, or the factorization fails, the verdict is
-    ``min_eigenvalue(a) >= -tol``, so every rejection comes from eigvalsh.
-    """
-    return bool(is_psd_rows(a.matrix[None], tol)[0])
 
 
 def random_orthogonal(d: int, seed) -> ComplexOperator:

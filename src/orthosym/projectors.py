@@ -82,11 +82,6 @@ class BipartiteBasis:
     Pi1: ComplexOperator
     Pi2: ComplexOperator
 
-    def pi(self, k: int) -> ComplexOperator:
-        if k not in (0, 1, 2):
-            raise ValueError(f"projector label must be 0, 1 or 2, got {k}")
-        return (self.Pi0, self.Pi1, self.Pi2)[k]
-
 
 def bipartite_traces(d: int) -> tuple[int, int, int]:
     """Exact traces of (Pi0, Pi1, Pi2): ((d-1)(d+2)/2, d(d-1)/2, 1)."""

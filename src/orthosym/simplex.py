@@ -65,6 +65,8 @@ class FidelityVector:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, (int, np.integer)) for n in (self.d, self.K)):
+            raise ValueError(f"d and K must be integers, got {self.d!r}, {self.K!r}")
         if self.d < 2:
             raise DomainError("local dimension must be >= 2")
         if self.K < 1:
@@ -78,9 +80,6 @@ class FidelityVector:
             raise DomainError("coordinates must be finite")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
-
-    def total(self) -> float:
-        return float(self.pi.sum())
 
     def is_state(self, tol: float = PSD_TOL) -> bool:
         """True when every coordinate exceeds -tol and the sum is one."""
@@ -170,7 +169,7 @@ def _check_rows(pi: np.ndarray, K: int) -> None:
 
 
 def pt_map_rows(pi: np.ndarray, c: np.ndarray, mask: Sequence[int]) -> np.ndarray:
-    """:func:`pt_map` of every row of an (N, 3**K) coordinate array.
+    """Coordinates of every row of an (N, 3**K) array after the transposition ``mask``.
 
     ``c`` is the (3, 3) map of one pair, :func:`c_matrix` of the local
     dimension, and ``mask`` holds one binary digit per pair.  Each masked
@@ -178,6 +177,8 @@ def pt_map_rows(pi: np.ndarray, c: np.ndarray, mask: Sequence[int]) -> np.ndarra
     front, so a single row gives exactly the floats of the one-vector
     contraction.
     """
+    if pi.ndim != 2:  # a width that misses the mask stays the mask's IndexError
+        _check_rows(pi, len(mask))
     bits = _check_mask(mask, pi.shape[1])
     tensor = pi.reshape((len(pi),) + (3,) * len(bits))
     axes = [axis for axis, bit in enumerate(bits, start=1) if bit]
@@ -290,10 +291,14 @@ def ppt_inequalities(f: FidelityVector) -> PairInequalities:
 
 
 def product_state_fidelities_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """:func:`product_state_fidelities` of every row of two (T, K, d) vector stacks.
+    """Simplex coordinates of pure product states, one (psi, phi) per pair.
 
-    Returns the (T, 3**K) coordinates; row t takes psi_i = psis[t, i] and
-    phi_i = phis[t, i].
+    Row t of the (T, K, d) stacks gives psi_i = psis[t, i] and phi_i =
+    phis[t, i], and row t of the (T, 3**K) result the coordinates of the
+    dense product state psi_1 (x) .. (x) psi_K (x) phi_1 (x) .. (x) phi_K.
+    With a = |<psi|phi>|^2 and b = |<psi|conj(phi)>|^2 pair i contributes
+    the triple ((1+a)/2 - b/d, (1-a)/2, b/d), and coordinates multiply
+    across pairs.
     """
     psis = np.asarray(psis, dtype=np.complex128)
     phis = np.asarray(phis, dtype=np.complex128)
@@ -314,26 +319,6 @@ def product_state_fidelities_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndar
     )
     triples = np.stack([(1.0 + a) / 2.0 - b / d, (1.0 - a) / 2.0, b / d], axis=2)
     return kron_rows(*triples.swapaxes(0, 1)[:, :, None])[:, 0]
-
-
-def product_state_fidelities(
-    psis: Sequence[np.ndarray], phis: Sequence[np.ndarray]
-) -> FidelityVector:
-    """Simplex coordinates of a pure product state, one (psi, phi) per pair.
-
-    With a = |<psi|phi>|^2 and b = |<psi|conj(phi)>|^2 the pair contributes
-    the triple ((1+a)/2 - b/d, (1-a)/2, b/d), and coordinates multiply
-    across pairs.  This equals the fidelities of the dense product state
-    psi_1 (x) .. (x) psi_K (x) phi_1 (x) .. (x) phi_K.
-    """
-    psis = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in psis]
-    phis = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in phis]
-    if not psis or len(psis) != len(phis):
-        raise ValueError("need one psi and one phi per pair")
-    if any(v.size != psis[0].size for v in psis + phis):
-        raise ValueError("all vectors must share one local dimension")
-    pi = product_state_fidelities_rows(np.array([psis]), np.array([phis]))[0]
-    return FidelityVector(psis[0].size, len(psis), pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +462,15 @@ VERTEX_LABELS = ("Q0", "Q1", "P0", "P1")
 
 
 def _vertex_table(d: int) -> np.ndarray:
-    """Coordinates of the normalized hull generators, one row each in VERTEX_LABELS order."""
+    """Coordinates of the normalized hull generators, one row each in VERTEX_LABELS order.
+
+    Q0, Q1 are the swap-symmetric and antisymmetric (Werner) pair, P0, P1
+    the entangled-fraction (isotropic) pair.  The values agree with twirling
+    the corresponding dense normalized operator:
+
+        Q0 -> ((d-1)(d+2), 0, 2) / (d(d+1))      Q1 -> (0, 1, 0)
+        P0 -> (d+2, d, 0) / (2(d+1))             P1 -> (0, 0, 1)
+    """
     werner, isotropic = d * (d + 1), 2 * (d + 1)
     return np.array(
         [
@@ -487,27 +480,6 @@ def _vertex_table(d: int) -> np.ndarray:
             [0.0, 0.0, 1.0],
         ]
     )
-
-
-def pair_vertex_coords(d: int, family: str, index: int) -> np.ndarray:
-    """Simplex coordinates of one normalized bipartite hull generator.
-
-    ``family`` is ``"werner"`` for the swap-symmetric pair (Q0, Q1) or
-    ``"isotropic"`` for the entangled-fraction pair (P0, P1); ``index``
-    picks the member.  The values agree with twirling the corresponding
-    dense normalized operator:
-
-        Q0 -> ((d-1)(d+2), 0, 2) / (d(d+1))      Q1 -> (0, 1, 0)
-        P0 -> (d+2, d, 0) / (2(d+1))             P1 -> (0, 0, 1)
-    """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
-    if index not in (0, 1):
-        raise ValueError("index must be 0 or 1")
-    fam = family.lower()
-    if fam not in ("werner", "isotropic"):
-        raise ValueError(f"unknown family {family!r}")
-    return _vertex_table(d)[2 * (fam == "isotropic") + index]
 
 
 def check_output_budget(sizes: Iterable[int], what: str) -> None:

@@ -4,7 +4,7 @@ from typing import Sequence
 
 import numpy as np
 
-from orthosym import ComplexOperator, kron
+from orthosym import ComplexOperator
 
 
 def pure_state_projector(vector: np.ndarray) -> ComplexOperator:
@@ -35,7 +35,7 @@ def doubled_tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
     if not ops:
         raise ValueError("need at least one operator")
     seq = list(ops) + list(ops)
-    out = seq[0]
+    out = seq[0].matrix
     for op in seq[1:]:
-        out = kron(out, op)
-    return out
+        out = np.kron(out, op.matrix)
+    return ComplexOperator(out, tuple(s for op in seq for s in op.shape))

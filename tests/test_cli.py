@@ -922,7 +922,7 @@ MALFORMED_DOCUMENTS = {
     "true_pi": '{"d": 2, "K": 1, "pi": [true, 0, 0]}',
     **{
         f"dim_{dim}": json.dumps({**ComplexOperator(np.eye(4) / 4, (2, 2)).to_json(), "dim": dim})
-        for dim in (-1, 0)
+        for dim in (-1, 0, 3)
     },
     "huge_K": '{"d": 2, "K": 1000000000000, "pi": [1, 0, 0]}',
 }
@@ -953,6 +953,18 @@ class TestExitCodeContract:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dim", [-1, 0, 3])
+    def test_malformed_dim_is_named(self, capsys, tmp_path, dim):
+        # each file holds 16 entries in re and im: dim**2 is 1, 0 and 9
+        path = tmp_path / "state.json"
+        path.write_text(MALFORMED_DOCUMENTS[f"dim_{dim}"])
+        code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: dim must be positive with dim**2 entries in re and im, "
+            f"got dim {dim} with 16 and 16\n"
+        )
 
     @pytest.mark.parametrize("argv", INPUT_COMMANDS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("name", list(DEEP_DOCUMENTS))

@@ -10,19 +10,13 @@ from hypothesis import strategies as st
 
 from orthosym import (
     PSD_TOL,
-    CapacityError,
     ComplexOperator,
     DomainError,
     identity,
-    is_psd,
     is_psd_rows,
-    kron,
     kron_rows,
-    min_eigenvalue,
     min_eigenvalue_rows,
-    partial_trace,
     partial_trace_rows,
-    partial_transpose,
     partial_transpose_rows,
     random_orthogonal,
     random_unit_vector,
@@ -62,36 +56,32 @@ def random_operator(dim, shape, seed, hermitian=False):
 
 class TestKron:
     def test_identity_case(self):
-        out = kron(identity((2,)), identity((2,)))
-        assert np.array_equal(out.matrix, np.eye(4))
-        assert out.shape == (2, 2)
+        out = kron_rows(identity((2,)).matrix[None], identity((2,)).matrix[None])[0]
+        assert np.array_equal(out, np.eye(4))
+        assert out.shape == (4, 4)
 
     def test_diagonal_projectors(self):
-        a = ComplexOperator(np.diag([1.0, 0.0]), (2,))
-        b = ComplexOperator(np.diag([0.0, 1.0]), (2,))
-        assert np.array_equal(kron(a, b).matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
+        a = np.diag([1.0, 0.0])[None]
+        b = np.diag([0.0, 1.0])[None]
+        assert np.array_equal(kron_rows(a, b)[0], np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_flip_tensor_flip_trace(self):
         # the swap on d=2 has trace d = 2 (one unit per i == j), so the
         # product operator must have trace 4
-        f = flip(2)
+        f = flip(2).matrix[None]
         per_factor = sum(1 for i in range(2) for j in range(2) if i == j)
         assert per_factor == 2
-        out = kron(f, f)
-        assert out.trace() == pytest.approx(4.0, abs=0)
-        assert out.shape == (2, 2, 2, 2)
-
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            kron(identity((64,)), identity((65,)))
+        out = kron_rows(f, f)[0]
+        assert np.trace(out) == pytest.approx(4.0, abs=0)
+        assert out.shape == (16, 16)
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (4, 4)])
     def test_equals_np_kron_bitwise(self, m, n):
-        a = random_operator(m, (m,), 10 * m + n)
-        b = random_operator(n, (n,), 100 + 10 * m + n)
-        out = kron(a, b)
-        assert out.shape == (m, n)
-        assert out.matrix.tobytes() == np.kron(a.matrix, b.matrix).tobytes()
+        a = random_operator(m, (m,), 10 * m + n).matrix
+        b = random_operator(n, (n,), 100 + 10 * m + n).matrix
+        out = kron_rows(a[None], b[None])[0]
+        assert out.shape == (m * n, m * n)
+        assert out.tobytes() == np.kron(a, b).tobytes()
 
 
 class TestKronRows:
@@ -130,62 +120,63 @@ class TestPartialTranspose:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_flip_maps_to_entangled_projector(self, d):
         # transposing the second factor of the swap gives exactly d * P+
-        pt = partial_transpose(flip(d), {1})
-        assert np.array_equal(pt.matrix, d * maximally_entangled(d).matrix)
+        pt = partial_transpose_rows(flip(d).matrix[None], (d, d), {1})[0]
+        assert np.array_equal(pt, d * maximally_entangled(d).matrix)
 
     def test_identity_invariant(self):
-        eye = identity((2, 3))
-        assert np.array_equal(partial_transpose(eye, {1}).matrix, eye.matrix)
+        eye = identity((2, 3)).matrix
+        assert np.array_equal(partial_transpose_rows(eye[None], (2, 3), {1})[0], eye)
 
     def test_matches_swap_oracle(self):
         d = 3
-        pt = partial_transpose(ComplexOperator(swap_oracle(d), (d, d)), {1})
+        pt = partial_transpose_rows(swap_oracle(d)[None], (d, d), {1})[0]
         expected = np.zeros((9, 9))
         for i in range(d):
             for j in range(d):
                 expected[i * d + i, j * d + j] = 1.0
-        assert np.array_equal(pt.matrix, expected)
+        assert np.array_equal(pt, expected)
 
     @given(st.integers(0, 2**31), st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (3, 2)]))
     def test_involution_and_trace(self, seed, shape):
         dim = int(np.prod(shape))
         op = random_operator(dim, shape, seed, hermitian=True)
         subs = {0} if len(shape) < 3 else {0, 2}
-        once = partial_transpose(op, subs)
-        twice = partial_transpose(once, subs)
-        assert np.array_equal(twice.matrix, op.matrix)
-        assert abs(once.trace() - op.trace()) <= 1e-14
+        once = partial_transpose_rows(op.matrix[None], shape, subs)
+        twice = partial_transpose_rows(once, shape, subs)
+        assert np.array_equal(twice[0], op.matrix)
+        assert abs(np.trace(once[0]) - op.trace()) <= 1e-14
 
     def test_out_of_range_raises(self):
+        eye = identity((2, 2)).matrix[None]
         with pytest.raises(IndexError):
-            partial_transpose(identity((2, 2)), {2})
+            partial_transpose_rows(eye, (2, 2), {2})
         with pytest.raises(IndexError):
-            partial_transpose(identity((2, 2)), [0, 0])
+            partial_transpose_rows(eye, (2, 2), [0, 0])
 
 
 class TestPartialTrace:
     @pytest.mark.parametrize("d", [2, 3])
     def test_entangled_marginal_is_maximally_mixed(self, d):
-        out = partial_trace(maximally_entangled(d), {1})
-        assert np.allclose(out.matrix, np.eye(d) / d, atol=1e-15)
-        assert out.shape == (d,)
+        out = partial_trace_rows(maximally_entangled(d).matrix[None], (d, d), {1})[0]
+        assert np.allclose(out, np.eye(d) / d, atol=1e-15)
+        assert out.shape == (d, d)
 
     def test_product_factorization(self):
         a = random_operator(3, (3,), 7)
         b = random_operator(4, (4,), 8)
-        out = partial_trace(kron(a, b), {1})
-        assert np.abs(out.matrix - a.matrix * b.trace()).max() <= 1e-13
+        out = partial_trace_rows(np.kron(a.matrix, b.matrix)[None], (3, 4), {1})[0]
+        assert np.abs(out - a.matrix * b.trace()).max() <= 1e-13
 
     def test_trace_all_subsystems(self):
         op = random_operator(6, (2, 3), 11)
-        out = partial_trace(op, {0, 1})
-        assert out.shape == (1,)
-        assert out.matrix.shape == (1, 1)
-        assert abs(out.matrix[0, 0] - op.trace()) <= 1e-13
+        out = partial_trace_rows(op.matrix[None], (2, 3), {0, 1})[0]
+        assert out.shape == (1, 1)
+        assert abs(out[0, 0] - op.trace()) <= 1e-13
 
     def test_preserves_trace(self):
         op = random_operator(8, (2, 2, 2), 3)
-        assert abs(partial_trace(op, {1}).trace() - op.trace()) <= 1e-13
+        out = partial_trace_rows(op.matrix[None], (2, 2, 2), {1})[0]
+        assert abs(np.trace(out) - op.trace()) <= 1e-13
 
     def test_pair_projector_reduces_to_factor(self):
         # tracing the first pair of a two-pair projector leaves the second
@@ -196,9 +187,9 @@ class TestPartialTrace:
         for a1 in range(3):
             for a2 in range(3):
                 big = build_multipartite(d, 2, (a1, a2))
-                out = partial_trace(big, {0, 2})
-                expected = traces[a1] * basis.pi(a2).matrix
-                assert np.abs(out.matrix - expected).max() <= 1e-12
+                out = partial_trace_rows(big.matrix[None], big.shape, {0, 2})[0]
+                expected = traces[a1] * (basis.Pi0, basis.Pi1, basis.Pi2)[a2].matrix
+                assert np.abs(out - expected).max() <= 1e-12
 
 
 def transpose_oracle(m, shape, subs):
@@ -261,28 +252,12 @@ class TestLegRows:
             for t in range(len(stack)):
                 assert got[t].tobytes() == kernel(stack[t : t + 1], shape, subs)[0].tobytes()
 
-    @given(gaussian_integer_stacks())
-    def test_scalar_forms_wrap_a_stack_of_one(self, case):
-        stack, shape, subs = case
-        op = ComplexOperator(stack[0], shape)
-        kept = tuple(s for k, s in enumerate(shape) if k not in subs) or (1,)
-        for scalar, kernel, out_shape in [
-            (partial_transpose, partial_transpose_rows, shape),
-            (partial_trace, partial_trace_rows, kept),
-        ]:
-            out = scalar(op, subs)
-            assert out.shape == out_shape
-            assert out.matrix.tobytes() == kernel(stack, shape, subs)[0].tobytes()
-
     @pytest.mark.parametrize("kernel", [partial_transpose_rows, partial_trace_rows])
     @pytest.mark.parametrize("subs", [[0, 0], [2], [-1], [1, 3]])
     def test_bad_subsystems_raise_index_error(self, kernel, subs):
         stack = np.zeros((2, 6, 6), dtype=np.complex128)
         with pytest.raises(IndexError):
             kernel(stack, (2, 3), subs)
-        scalar = partial_transpose if kernel is partial_transpose_rows else partial_trace
-        with pytest.raises(IndexError):
-            scalar(ComplexOperator(stack[0], (2, 3)), subs)
 
     @pytest.mark.parametrize(
         "kernel, subs, trailing",
@@ -299,36 +274,38 @@ class TestLegRows:
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue(identity((4,))) == pytest.approx(1.0, abs=1e-12)
+        assert min_eigenvalue_rows(np.eye(4)[None])[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_projector_difference(self, d):
         basis = build_bipartite(d)
-        op = ComplexOperator(basis.Pi0.matrix - basis.Pi1.matrix, (d, d))
-        assert min_eigenvalue(op) == pytest.approx(-1.0, abs=1e-12)
+        op = basis.Pi0.matrix - basis.Pi1.matrix
+        assert min_eigenvalue_rows(op[None])[0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_transposed_entangled_projector(self, d):
         # the transposed rank-1 entangled projector is the swap over d, with
         # spectrum +/- 1/d
-        op = partial_transpose(maximally_entangled(d), {1})
-        assert min_eigenvalue(op) == pytest.approx(-1.0 / d, abs=1e-10)
+        op = partial_transpose_rows(maximally_entangled(d).matrix[None], (d, d), {1})
+        assert min_eigenvalue_rows(op)[0] == pytest.approx(-1.0 / d, abs=1e-10)
 
     def test_rejects_non_hermitian(self):
-        bad = ComplexOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
+        bad = np.array([[[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(DomainError):
-            min_eigenvalue(bad)
+            min_eigenvalue_rows(bad)
 
     def test_unitary_invariance(self):
-        x = random_operator(6, (6,), 21, hermitian=True)
+        x = random_operator(6, (6,), 21, hermitian=True).matrix
         for seed in range(5):
             u = random_unitary(6, seed).matrix
-            rotated = ComplexOperator(u @ x.matrix @ u.conj().T, (6,))
-            assert abs(min_eigenvalue(rotated) - min_eigenvalue(x)) <= 1e-9
+            rotated = u @ x @ u.conj().T
+            got, want = min_eigenvalue_rows(np.array([rotated, x]))
+            assert abs(got - want) <= 1e-9
 
     def test_is_psd(self):
-        assert is_psd(identity((3,)))
-        assert not is_psd(partial_transpose(maximally_entangled(2), {1}))
+        assert is_psd_rows(np.eye(3)[None])[0]
+        transposed = partial_transpose_rows(maximally_entangled(2).matrix[None], (2, 2), {1})
+        assert not is_psd_rows(transposed)[0]
 
 
 #: Factors f placing the smallest eigenvalue at -f * PSD_TOL.
@@ -345,8 +322,8 @@ def state_with_lambda_min(unitary, factor, seed):
 
 
 def assert_psd_verdicts(op, factor, tols=(0.0, PSD_TOL)):
-    lam = min_eigenvalue(op)
-    verdicts = {tol: is_psd(op, tol) for tol in tols}
+    lam = min_eigenvalue_rows(op.matrix[None])[0]
+    verdicts = {tol: is_psd_rows(op.matrix[None], tol)[0] for tol in tols}
     assert verdicts == {tol: lam >= -tol for tol in verdicts}
     # well away from the boundary the verdict is known in advance
     assert verdicts[PSD_TOL] == (factor <= 1.0)
@@ -381,7 +358,7 @@ class TestIsPsdCertificate:
             raise AssertionError("eigvalsh reached on a certified matrix")
 
         monkeypatch.setattr(dense_module, "min_eigenvalue_rows", no_eigvalsh)
-        assert is_psd(op, PSD_TOL)
+        assert is_psd_rows(op.matrix[None], PSD_TOL)[0]
 
     @pytest.mark.parametrize(
         "tol, scale",
@@ -397,16 +374,16 @@ class TestIsPsdCertificate:
             "min_eigenvalue_rows",
             lambda stack: calls.append(stack) or np.full(len(stack), scale),
         )
-        assert is_psd(op, tol)
+        assert is_psd_rows(op.matrix[None], tol)[0]
         assert len(calls) == 1 and np.array_equal(calls[0], op.matrix[None])
 
     def test_non_hermitian_raises_the_eigenvalue_error(self):
-        bad = ComplexOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
+        bad = np.array([[[0.5, 1.0], [0.0, 0.5]]])
         with pytest.raises(DomainError) as from_eig:
-            min_eigenvalue(bad)
+            min_eigenvalue_rows(bad)
         for tol in (0.0, PSD_TOL):
             with pytest.raises(DomainError) as from_psd:
-                is_psd(bad, tol)
+                is_psd_rows(bad, tol)
             assert str(from_psd.value) == str(from_eig.value)
 
 
@@ -417,14 +394,15 @@ class TestStackedGate:
         factors=st.lists(st.sampled_from(LAMBDA_FACTORS), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_rows_equal_scalar_verdicts(self, dim, factors, seed):
+    def test_rows_equal_stacks_of_one(self, dim, factors, seed):
         u = random_unitary(dim, seed).matrix
         ops = [state_with_lambda_min(u, f, seed + i) for i, f in enumerate(factors)]
         stack = np.array([op.matrix for op in ops])
         for tol in (0.0, PSD_TOL):
-            assert is_psd_rows(stack, tol).tolist() == [is_psd(op, tol) for op in ops]
+            one_by_one = [is_psd_rows(m[None], tol)[0] for m in stack]
+            assert is_psd_rows(stack, tol).tolist() == one_by_one
         eig = min_eigenvalue_rows(stack)
-        assert np.array_equal(eig, [min_eigenvalue(op) for op in ops])
+        assert np.array_equal(eig, [min_eigenvalue_rows(m[None])[0] for m in stack])
 
     @pytest.mark.parametrize("factors", [(0.0, 0.9, 0.3), (0.0, 0.9, 2.0)])
     def test_one_failed_certificate_gives_eigvalsh_verdicts(self, monkeypatch, factors):
@@ -452,7 +430,7 @@ class TestStackedGate:
     def test_non_hermitian_member_raises_the_eigenvalue_error(self):
         stack = np.array([np.eye(2) / 2.0, [[0.5, 1.0], [0.0, 0.5]], np.eye(2) / 2.0])
         with pytest.raises(DomainError) as from_eig:
-            min_eigenvalue(ComplexOperator(stack[1], (2,)))
+            min_eigenvalue_rows(stack[1:2])
         for call in (min_eigenvalue_rows, is_psd_rows):
             with pytest.raises(DomainError) as from_rows:
                 call(stack)
@@ -517,6 +495,12 @@ class TestOperatorType:
         back = ComplexOperator.from_json(op.to_json())
         assert np.array_equal(back.matrix, op.matrix)
         assert back.shape == op.shape
+
+    @pytest.mark.parametrize("dim, n_re, n_im", [(-1, 1, 1), (0, 0, 0), (2, 4, 3), (2, 9, 9)])
+    def test_from_json_rejects_a_dim_that_misses_the_entries(self, dim, n_re, n_im):
+        doc = {"dim": dim, "shape": [2], "re": [0.0] * n_re, "im": [0.0] * n_im}
+        with pytest.raises(ValueError, match=f"got dim {dim} with {n_re} and {n_im}"):
+            ComplexOperator.from_json(doc)
 
     def test_from_json_keeps_each_part_bit_for_bit(self):
         # re + 1j * im would turn these -0.0 parts into 0.0, and the infinite

@@ -17,6 +17,7 @@ from orthosym import (
     multi_index_digits,
     multi_index_rank,
     multipartite_trace,
+    pair_projectors,
     projector_family,
     random_orthogonal,
     random_unit_vector,
@@ -69,7 +70,7 @@ class TestBipartiteBasis:
 
     def test_traces_d3(self):
         b = build_bipartite(3)
-        got = [b.pi(k).trace().real for k in range(3)]
+        got = [op.trace().real for op in (b.Pi0, b.Pi1, b.Pi2)]
         assert got == pytest.approx([5, 3, 1], abs=1e-13)
         assert sum(got) == 9
         assert bipartite_traces(3) == (5, 3, 1)
@@ -85,7 +86,7 @@ class TestBipartiteBasis:
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthogonal_idempotent_family(self, d):
         b = build_bipartite(d)
-        pis = [b.pi(k).matrix for k in range(3)]
+        pis = [op.matrix for op in (b.Pi0, b.Pi1, b.Pi2)]
         for i in range(3):
             for j in range(3):
                 product = pis[i] @ pis[j]
@@ -268,8 +269,8 @@ class TestMultipartite:
         d = 2
         b = build_bipartite(d)
         got = build_multipartite(d, 2, (1, 2))
-        t1 = b.pi(1).matrix.reshape(d, d, d, d)
-        t2 = b.pi(2).matrix.reshape(d, d, d, d)
+        t1 = b.Pi1.matrix.reshape(d, d, d, d)
+        t2 = b.Pi2.matrix.reshape(d, d, d, d)
         grouped = np.einsum("ijkl,mnop->imjnkolp", t1, t2)
         expected = grouped.reshape(16, 16)
         assert np.abs(got.matrix - expected).max() <= 1e-14
@@ -278,13 +279,13 @@ class TestMultipartite:
     def test_member_equals_kron_chain_oracle(self, d, K):
         # np.kron of the factors in pair order (A1 B1 A2 B2 ...), then the legs
         # moved to grouped order (A1..AK B1..BK), for rows and columns alike
-        b = build_bipartite(d)
+        pis = pair_projectors(d)
         grouped = [*range(0, 2 * K, 2), *range(1, 2 * K, 2)]
         axes = grouped + [2 * K + leg for leg in grouped]
         for alpha in all_multi_indices(K):
-            chain = b.pi(alpha[0]).matrix
+            chain = pis[alpha[0]]
             for g in alpha[1:]:
-                chain = np.kron(chain, b.pi(g).matrix)
+                chain = np.kron(chain, pis[g])
             want = chain.reshape((d,) * (4 * K)).transpose(axes).reshape(d ** (2 * K), -1)
             got = build_multipartite(d, K, alpha)
             assert got.shape == (d,) * (2 * K)

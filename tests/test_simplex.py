@@ -1,6 +1,7 @@
 """Tests for the fidelity-coordinate calculus."""
 
 import hashlib
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -31,17 +32,15 @@ from orthosym import (
     hull_vertices,
     identity,
     intersection_point,
-    kron,
     mask_digits,
-    min_eigenvalue,
+    min_eigenvalue_rows,
     multi_index_rank,
     multipartite_trace,
     pair_projectors,
-    pair_vertex_coords,
-    partial_transpose,
+    partial_trace_rows,
+    partial_transpose_rows,
     ppt_check,
     ppt_inequalities,
-    product_state_fidelities,
     product_state_fidelities_rows,
     projector_family,
     pt_map,
@@ -88,11 +87,16 @@ def product_states(psis, phis):
     """The dense psi_1 (x) .. (x) psi_K (x) phi_1 (x) .. (x) phi_K of every row."""
     states = []
     for row in np.concatenate([psis, phis], axis=1):
-        sigma = pure_state_projector(row[0])
+        sigma = pure_state_projector(row[0]).matrix
         for v in row[1:]:
-            sigma = kron(sigma, pure_state_projector(v))
-        states.append(sigma.matrix)
+            sigma = np.kron(sigma, pure_state_projector(v).matrix)
+        states.append(sigma)
     return np.array(states)
+
+
+def vertex_coords(d):
+    """The coordinates of the four pair vertices of ``hull_vertices(d, 1)``, by label."""
+    return {labels[0]: f.pi for labels, f in hull_vertices(d, 1)}
 
 
 def grid_points(d, K, n):
@@ -182,11 +186,11 @@ class TestPtMap:
         # expand the dense transposed state in the normalized projector
         # family by trace inner products
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
-        transposed = partial_transpose(reconstruct(f), (1,))
+        transposed = partial_transpose_rows(reconstruct(f).matrix[None], (2, 2), (1,))[0]
         basis = build_bipartite(2)
         dense = [
-            np.einsum("ij,ji->", transposed.matrix, basis.pi(k).matrix).real
-            for k in range(3)
+            np.einsum("ij,ji->", transposed, pi_k.matrix).real
+            for pi_k in (basis.Pi0, basis.Pi1, basis.Pi2)
         ]
         assert np.abs(np.array(dense) - pt_map(f, (1,)).pi).max() <= 1e-14
 
@@ -206,7 +210,7 @@ class TestPtMap:
     def test_uniform_k2_sum_preserved(self):
         f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
         out = pt_map(f, (0, 1))
-        assert out.total() == pytest.approx(1.0, abs=1e-12)
+        assert out.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.integers(2, 5),
@@ -218,7 +222,7 @@ class TestPtMap:
         f = random_state_vector(d, K, seed)
         mask = tuple(np.random.default_rng(mask_seed).integers(0, 2, K))
         out = pt_map(f, mask)
-        assert out.total() == pytest.approx(1.0, abs=1e-12)
+        assert out.pi.sum() == pytest.approx(1.0, abs=1e-12)
         back = pt_map(out, mask)
         assert np.abs(back.pi - f.pi).max() <= 1e-12
 
@@ -268,8 +272,8 @@ class TestPPTCheck:
         rho = reconstruct(f)
         for mask in all_masks(2):
             assert ppt_check(f, mask).is_ppt
-            dense = partial_transpose(rho, bob_subsystems(mask, 2))
-            assert min_eigenvalue(dense) >= -1e-12
+            dense = partial_transpose_rows(rho.matrix[None], rho.shape, bob_subsystems(mask, 2))
+            assert min_eigenvalue_rows(dense)[0] >= -1e-12
 
     def test_rejects_non_state(self):
         f = FidelityVector(2, 1, [0.9, 0.4, -0.3])
@@ -292,8 +296,9 @@ class TestCutsAndCeilings:
         for size in range(2 * K + 1):
             for cut in combinations(range(2 * K), size):
                 mask = [(i in cut) != (K + i in cut) for i in range(K)]
-                bob = partial_transpose(rho, bob_subsystems(mask, K))
-                assert np.array_equal(partial_transpose(rho, cut).matrix, bob.matrix)
+                m = rho.matrix[None]
+                bob = partial_transpose_rows(m, rho.shape, bob_subsystems(mask, K))
+                assert np.array_equal(partial_transpose_rows(m, rho.shape, cut), bob)
 
     @given(
         st.integers(2, 50),
@@ -396,47 +401,46 @@ class TestPairInequalities:
 class TestProductStateFidelities:
     def test_identical_real_vectors_d2(self):
         e1 = np.array([1.0, 0.0])
-        f = product_state_fidelities([e1], [e1])
-        assert np.abs(f.pi - np.array([0.5, 0.0, 0.5])).max() <= 1e-15
+        pi = product_state_fidelities_rows(np.array([[e1]]), np.array([[e1]]))[0]
+        assert np.abs(pi - np.array([0.5, 0.0, 0.5])).max() <= 1e-15
 
     def test_orthogonal_real_vectors(self):
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        f = product_state_fidelities([e1], [e2])
-        assert np.abs(f.pi - np.array([0.5, 0.5, 0.0])).max() <= 1e-15
+        pi = product_state_fidelities_rows(np.array([[e1]]), np.array([[e2]]))[0]
+        assert np.abs(pi - np.array([0.5, 0.5, 0.0])).max() <= 1e-15
 
     def test_complex_pair_d2(self):
         e1 = np.array([1.0, 0.0])
         phi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        f = product_state_fidelities([e1], [phi])
-        assert np.abs(f.pi - np.array([0.5, 0.25, 0.25])).max() <= 1e-15
+        pi = product_state_fidelities_rows(np.array([[e1]]), np.array([[phi]]))[0]
+        assert np.abs(pi - np.array([0.5, 0.25, 0.25])).max() <= 1e-15
 
     def test_matches_dense_twirl(self):
         d, K = 2, 2
         psis = [random_unit_vector(d, "complex", s) for s in (1, 2)]
         phis = [random_unit_vector(d, "complex", s) for s in (3, 4)]
-        f = product_state_fidelities(psis, phis)
-        sigma = pure_state_projector(psis[0])
-        for v in psis[1:] + phis:
-            sigma = kron(sigma, pure_state_projector(v))
-        dense = twirl_coords(sigma, d, K)
-        assert np.abs(f.pi - dense.pi).max() <= 1e-12
+        pi = product_state_fidelities_rows(np.array([psis]), np.array([phis]))[0]
+        sigma = product_states(np.array([psis]), np.array([phis]))
+        dense = twirl_rows(sigma, d, K)[0]
+        assert np.abs(pi - dense).max() <= 1e-12
 
     def test_rejects_bad_norm(self):
         with pytest.raises(DomainError):
-            product_state_fidelities([np.array([1.0, 1.0])], [np.array([1.0, 0.0])])
+            product_state_fidelities_rows(np.array([[[1.0, 1.0]]]), np.array([[[1.0, 0.0]]]))
 
     def test_rejects_mismatched_pairs(self):
         e1 = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
-            product_state_fidelities([e1, e1], [e1])
+            product_state_fidelities_rows(np.array([[e1, e1]]), np.array([[e1]]))
 
     @given(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2**31))
     def test_always_passes_bounds(self, d, K, seed):
         children = iter(np.random.SeedSequence(seed).spawn(2 * K))
         psis = [random_unit_vector(d, "complex", next(children)) for _ in range(K)]
         phis = [random_unit_vector(d, "complex", next(children)) for _ in range(K)]
-        f = product_state_fidelities(psis, phis)
+        pi = product_state_fidelities_rows(np.array([psis]), np.array([phis]))[0]
+        f = FidelityVector(d, K, pi)
         assert f.is_state(tol=1e-12)
         assert sep_bound_check(f).passes
 
@@ -488,7 +492,7 @@ class TestTwirlAndReconstruct:
         assert not pair.flags.writeable
         basis = build_bipartite(d)
         for k in range(3):
-            assert np.array_equal(pair[k], basis.pi(k).matrix)
+            assert np.array_equal(pair[k], (basis.Pi0, basis.Pi1, basis.Pi2)[k].matrix)
 
     def test_maximally_mixed_coordinates(self):
         rho = ComplexOperator(np.eye(4) / 4.0, (2, 2))
@@ -586,15 +590,14 @@ class TestReduce:
         assert np.array_equal(out.pi, np.array([0.0, 0.0, 1.0]))
 
     def test_dense_oracle_agreement(self):
-        from orthosym import partial_trace
-
         for seed in range(10):
             f = random_state_vector(2, 2, seed + 100)
             rho = reconstruct(f)
             for pair in range(2):
                 got = reduce_pair(f, pair)
-                dense = twirl_coords(partial_trace(rho, (pair, 2 + pair)), 2, 1)
-                assert np.abs(got.pi - dense.pi).max() <= 1e-12
+                marginal = partial_trace_rows(rho.matrix[None], rho.shape, (pair, 2 + pair))
+                dense = twirl_rows(marginal, 2, 1)[0]
+                assert np.abs(got.pi - dense).max() <= 1e-12
 
     def test_rejects_single_pair(self):
         with pytest.raises(DomainError):
@@ -621,40 +624,29 @@ class TestReduce:
 
 class TestVertices:
     def test_werner_zero_d2(self):
-        assert np.abs(
-            pair_vertex_coords(2, "werner", 0) - np.array([2 / 3, 0.0, 1 / 3])
-        ).max() <= 1e-15
+        assert np.abs(vertex_coords(2)["Q0"] - np.array([2 / 3, 0.0, 1 / 3])).max() <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 4, 7])
     def test_trivial_vertices(self, d):
-        assert np.array_equal(pair_vertex_coords(d, "werner", 1), [0.0, 1.0, 0.0])
-        assert np.array_equal(pair_vertex_coords(d, "isotropic", 1), [0.0, 0.0, 1.0])
+        assert np.array_equal(vertex_coords(d)["Q1"], [0.0, 1.0, 0.0])
+        assert np.array_equal(vertex_coords(d)["P1"], [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_vertices_match_dense_twirl(self, d):
         basis = build_bipartite(d)
-        dense = {
-            ("werner", 0): basis.Q0,
-            ("werner", 1): basis.Q1,
-            ("isotropic", 0): basis.P0,
-            ("isotropic", 1): basis.P1,
-        }
-        for (family, index), op in dense.items():
+        dense = {"Q0": basis.Q0, "Q1": basis.Q1, "P0": basis.P0, "P1": basis.P1}
+        for label, op in dense.items():
             rho = ComplexOperator(op.matrix / op.trace().real, (d, d))
-            got = pair_vertex_coords(d, family, index)
+            got = vertex_coords(d)[label]
             expected = twirl_coords(rho, d, 1)
             assert np.abs(got - expected.pi).max() <= 1e-12
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            pair_vertex_coords(2, "ghz", 0)
 
     def test_hull_vertex_count_and_products(self):
         vertices = hull_vertices(2, 2)
         assert len(vertices) == 16
         labels, f = vertices[0]
         assert labels == ("Q0", "Q0")
-        single = pair_vertex_coords(2, "werner", 0)
+        single = vertex_coords(2)["Q0"]
         assert np.abs(f.pi - np.kron(single, single)).max() <= 1e-15
         for _, vec in vertices:
             assert vec.is_state(tol=1e-12)
@@ -663,8 +655,7 @@ class TestVertices:
     def test_hull_vertices_equal_kron_chain(self, d):
         # the np.kron chain over each label sequence, one pair at a time; each
         # prefix is built once, with the floats of building it per sequence
-        pairs = product(("werner", "isotropic"), (0, 1))
-        singles = dict(zip(VERTEX_LABELS, (pair_vertex_coords(d, *p) for p in pairs)))
+        singles = vertex_coords(d)
         chains = {(): np.ones(1)}
         for K in range(1, 7):
             chains = {
@@ -707,10 +698,7 @@ class TestIntersectionPoint:
     def test_true_crossing_is_maximally_mixed(self, d):
         # solving the two-line system directly lands on the maximally mixed
         # state, at parameters (d-1)/(2d) and 1/d^2
-        w0 = pair_vertex_coords(d, "werner", 0)
-        w1 = pair_vertex_coords(d, "werner", 1)
-        i0 = pair_vertex_coords(d, "isotropic", 0)
-        i1 = pair_vertex_coords(d, "isotropic", 1)
+        w0, w1, i0, i1 = (vertex_coords(d)[label] for label in VERTEX_LABELS)
         m = np.column_stack([w1 - w0, -(i1 - i0)])
         sol, *_ = np.linalg.lstsq(m, i0 - w0, rcond=None)
         q_true, p_true = sol
@@ -931,6 +919,11 @@ class TestBatchedCore:
             pt_map_rows(rows, c_matrix(2), (1,))
         with pytest.raises(ValueError):
             pt_map_rows(rows, c_matrix(2), (1, 2))
+        # not rows at all: the row gate's error, K taken from the mask
+        for pi in (np.ones(9), np.ones((1, 3, 3))):
+            want = f"expected rows of 3**2 coordinates, got shape {pi.shape}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                pt_map_rows(pi, c_matrix(2), (1, 1))
 
     def test_lattice_yields_integer_compositions_in_grid_order(self):
         comp = np.concatenate([b[0] for b in classify_lattice(2, 2, 3, PSD_TOL)])
@@ -972,8 +965,6 @@ class TestDenseRows:
         coords = product_state_fidelities_rows(psis, phis)
         assert coords.shape == (T, 3**K)
         for t in range(T):
-            scalar = product_state_fidelities(list(psis[t]), list(phis[t]))
-            assert np.array_equal(coords[t], scalar.pi)
             one = product_state_fidelities_rows(psis[t : t + 1], phis[t : t + 1])
             assert np.array_equal(coords[t], one[0])
 
@@ -1168,6 +1159,18 @@ class TestFidelityVectorType:
             FidelityVector(2, 10**9, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
             FidelityVector(2, 2, np.full((3, 3), 1.0 / 9.0))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("field", ["d", "K"])
+    def test_non_integer_d_and_K_rejected(self, field, bad):
+        # 2.5 would give ppt verdicts for a dimension that does not exist
+        args = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]} | {field: bad}
+        with pytest.raises(ValueError, match="d and K must be integers"):
+            FidelityVector(**args)
+
+    def test_numpy_integer_d_and_K_accepted(self):
+        f = FidelityVector(np.int64(3), np.int32(1), [1.0, 0.0, 0.0])
+        assert ppt_check(f, (1,)).is_ppt
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

@@ -14,19 +14,18 @@ from orthosym import (
     bob_subsystems,
     coordinate_bounds,
     first_failure,
-    kron,
-    min_eigenvalue,
-    partial_trace,
-    partial_transpose,
+    min_eigenvalue_rows,
+    partial_trace_rows,
+    partial_transpose_rows,
+    product_state_fidelities_rows,
     pt_map,
-    product_state_fidelities,
     random_orthogonal,
     random_unit_vector,
     reconstruct,
     reconstruct_rows,
     reduce_pair,
     run_suite,
-    twirl_coords,
+    twirl_rows,
     verify_c_matrix,
     verify_coplanarity,
     verify_invariance,
@@ -72,11 +71,12 @@ def reference_pt_consistency(d, K, samples, seed):
         f = FidelityVector(d, K, rng.dirichlet(np.ones(3**K)))
         rho = reconstruct(f)
         for mask in all_masks(K):
-            transposed = partial_transpose(rho, bob_subsystems(mask, K))
+            subs = bob_subsystems(mask, K)
+            transposed = partial_transpose_rows(rho.matrix[None], rho.shape, subs)
             g = pt_map(f, mask)
             mixture = sum(w * t for w, t in zip(g.pi, tildes))
-            residual = max(residual, float(np.abs(transposed.matrix - mixture).max()))
-            eig = min_eigenvalue(transposed)
+            residual = max(residual, float(np.abs(transposed[0] - mixture).max()))
+            eig = float(min_eigenvalue_rows(transposed)[0])
             residual = max(residual, abs(eig - float((g.pi / traces).min())))
     return residual
 
@@ -90,17 +90,15 @@ def reference_product_fidelities(d, K, trials, seed):
         for _ in range(trials):
             psis = [random_unit_vector(d, field, next(children)) for _ in range(K)]
             phis = [random_unit_vector(d, field, next(children)) for _ in range(K)]
-            f = product_state_fidelities(psis, phis)
-            sigma = pure_state_projector(psis[0])
+            pi = product_state_fidelities_rows(np.array([psis]), np.array([phis]))[0]
+            sigma = pure_state_projector(psis[0]).matrix
             for v in psis[1:] + phis:
-                sigma = kron(sigma, pure_state_projector(v))
-            dense = np.array(
-                [float(np.einsum("ij,ji->", sigma.matrix, p).real) for p in family]
-            )
-            residual = max(residual, float(np.abs(dense - f.pi).max()))
-            twirled = twirl_coords(sigma, d, K).pi
+                sigma = np.kron(sigma, pure_state_projector(v).matrix)
+            dense = np.array([float(np.einsum("ij,ji->", sigma, p).real) for p in family])
+            residual = max(residual, float(np.abs(dense - pi).max()))
+            twirled = twirl_rows(sigma[None], d, K)[0]
             residual = max(residual, float(np.abs(dense - twirled).max()))
-            residual = max(residual, max(0.0, float((f.pi - bounds).max())))
+            residual = max(residual, max(0.0, float((pi - bounds).max())))
     return residual
 
 
@@ -112,8 +110,9 @@ def reference_reduction(d, K, samples, seed):
         rho = reconstruct(f)
         for pair in range(K):
             reduced = reduce_pair(f, pair)
-            dense = twirl_coords(partial_trace(rho, (pair, K + pair)), d, K - 1)
-            residual = max(residual, float(np.abs(reduced.pi - dense.pi).max()))
+            marginal = partial_trace_rows(rho.matrix[None], rho.shape, (pair, K + pair))
+            dense = twirl_rows(marginal, d, K - 1)[0]
+            residual = max(residual, float(np.abs(reduced.pi - dense).max()))
     return residual
 
 
@@ -229,7 +228,7 @@ class TestStackedChecks:
 
 
 class TestBatchedFastPaths:
-    SCALAR = ("twirl_coords", "reconstruct", "product_state_fidelities")
+    SCALAR = ("twirl_coords", "reconstruct")
     ROWS = ("twirl_rows", "reconstruct_rows", "product_state_fidelities_rows", "reduce_rows")
 
     @pytest.mark.parametrize("per_chunk", [7, 3])

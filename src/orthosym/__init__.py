@@ -14,7 +14,6 @@ from .dense import (
     CapacityError,
     ComplexOperator,
     DomainError,
-    identity,
     is_psd_rows,
     kron_rows,
     min_eigenvalue_rows,
@@ -24,16 +23,12 @@ from .dense import (
     random_unit_vector,
 )
 from .projectors import (
-    BipartiteBasis,
     all_multi_indices,
     bipartite_traces,
-    build_bipartite,
     build_multipartite,
     check_family_budget,
-    flip,
-    maximally_entangled,
+    hull_generators,
     multi_index_digits,
-    multi_index_rank,
     multipartite_trace,
     pair_projectors,
     projector_family,

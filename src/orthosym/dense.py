@@ -3,8 +3,8 @@
 Everything here works on explicit matrices, batched as (T, D, D) stacks:
 Kronecker products, partial transposes and traces over arbitrary subsystem
 subsets, Hermitian eigenvalue bounds and PSD verdicts, and seeded random
-rotations and unit vectors.  All functions are pure and all returned
-operators are immutable, so values can be shared freely across threads.
+rotations and unit vectors.  All functions are pure, and a ComplexOperator's
+matrix is read-only, so operators can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class ComplexOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def to_json(self) -> dict:
         """Row-major JSON form ``{"dim", "shape", "re", "im"}``."""
         flat = self.matrix.reshape(-1)
@@ -94,11 +91,6 @@ class ComplexOperator:
         matrix = np.empty((dim, dim), dtype=np.complex128)
         matrix.real, matrix.imag = re.reshape(dim, dim), im.reshape(dim, dim)
         return cls(matrix, tuple(shape))
-
-
-def identity(shape: Sequence[int]) -> ComplexOperator:
-    """Identity operator with the given local dimensions."""
-    return ComplexOperator(np.eye(prod(shape)), tuple(shape))
 
 
 def _subsystems(shape: Sequence[int], subs: Iterable[int]) -> tuple[int, ...]:
@@ -200,8 +192,8 @@ def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return min_eigenvalue_rows(stack) >= -tol
 
 
-def random_orthogonal(d: int, seed) -> ComplexOperator:
-    """Haar-distributed real orthogonal matrix, deterministic per seed.
+def random_orthogonal(d: int, seed) -> np.ndarray:
+    """Haar-distributed real orthogonal (d, d) float64 matrix, deterministic per seed.
 
     A square matrix of independent standard normals is QR-orthogonalized and
     the column signs are fixed so the triangular factor has a positive
@@ -212,8 +204,7 @@ def random_orthogonal(d: int, seed) -> ComplexOperator:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return ComplexOperator(q, (d,))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def random_unit_vector(d: int, field: str, seed) -> np.ndarray:

@@ -12,7 +12,6 @@ factors in pair order (A1 B1 A2 B2 ...) transposed to grouped order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -24,7 +23,6 @@ from .dense import (
     CapacityError,
     ComplexOperator,
     DomainError,
-    identity,
     kron_rows,
 )
 
@@ -34,53 +32,31 @@ from .dense import (
 FAMILY_BYTES = 2**30
 
 
-def flip(d: int) -> ComplexOperator:
-    """Swap operator on two d-dimensional factors: x (x) y -> y (x) x.
+def hull_generators(d: int) -> np.ndarray:
+    """(Q0, Q1, P0, P1) at local dimension d >= 2 as one read-only (4, d**2, d**2) stack.
 
-    Its symmetric/antisymmetric eigenprojectors are (I +/- flip)/2; the
-    trace equals d.
+    Q0/Q1 = (1 +/- F)/2 resolve the swap F: x (x) y -> y (x) x.  P1 is the
+    maximally entangled projector, exactly 1/d on the (ii, jj) positions so
+    that d P1 reproduces the partially transposed F without rounding, and
+    P0 = 1 - P1.  d = 1 is rejected: the antisymmetric sector is empty there
+    and the simplex degenerates.
     """
     if d < 2:
-        raise DomainError("flip requires local dimension >= 2")
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return ComplexOperator(f, (d, d))
-
-
-def maximally_entangled(d: int) -> ComplexOperator:
-    """Rank-1 projector onto the canonical maximally entangled vector.
-
-    Entries are written as exactly 1/d on the (ii, jj) positions so that
-    d times this operator reproduces the partially transposed flip without
-    rounding.
-    """
-    m = np.zeros((d * d, d * d))
+        raise DomainError("local dimension must be >= 2")
+    n = d * d
+    if n > MAX_DIM:
+        raise CapacityError(f"dimension {n} exceeds the cap {MAX_DIM}")
+    eye = np.eye(n)
+    swap = eye.reshape(d, d, d, d).swapaxes(2, 3).reshape(n, n)
+    entangled = np.zeros((n, n))
     diag = np.arange(d) * (d + 1)
-    m[np.ix_(diag, diag)] = 1.0 / d
-    return ComplexOperator(m, (d, d))
-
-
-@dataclass(frozen=True, eq=False)
-class BipartiteBasis:
-    """The bipartite operators generating the invariant 2-simplex.
-
-    Q0/Q1 resolve the swap symmetry, P1 is the maximally entangled projector
-    with complement P0, and Pi0/Pi1/Pi2 form the orthogonal resolution of
-    identity spanning every operator invariant under all O (x) O with O real
-    orthogonal.
-    """
-
-    d: int
-    F: ComplexOperator
-    Q0: ComplexOperator
-    Q1: ComplexOperator
-    P0: ComplexOperator
-    P1: ComplexOperator
-    Pi0: ComplexOperator
-    Pi1: ComplexOperator
-    Pi2: ComplexOperator
+    entangled[np.ix_(diag, diag)] = 1.0 / d
+    stack = np.array(
+        [(eye + swap) / 2.0, (eye - swap) / 2.0, eye - entangled, entangled],
+        dtype=np.complex128,
+    )
+    stack.setflags(write=False)
+    return stack
 
 
 def bipartite_traces(d: int) -> tuple[int, int, int]:
@@ -88,34 +64,8 @@ def bipartite_traces(d: int) -> tuple[int, int, int]:
     return ((d - 1) * (d + 2) // 2, d * (d - 1) // 2, 1)
 
 
-def build_bipartite(d: int) -> BipartiteBasis:
-    """Construct all bipartite generators at local dimension d >= 2.
-
-    d = 1 is rejected: the antisymmetric sector is empty there and the
-    simplex degenerates.
-    """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
-    f = flip(d)
-    p1 = maximally_entangled(d)
-    eye = identity((d, d))
-    q0 = ComplexOperator((eye.matrix + f.matrix) / 2.0, (d, d))
-    q1 = ComplexOperator((eye.matrix - f.matrix) / 2.0, (d, d))
-    p0 = ComplexOperator(eye.matrix - p1.matrix, (d, d))
-    pi0 = ComplexOperator(q0.matrix - p1.matrix, (d, d))
-    return BipartiteBasis(d, f, q0, q1, p0, p1, pi0, q1, p1)
-
-
-def multi_index_rank(digits: Sequence[int]) -> int:
-    """Base-3 rank of a trinary multi-index, most significant digit first."""
-    rank = 0
-    for g in _trinary(digits):
-        rank = 3 * rank + g
-    return rank
-
-
 def multi_index_digits(rank: int, K: int) -> tuple[int, ...]:
-    """Inverse of :func:`multi_index_rank` for K digits."""
+    """The K base-3 digits of ``rank``, most significant digit first."""
     if not 0 <= rank < 3**K:
         raise ValueError(f"rank {rank} out of range for K={K}")
     digits = []
@@ -131,9 +81,10 @@ def all_multi_indices(K: int) -> list[tuple[int, ...]]:
 
 
 def pair_projectors(d: int) -> np.ndarray:
-    """(Pi0, Pi1, Pi2) of :func:`build_bipartite` as one read-only (3, d**2, d**2) stack."""
-    basis = build_bipartite(d)
-    stack = np.stack([basis.Pi0.matrix, basis.Pi1.matrix, basis.Pi2.matrix])
+    """(Pi0, Pi1, Pi2) = (Q0 - P1, Q1, P1) of :func:`hull_generators` as one
+    read-only (3, d**2, d**2) stack."""
+    q0, q1, _, p1 = hull_generators(d)
+    stack = np.stack([q0 - p1, q1, p1])
     stack.setflags(write=False)
     return stack
 

@@ -32,7 +32,6 @@ from .jsonio import float_array
 from .projectors import (
     bipartite_traces,
     multi_index_digits,
-    multi_index_rank,
     pair_projectors,
 )
 
@@ -84,12 +83,6 @@ class FidelityVector:
     def is_state(self, tol: float = PSD_TOL) -> bool:
         """True when every coordinate exceeds -tol and the sum is one."""
         return bool(_state_rows(self.pi[None], tol)[0])
-
-    def coordinate(self, digits: Sequence[int]) -> float:
-        """The coordinate of the K trinary ``digits``, first pair first."""
-        if len(digits) != self.K:
-            raise ValueError(f"expected {self.K} digits, got {tuple(digits)}")
-        return float(self.pi[multi_index_rank(digits)])
 
     def to_json(self) -> dict:
         return {"d": self.d, "K": self.K, "pi": self.pi.tolist()}

@@ -26,8 +26,9 @@ from .dense import (
 )
 from .projectors import (
     bipartite_traces,
-    build_bipartite,
     check_family_budget,
+    hull_generators,
+    pair_projectors,
     projector_family,
 )
 from .simplex import (
@@ -103,11 +104,10 @@ def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
         raise DomainError("local dimension must be >= 2")
     if d**4 > MAX_DIM:
         raise CapacityError(f"d^4 = {d ** 4} exceeds the cap {MAX_DIM}")
-    basis = build_bipartite(d)
-    pis = (basis.Pi0, basis.Pi1, basis.Pi2)
-    tildes = np.array([p.matrix / p.trace().real for p in pis])
+    pis = pair_projectors(d)
+    tildes = np.array([p / np.trace(p).real for p in pis])
     transposed = partial_transpose_rows(tildes, (d, d), (1,))
-    dense = np.array([[_trace_product(t, p.matrix) for p in pis] for t in transposed])
+    dense = np.array([[_trace_product(t, p) for p in pis] for t in transposed])
     residual = float(np.abs(dense - c_matrix(d)).max())
     return VerificationReport.build("c_matrix", {"d": d}, residual, tolerance)
 
@@ -132,7 +132,7 @@ def verify_invariance(
         return VerificationReport.build("invariance", params, 0.0, tolerance)
     family = projector_family(d, K)
     children = np.random.SeedSequence(seed).spawn(trials * K)
-    rotations = np.array([random_orthogonal(d, child).matrix for child in children])
+    rotations = np.array([random_orthogonal(d, child) for child in children])
     rotations = rotations.reshape(trials, K, d, d)
     residual = 0.0
     for chunk in _chunks(trials, d ** (2 * K)):
@@ -223,12 +223,12 @@ def verify_coplanarity(d: int, tolerance: float = 1e-12) -> VerificationReport:
     unnormalized generators must satisfy Q0 + Q1 - P0 - P1 = 0 exactly
     (both sums equal the identity).
     """
-    basis = build_bipartite(d)
-    ops = (basis.Q0, basis.Q1, basis.P0, basis.P1)
-    tildes = [o.matrix / float(o.trace().real) for o in ops]
+    generators = hull_generators(d)
+    tildes = [g / float(np.trace(g).real) for g in generators]
     gram = np.array([[_trace_product(x, y) for y in tildes] for x in tildes])
     residual = abs(float(np.linalg.det(gram)))
-    dependence = basis.Q0.matrix + basis.Q1.matrix - basis.P0.matrix - basis.P1.matrix
+    q0, q1, p0, p1 = generators
+    dependence = q0 + q1 - p0 - p1
     residual = max(residual, float(np.abs(dependence).max()))
     return VerificationReport.build("coplanarity", {"d": d}, residual, tolerance)
 

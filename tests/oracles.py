@@ -13,7 +13,16 @@ def pure_state_projector(vector: np.ndarray) -> ComplexOperator:
     return ComplexOperator(np.outer(v, v.conj()), (v.size,))
 
 
-def random_unitary(d: int, seed) -> ComplexOperator:
+def swap_oracle(d: int) -> np.ndarray:
+    """The swap F = sum_ij |ij><ji| on two d-dimensional factors, one
+    ``np.kron`` of basis vectors per term."""
+    e = np.eye(d)
+    return sum(
+        np.outer(np.kron(e[i], e[j]), np.kron(e[j], e[i])) for i in range(d) for j in range(d)
+    )
+
+
+def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary matrix (complex Ginibre + QR phase fix)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -22,12 +31,11 @@ def random_unitary(d: int, seed) -> ComplexOperator:
     q, r = np.linalg.qr(g)
     diag = np.diag(r).copy()
     diag[diag == 0] = 1.0
-    q = q * (diag / np.abs(diag))
-    return ComplexOperator(q, (d,))
+    return q * (diag / np.abs(diag))
 
 
-def doubled_tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
-    """Tensor product of ``ops`` followed by a second copy of the same list.
+def doubled_tensor(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of the matrices ``ops`` followed by a second copy of the same list.
 
     With K single-factor rotations this builds O1 (x) ... (x) OK (x) O1 (x)
     ... (x) OK, the joint rotation the pair projectors commute with.
@@ -35,7 +43,7 @@ def doubled_tensor(ops: Sequence[ComplexOperator]) -> ComplexOperator:
     if not ops:
         raise ValueError("need at least one operator")
     seq = list(ops) + list(ops)
-    out = seq[0].matrix
+    out = seq[0]
     for op in seq[1:]:
-        out = np.kron(out, op.matrix)
-    return ComplexOperator(out, tuple(s for op in seq for s in op.shape))
+        out = np.kron(out, op)
+    return out

@@ -261,7 +261,7 @@ class TestProjectorsAndTwirl:
     @pytest.mark.parametrize("factor, exit_code", [(0.5, 0), (2.0, 4)])
     def test_twirl_psd_tolerance_boundary(self, capsys, tmp_path, factor, exit_code):
         # d=2, K=1 state with smallest eigenvalue -factor * PSD_TOL
-        u = random_orthogonal(4, 11).matrix.real
+        u = random_orthogonal(4, 11)
         lam = np.array([-factor * PSD_TOL, 0.5, 0.3, 0.2 + factor * PSD_TOL])
         rho = (u * lam) @ u.T
         state = tmp_path / "edge.json"

@@ -12,7 +12,6 @@ from orthosym import (
     PSD_TOL,
     ComplexOperator,
     DomainError,
-    identity,
     is_psd_rows,
     kron_rows,
     min_eigenvalue_rows,
@@ -24,26 +23,12 @@ from orthosym import (
 from orthosym import dense as dense_module
 from orthosym.projectors import (
     bipartite_traces,
-    build_bipartite,
     build_multipartite,
-    flip,
-    maximally_entangled,
+    hull_generators,
+    pair_projectors,
 )
 
-from oracles import pure_state_projector, random_unitary
-
-
-def swap_oracle(d):
-    """Independent swap construction via explicit basis outer products."""
-    m = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            ket = np.zeros(d * d)
-            bra = np.zeros(d * d)
-            ket[i * d + j] = 1.0
-            bra[j * d + i] = 1.0
-            m += np.outer(ket, bra)
-    return m
+from oracles import pure_state_projector, random_unitary, swap_oracle
 
 
 def random_operator(dim, shape, seed, hermitian=False):
@@ -56,7 +41,7 @@ def random_operator(dim, shape, seed, hermitian=False):
 
 class TestKron:
     def test_identity_case(self):
-        out = kron_rows(identity((2,)).matrix[None], identity((2,)).matrix[None])[0]
+        out = kron_rows(np.eye(2)[None], np.eye(2)[None])[0]
         assert np.array_equal(out, np.eye(4))
         assert out.shape == (4, 4)
 
@@ -68,7 +53,7 @@ class TestKron:
     def test_flip_tensor_flip_trace(self):
         # the swap on d=2 has trace d = 2 (one unit per i == j), so the
         # product operator must have trace 4
-        f = flip(2).matrix[None]
+        f = swap_oracle(2)[None]
         per_factor = sum(1 for i in range(2) for j in range(2) if i == j)
         assert per_factor == 2
         out = kron_rows(f, f)[0]
@@ -120,11 +105,12 @@ class TestPartialTranspose:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_flip_maps_to_entangled_projector(self, d):
         # transposing the second factor of the swap gives exactly d * P+
-        pt = partial_transpose_rows(flip(d).matrix[None], (d, d), {1})[0]
-        assert np.array_equal(pt, d * maximally_entangled(d).matrix)
+        q0, q1, _, p1 = hull_generators(d)
+        pt = partial_transpose_rows((q0 - q1)[None], (d, d), {1})[0]
+        assert np.array_equal(pt, d * p1)
 
     def test_identity_invariant(self):
-        eye = identity((2, 3)).matrix
+        eye = np.eye(6)
         assert np.array_equal(partial_transpose_rows(eye[None], (2, 3), {1})[0], eye)
 
     def test_matches_swap_oracle(self):
@@ -144,10 +130,10 @@ class TestPartialTranspose:
         once = partial_transpose_rows(op.matrix[None], shape, subs)
         twice = partial_transpose_rows(once, shape, subs)
         assert np.array_equal(twice[0], op.matrix)
-        assert abs(np.trace(once[0]) - op.trace()) <= 1e-14
+        assert abs(np.trace(once[0]) - np.trace(op.matrix)) <= 1e-14
 
     def test_out_of_range_raises(self):
-        eye = identity((2, 2)).matrix[None]
+        eye = np.eye(4)[None]
         with pytest.raises(IndexError):
             partial_transpose_rows(eye, (2, 2), {2})
         with pytest.raises(IndexError):
@@ -157,7 +143,7 @@ class TestPartialTranspose:
 class TestPartialTrace:
     @pytest.mark.parametrize("d", [2, 3])
     def test_entangled_marginal_is_maximally_mixed(self, d):
-        out = partial_trace_rows(maximally_entangled(d).matrix[None], (d, d), {1})[0]
+        out = partial_trace_rows(hull_generators(d)[3:], (d, d), {1})[0]
         assert np.allclose(out, np.eye(d) / d, atol=1e-15)
         assert out.shape == (d, d)
 
@@ -165,30 +151,30 @@ class TestPartialTrace:
         a = random_operator(3, (3,), 7)
         b = random_operator(4, (4,), 8)
         out = partial_trace_rows(np.kron(a.matrix, b.matrix)[None], (3, 4), {1})[0]
-        assert np.abs(out - a.matrix * b.trace()).max() <= 1e-13
+        assert np.abs(out - a.matrix * np.trace(b.matrix)).max() <= 1e-13
 
     def test_trace_all_subsystems(self):
         op = random_operator(6, (2, 3), 11)
         out = partial_trace_rows(op.matrix[None], (2, 3), {0, 1})[0]
         assert out.shape == (1, 1)
-        assert abs(out[0, 0] - op.trace()) <= 1e-13
+        assert abs(out[0, 0] - np.trace(op.matrix)) <= 1e-13
 
     def test_preserves_trace(self):
         op = random_operator(8, (2, 2, 2), 3)
         out = partial_trace_rows(op.matrix[None], (2, 2, 2), {1})[0]
-        assert abs(np.trace(out) - op.trace()) <= 1e-13
+        assert abs(np.trace(out) - np.trace(op.matrix)) <= 1e-13
 
     def test_pair_projector_reduces_to_factor(self):
         # tracing the first pair of a two-pair projector leaves the second
         # factor scaled by the first factor's trace
         d = 2
         traces = bipartite_traces(d)
-        basis = build_bipartite(d)
+        pis = pair_projectors(d)
         for a1 in range(3):
             for a2 in range(3):
                 big = build_multipartite(d, 2, (a1, a2))
                 out = partial_trace_rows(big.matrix[None], big.shape, {0, 2})[0]
-                expected = traces[a1] * (basis.Pi0, basis.Pi1, basis.Pi2)[a2].matrix
+                expected = traces[a1] * pis[a2]
                 assert np.abs(out - expected).max() <= 1e-12
 
 
@@ -278,15 +264,15 @@ class TestMinEigenvalue:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_projector_difference(self, d):
-        basis = build_bipartite(d)
-        op = basis.Pi0.matrix - basis.Pi1.matrix
+        pi0, pi1, _ = pair_projectors(d)
+        op = pi0 - pi1
         assert min_eigenvalue_rows(op[None])[0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_transposed_entangled_projector(self, d):
         # the transposed rank-1 entangled projector is the swap over d, with
         # spectrum +/- 1/d
-        op = partial_transpose_rows(maximally_entangled(d).matrix[None], (d, d), {1})
+        op = partial_transpose_rows(hull_generators(d)[3:], (d, d), {1})
         assert min_eigenvalue_rows(op)[0] == pytest.approx(-1.0 / d, abs=1e-10)
 
     def test_rejects_non_hermitian(self):
@@ -297,14 +283,14 @@ class TestMinEigenvalue:
     def test_unitary_invariance(self):
         x = random_operator(6, (6,), 21, hermitian=True).matrix
         for seed in range(5):
-            u = random_unitary(6, seed).matrix
+            u = random_unitary(6, seed)
             rotated = u @ x @ u.conj().T
             got, want = min_eigenvalue_rows(np.array([rotated, x]))
             assert abs(got - want) <= 1e-9
 
     def test_is_psd(self):
         assert is_psd_rows(np.eye(3)[None])[0]
-        transposed = partial_transpose_rows(maximally_entangled(2).matrix[None], (2, 2), {1})
+        transposed = partial_transpose_rows(hull_generators(2)[3:], (2, 2), {1})
         assert not is_psd_rows(transposed)[0]
 
 
@@ -338,12 +324,12 @@ class TestIsPsdCertificate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_eigenvalue_verdict(self, d, K, factor, seed):
-        u = random_unitary(d ** (2 * K), seed).matrix
+        u = random_unitary(d ** (2 * K), seed)
         assert_psd_verdicts(state_with_lambda_min(u, factor, seed), factor)
 
     @pytest.fixture(scope="class")
     def unitary_729(self):
-        return random_orthogonal(729, 729).matrix
+        return random_orthogonal(729, 729)
 
     @pytest.mark.parametrize("factor", LAMBDA_FACTORS)
     def test_matches_eigenvalue_verdict_dim_729(self, unitary_729, factor):
@@ -352,7 +338,7 @@ class TestIsPsdCertificate:
         assert_psd_verdicts(op, factor, tols=(PSD_TOL,))
 
     def test_certificate_skips_eigvalsh(self, monkeypatch):
-        op = state_with_lambda_min(random_unitary(16, 3).matrix, 0.5, 3)
+        op = state_with_lambda_min(random_unitary(16, 3), 0.5, 3)
 
         def no_eigvalsh(stack):
             raise AssertionError("eigvalsh reached on a certified matrix")
@@ -395,7 +381,7 @@ class TestStackedGate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_rows_equal_stacks_of_one(self, dim, factors, seed):
-        u = random_unitary(dim, seed).matrix
+        u = random_unitary(dim, seed)
         ops = [state_with_lambda_min(u, f, seed + i) for i, f in enumerate(factors)]
         stack = np.array([op.matrix for op in ops])
         for tol in (0.0, PSD_TOL):
@@ -406,7 +392,7 @@ class TestStackedGate:
 
     @pytest.mark.parametrize("factors", [(0.0, 0.9, 0.3), (0.0, 0.9, 2.0)])
     def test_one_failed_certificate_gives_eigvalsh_verdicts(self, monkeypatch, factors):
-        u = random_unitary(16, 5).matrix
+        u = random_unitary(16, 5)
         stack = np.array([state_with_lambda_min(u, f, 5).matrix for f in factors])
         # shifted by tol / 2, only the member at -0.9 tol (and one at -2 tol) has no
         # Cholesky factor
@@ -440,25 +426,26 @@ class TestStackedGate:
 class TestRandomSampling:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_orthogonal_properties(self, d):
-        o = random_orthogonal(d, 42).matrix
+        o = random_orthogonal(d, 42)
+        assert o.dtype == np.float64 and o.shape == (d, d)
         assert np.abs(o.imag).max() == 0.0
         assert np.abs(o.T @ o - np.eye(d)).max() <= 1e-12
         assert abs(abs(np.linalg.det(o.real)) - 1.0) <= 1e-10
 
     def test_orthogonal_deterministic(self):
-        a = random_orthogonal(3, 7).matrix
-        b = random_orthogonal(3, 7).matrix
-        c = random_orthogonal(3, 8).matrix
+        a = random_orthogonal(3, 7)
+        b = random_orthogonal(3, 7)
+        c = random_orthogonal(3, 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_orthogonal_d1_is_sign(self):
-        vals = {float(random_orthogonal(1, s).matrix.real[0, 0]) for s in range(20)}
+        vals = {float(random_orthogonal(1, s)[0, 0]) for s in range(20)}
         assert vals <= {-1.0, 1.0}
         assert len(vals) == 2
 
     def test_unitary_properties(self):
-        u = random_unitary(4, 3).matrix
+        u = random_unitary(4, 3)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -486,7 +473,7 @@ class TestOperatorType:
             ComplexOperator(np.ones((2, 3)), (6,))
 
     def test_matrix_is_read_only(self):
-        op = identity((2,))
+        op = ComplexOperator(np.eye(2), (2,))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
@@ -513,5 +500,5 @@ class TestOperatorType:
     def test_pure_state_projector(self):
         v = random_unit_vector(3, "complex", 2)
         p = pure_state_projector(v)
-        assert p.trace() == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(p.matrix) == pytest.approx(1.0, abs=1e-14)
         assert np.abs(p.matrix @ p.matrix - p.matrix).max() <= 1e-14

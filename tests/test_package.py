@@ -4,6 +4,7 @@ import ast
 import inspect
 import re
 from pathlib import Path
+from types import FunctionType
 
 import orthosym
 
@@ -17,6 +18,12 @@ def imported_names(path):
     return {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
 
 
+def names_read(node):
+    """Every name and attribute name read under an AST node."""
+    names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    return names | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def names_used_in_package():
     """Every name read in ``src/orthosym`` outside ``__init__.py``, a top-level
     function's own name not counted inside its own ``def``."""
@@ -25,8 +32,7 @@ def names_used_in_package():
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-            names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            names = names_read(node)
             if isinstance(node, ast.FunctionDef):
                 names.discard(node.name)
             used |= names
@@ -44,6 +50,24 @@ def test_every_public_function_has_a_caller():
     called = names_used_in_package() | imported_names(ROOT / "tests" / "test_acceptance.py")
     dead = sorted(exported - called)
     assert not dead, f"public functions with no caller: {', '.join(dead)}"
+
+
+def test_every_public_method_has_a_reader():
+    # a public method or property of an exported class that no module and not
+    # the acceptance suite reads is API nothing runs.  The check goes by name
+    # alone, so a read of the same name anywhere hides a dead member: np.trace
+    # in a module would hide a dead ComplexOperator.trace
+    read = names_used_in_package()
+    read |= names_read(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    members = (property, classmethod, staticmethod, FunctionType)
+    dead = sorted(
+        f"{name}.{attr}"
+        for name in imported_names(PACKAGE / "__init__.py")
+        if inspect.isclass(cls := getattr(orthosym, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and isinstance(value, members) and attr not in read
+    )
+    assert not dead, f"public methods with no reader: {', '.join(dead)}"
 
 
 def test_readme_library_example_runs():

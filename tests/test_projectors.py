@@ -9,13 +9,12 @@ from orthosym import (
     CapacityError,
     DomainError,
     all_multi_indices,
+    ComplexOperator,
     bipartite_traces,
-    build_bipartite,
     build_multipartite,
     check_family_budget,
-    flip,
+    hull_generators,
     multi_index_digits,
-    multi_index_rank,
     multipartite_trace,
     pair_projectors,
     projector_family,
@@ -24,10 +23,20 @@ from orthosym import (
 )
 from orthosym import projectors as projectors_module
 
-from oracles import doubled_tensor, random_unitary
+from oracles import doubled_tensor, random_unitary, swap_oracle
+
+
+def swap(d):
+    """F = Q0 - Q1 of the hull generators."""
+    q0, q1 = hull_generators(d)[:2]
+    return q0 - q1
 
 
 class TestFlip:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equals_the_kron_oracle(self, d):
+        assert np.array_equal(swap(d), swap_oracle(d))
+
     def test_d2_permutation_matrix(self):
         expected = np.array(
             [
@@ -38,55 +47,92 @@ class TestFlip:
             ],
             dtype=float,
         )
-        assert np.array_equal(flip(2).matrix, expected)
+        assert np.array_equal(swap(2), expected)
+        assert np.array_equal(swap_oracle(2), expected)
 
     def test_swaps_product_vectors(self):
         psi = random_unit_vector(3, "complex", 1)
         phi = random_unit_vector(3, "complex", 2)
-        swapped = flip(3).matrix @ np.kron(psi, phi)
+        swapped = swap(3) @ np.kron(psi, phi)
         assert np.abs(swapped - np.kron(phi, psi)).max() <= 1e-15
 
     def test_trace_counts_diagonal_pairs(self):
         # Tr F = number of (i, j) pairs with <ij|ji> = 1, i.e. i == j
-        assert flip(3).trace() == pytest.approx(3.0, abs=0)
+        assert np.trace(swap(3)) == pytest.approx(3.0, abs=0)
 
     def test_squares_to_identity(self):
-        f = flip(4).matrix
+        f = swap(4)
         assert np.array_equal(f @ f, np.eye(16))
 
     def test_rejects_small_dimension(self):
         with pytest.raises(DomainError):
-            flip(1)
+            hull_generators(1)
         with pytest.raises(DomainError):
-            build_bipartite(1)
+            pair_projectors(1)
 
 
-class TestBipartiteBasis:
+def parent_generators(d):
+    """(Q0, Q1, P0, P1) and (Pi0, Pi1, Pi2), each matrix built as its own
+    ComplexOperator from a loop-built swap, as the library once built them."""
+    f = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            f[i * d + j, j * d + i] = 1.0
+    f = ComplexOperator(f, (d, d)).matrix
+    p1 = np.zeros((d * d, d * d))
+    diag = np.arange(d) * (d + 1)
+    p1[np.ix_(diag, diag)] = 1.0 / d
+    p1 = ComplexOperator(p1, (d, d)).matrix
+    eye = ComplexOperator(np.eye(d * d), (d, d)).matrix
+    q0 = ComplexOperator((eye + f) / 2.0, (d, d)).matrix
+    q1 = ComplexOperator((eye - f) / 2.0, (d, d)).matrix
+    p0 = ComplexOperator(eye - p1, (d, d)).matrix
+    pi0 = ComplexOperator(q0 - p1, (d, d)).matrix
+    return np.stack([q0, q1, p0, p1]), np.stack([pi0, q1, p1])
+
+
+class TestHullGenerators:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_stacks_are_bytewise_the_per_operator_build(self, d):
+        generators, pis = parent_generators(d)
+        assert hull_generators(d).tobytes() == generators.tobytes()
+        assert pair_projectors(d).tobytes() == pis.tobytes()
+
+    def test_read_only_complex_stack(self):
+        stack = hull_generators(3)
+        assert stack.shape == (4, 9, 9) and stack.dtype == np.complex128
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [65, 10**6])
+    def test_dimension_cap_checked_before_any_allocation(self, d):
+        with pytest.raises(CapacityError, match=f"dimension {d * d} exceeds the cap 4096"):
+            hull_generators(d)
+
     def test_traces_d2(self):
-        b = build_bipartite(2)
-        got = [op.trace().real for op in (b.Q0, b.Q1, b.P1, b.Pi0, b.Pi1, b.Pi2)]
+        q0, q1, _, p1 = hull_generators(2)
+        got = [np.trace(op).real for op in (q0, q1, p1, *pair_projectors(2))]
         assert got == [3, 1, 1, 2, 1, 1]
         assert bipartite_traces(2) == (2, 1, 1)
 
     def test_traces_d3(self):
-        b = build_bipartite(3)
-        got = [op.trace().real for op in (b.Pi0, b.Pi1, b.Pi2)]
+        got = [np.trace(op).real for op in pair_projectors(3)]
         assert got == pytest.approx([5, 3, 1], abs=1e-13)
         assert sum(got) == 9
         assert bipartite_traces(3) == (5, 3, 1)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_resolutions_of_identity(self, d):
-        b = build_bipartite(d)
+        q0, q1, p0, p1 = hull_generators(d)
+        pi0, pi1, pi2 = pair_projectors(d)
         eye = np.eye(d * d)
-        assert np.array_equal(b.Q0.matrix + b.Q1.matrix, eye)
-        assert np.array_equal(b.P0.matrix + b.P1.matrix, eye)
-        assert np.abs(b.Pi0.matrix + b.Pi1.matrix + b.Pi2.matrix - eye).max() <= 1e-15
+        assert np.array_equal(q0 + q1, eye)
+        assert np.array_equal(p0 + p1, eye)
+        assert np.abs(pi0 + pi1 + pi2 - eye).max() <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthogonal_idempotent_family(self, d):
-        b = build_bipartite(d)
-        pis = [op.matrix for op in (b.Pi0, b.Pi1, b.Pi2)]
+        pis = pair_projectors(d)
         for i in range(3):
             for j in range(3):
                 product = pis[i] @ pis[j]
@@ -96,23 +142,21 @@ class TestBipartiteBasis:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_entangled_projector_below_symmetric(self, d):
         # Q0 P+ = P+ makes Pi0 = Q0 - P+ a genuine projector
-        b = build_bipartite(d)
-        assert np.abs(b.Q0.matrix @ b.P1.matrix - b.P1.matrix).max() <= 1e-13
+        q0, _, _, p1 = hull_generators(d)
+        assert np.abs(q0 @ p1 - p1).max() <= 1e-13
 
     def test_entangled_projector_rank_one(self):
-        b = build_bipartite(3)
-        eigs = np.sort(np.linalg.eigvalsh(b.Pi2.matrix))
+        eigs = np.sort(np.linalg.eigvalsh(pair_projectors(3)[2]))
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(eigs[:-1]).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_four_generators_coplanar(self, d):
-        b = build_bipartite(d)
+        q0, q1, p0, p1 = ops = hull_generators(d)
         # linear dependence at machine precision: both sums equal the identity
-        dependence = b.Q0.matrix + b.Q1.matrix - b.P0.matrix - b.P1.matrix
+        dependence = q0 + q1 - p0 - p1
         assert np.abs(dependence).max() <= 1e-15
-        ops = [b.Q0, b.Q1, b.P0, b.P1]
-        tildes = [o.matrix / o.trace().real for o in ops]
+        tildes = [o / np.trace(o).real for o in ops]
         gram = np.array(
             [[np.einsum("ij,ji->", x, y).real for y in tildes] for x in tildes]
         )
@@ -127,25 +171,16 @@ class TestMultiIndex:
         assert idx[5] == (1, 2)
         assert len(idx) == 9
         for rank, digits in enumerate(idx):
-            assert multi_index_rank(digits) == rank
-
-    @pytest.mark.parametrize("digits", [(1.0, 2), (np.int64(1), 2), (True, 2)])
-    def test_integral_digits_give_an_int(self, digits):
-        rank = multi_index_rank(digits)
-        assert rank == 5 and type(rank) is int
+            assert multi_index_digits(rank, 2) == digits
 
     @given(st.integers(1, 6), st.data())
     def test_rank_digit_bijection(self, K, data):
         rank = data.draw(st.integers(0, 3**K - 1))
         digits = multi_index_digits(rank, K)
         assert len(digits) == K
-        assert multi_index_rank(digits) == rank
+        assert int("".join(map(str, digits)), 3) == rank
 
     def test_invalid_digits_rejected(self):
-        with pytest.raises(ValueError):
-            multi_index_rank((0, 3))
-        with pytest.raises(ValueError, match="trinary"):
-            multi_index_rank((2.7, 0))
         with pytest.raises(ValueError):
             multi_index_digits(9, 2)
 
@@ -158,7 +193,7 @@ class TestMultipartite:
     def test_trace_factorizes(self):
         assert multipartite_trace(2, (0, 2)) == 2
         for alpha in all_multi_indices(2):
-            dense = build_multipartite(2, 2, alpha).trace().real
+            dense = np.trace(build_multipartite(2, 2, alpha).matrix).real
             assert dense == pytest.approx(multipartite_trace(2, alpha), abs=1e-12)
 
     def test_pairwise_orthogonality_d2_K2(self):
@@ -176,7 +211,7 @@ class TestMultipartite:
         family = projector_family(3, 1)
         worst = 0.0
         for seed in range(100):
-            big = doubled_tensor([random_orthogonal(3, seed)]).matrix
+            big = doubled_tensor([random_orthogonal(3, seed)])
             for p in family:
                 worst = max(worst, np.abs(big @ p - p @ big).max())
         assert worst <= 1e-10
@@ -190,23 +225,21 @@ class TestMultipartite:
         for seed in range(50):
             o1 = random_orthogonal(d, 2 * seed)
             o2 = random_orthogonal(d, 2 * seed + 1)
-            big = doubled_tensor([o1, o2]).matrix
+            big = doubled_tensor([o1, o2])
             worst = max(worst, np.abs(big @ op - op @ big).max())
         assert worst <= 1e-10
 
     def test_unitary_rotations_separate_the_family(self):
         # under complex U (x) U the antisymmetric member still commutes, but
         # the entangled-projector member must visibly fail for some seed
-        b = build_bipartite(2)
+        _, pi1, pi2 = pair_projectors(2)
         worst_pi2 = 0.0
         for seed in range(100):
             u = random_unitary(2, seed)
-            big = doubled_tensor([u]).matrix
-            comm_pi1 = np.abs(big @ b.Pi1.matrix - b.Pi1.matrix @ big).max()
+            big = doubled_tensor([u])
+            comm_pi1 = np.abs(big @ pi1 - pi1 @ big).max()
             assert comm_pi1 <= 1e-12
-            worst_pi2 = max(
-                worst_pi2, np.abs(big @ b.Pi2.matrix - b.Pi2.matrix @ big).max()
-            )
+            worst_pi2 = max(worst_pi2, np.abs(big @ pi2 - pi2 @ big).max())
         assert worst_pi2 > 1e-3
 
     def test_capacity_limits(self):
@@ -267,10 +300,10 @@ class TestMultipartite:
         # grouped-order projector must equal the manual tensor with row legs
         # (A1 A2 B1 B2): t1 carries (A1 B1 | A1' B1'), t2 carries (A2 B2 | ...)
         d = 2
-        b = build_bipartite(d)
+        _, pi1, pi2 = pair_projectors(d)
         got = build_multipartite(d, 2, (1, 2))
-        t1 = b.Pi1.matrix.reshape(d, d, d, d)
-        t2 = b.Pi2.matrix.reshape(d, d, d, d)
+        t1 = pi1.reshape(d, d, d, d)
+        t2 = pi2.reshape(d, d, d, d)
         grouped = np.einsum("ijkl,mnop->imjnkolp", t1, t2)
         expected = grouped.reshape(16, 16)
         assert np.abs(got.matrix - expected).max() <= 1e-14
@@ -308,8 +341,8 @@ class TestMultipartite:
 
         def counted(d):
             calls.append(d)
-            return build_bipartite(d)
+            return hull_generators(d)
 
-        monkeypatch.setattr(projectors_module, "build_bipartite", counted)
+        monkeypatch.setattr(projectors_module, "hull_generators", counted)
         projector_family(2, 3)
         assert calls == [2]

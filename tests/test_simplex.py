@@ -22,19 +22,17 @@ from orthosym import (
     all_multi_indices,
     bipartite_traces,
     bob_subsystems,
-    build_bipartite,
     c_matrix,
     check_scan_budget,
     check_vertex_budget,
     classify_lattice,
     coordinate_bounds,
     default_grid_resolution,
+    hull_generators,
     hull_vertices,
-    identity,
     intersection_point,
     mask_digits,
     min_eigenvalue_rows,
-    multi_index_rank,
     multipartite_trace,
     pair_projectors,
     partial_trace_rows,
@@ -187,11 +185,7 @@ class TestPtMap:
         # family by trace inner products
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
         transposed = partial_transpose_rows(reconstruct(f).matrix[None], (2, 2), (1,))[0]
-        basis = build_bipartite(2)
-        dense = [
-            np.einsum("ij,ji->", transposed, pi_k.matrix).real
-            for pi_k in (basis.Pi0, basis.Pi1, basis.Pi2)
-        ]
+        dense = [np.einsum("ij,ji->", transposed, pi_k).real for pi_k in pair_projectors(2)]
         assert np.abs(np.array(dense) - pt_map(f, (1,)).pi).max() <= 1e-14
 
     def test_matches_matrix_oracle_for_each_mask(self):
@@ -486,13 +480,13 @@ class TestSepBounds:
 
 class TestTwirlAndReconstruct:
     @pytest.mark.parametrize("d", [2, 3])
-    def test_pair_tensor_matches_build_bipartite(self, d):
+    def test_pair_tensor_matches_hull_generators(self, d):
         pair = pair_projectors(d)
         assert pair.shape == (3, d * d, d * d) and pair.dtype == np.complex128
         assert not pair.flags.writeable
-        basis = build_bipartite(d)
+        q0, q1, _, p1 = hull_generators(d)
         for k in range(3):
-            assert np.array_equal(pair[k], (basis.Pi0, basis.Pi1, basis.Pi2)[k].matrix)
+            assert np.array_equal(pair[k], (q0 - p1, q1, p1)[k])
 
     def test_maximally_mixed_coordinates(self):
         rho = ComplexOperator(np.eye(4) / 4.0, (2, 2))
@@ -508,14 +502,12 @@ class TestTwirlAndReconstruct:
             assert np.abs(back.pi - f.pi).max() <= 1e-13
 
     def test_uniform_reconstruction_d2(self):
-        basis = build_bipartite(2)
+        pi0, pi1, pi2 = pair_projectors(2)
         f = FidelityVector(2, 1, np.full(3, 1.0 / 3.0))
         rho = reconstruct(f)
-        expected = (
-            basis.Pi0.matrix / 2.0 + basis.Pi1.matrix + basis.Pi2.matrix
-        ) / 3.0
+        expected = (pi0 / 2.0 + pi1 + pi2) / 3.0
         assert np.abs(rho.matrix - expected).max() <= 1e-15
-        assert rho.trace() == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-14)
 
     def test_roundtrip_random_states(self):
         for seed in range(30):
@@ -535,7 +527,7 @@ class TestTwirlAndReconstruct:
 
     def test_twirl_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            twirl_coords(identity((2, 2)), 2, 1)  # trace 4
+            twirl_coords(ComplexOperator(np.eye(4), (2, 2)), 2, 1)  # trace 4
         bad = ComplexOperator(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2))
         with pytest.raises(DomainError):
             twirl_coords(bad, 2, 1)
@@ -585,7 +577,7 @@ class TestReduce:
         assert np.abs(out.pi - np.full(3, 1.0 / 3.0)).max() <= 1e-15
 
     def test_vertex_marginal(self):
-        f = FidelityVector(2, 2, np.eye(9)[multi_index_rank((0, 2))])
+        f = FidelityVector(2, 2, np.eye(9)[2])  # the vertex (0, 2)
         out = reduce_pair(f, 0)
         assert np.array_equal(out.pi, np.array([0.0, 0.0, 1.0]))
 
@@ -633,10 +625,8 @@ class TestVertices:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_vertices_match_dense_twirl(self, d):
-        basis = build_bipartite(d)
-        dense = {"Q0": basis.Q0, "Q1": basis.Q1, "P0": basis.P0, "P1": basis.P1}
-        for label, op in dense.items():
-            rho = ComplexOperator(op.matrix / op.trace().real, (d, d))
+        for label, op in zip(VERTEX_LABELS, hull_generators(d)):
+            rho = ComplexOperator(op / np.trace(op).real, (d, d))
             got = vertex_coords(d)[label]
             expected = twirl_coords(rho, d, 1)
             assert np.abs(got - expected.pi).max() <= 1e-12
@@ -688,9 +678,9 @@ class TestIntersectionPoint:
     @pytest.mark.parametrize("d", [2, 3])
     def test_coords_match_dense_twirl_of_werner_mixture(self, d):
         ip = intersection_point(d)
-        basis = build_bipartite(d)
-        q0 = basis.Q0.matrix / basis.Q0.trace().real
-        q1 = basis.Q1.matrix / basis.Q1.trace().real
+        q0, q1 = hull_generators(d)[:2]
+        q0 = q0 / np.trace(q0).real
+        q1 = q1 / np.trace(q1).real
         rho = ComplexOperator((1 - ip.q) * q0 + ip.q * q1, (d, d))
         assert np.abs(ip.coords - twirl_coords(rho, d, 1).pi).max() <= 1e-12
 
@@ -1181,19 +1171,3 @@ class TestFidelityVectorType:
         assert FidelityVector(2, 1, [1.0, 0.0, 0.0]).is_state(tol=0.0)
         assert not FidelityVector(2, 1, [1.1, 0.0, -0.1]).is_state()
         assert not FidelityVector(2, 1, [0.5, 0.3, 0.1]).is_state()
-
-    def test_coordinate_lookup(self):
-        f = random_state_vector(2, 2, 6)
-        assert f.coordinate((1, 2)) == f.pi[5]
-        assert f.coordinate((1.0, 2)) == f.pi[5]
-        assert f.coordinate((np.int64(1), 2)) == f.pi[5]
-
-    @pytest.mark.parametrize("digits", [(2,), (0, 0, 1), ()])
-    def test_coordinate_needs_K_digits(self, digits):
-        # the rank of (2,) is that of (0, 2), and of (0, 0, 1) that of (0, 1)
-        with pytest.raises(ValueError, match="expected 2 digits"):
-            random_state_vector(2, 2, 6).coordinate(digits)
-
-    def test_coordinate_rejects_fractional_digits(self):
-        with pytest.raises(ValueError, match="trinary"):
-            random_state_vector(2, 2, 6).coordinate((2.7, 0))

@@ -54,7 +54,7 @@ def reference_invariance(d, K, trials, seed):
     residual = 0.0
     for t in range(trials):
         ops = [random_orthogonal(d, children[t * K + i]) for i in range(K)]
-        big = doubled_tensor(ops).matrix
+        big = doubled_tensor(ops)
         for p in family:
             residual = max(residual, float(np.abs(big @ p - p @ big).max()))
     return residual

@@ -60,6 +60,11 @@ def write_fid(tmp_path, name, d, K, pi):
     return str(path)
 
 
+def seeded_k4_point():
+    """A seeded d=3, K=4 state point, the input of the pinned sep and reduce digests."""
+    return np.random.default_rng([3, 4, 2026]).dirichlet(np.ones(3**4))
+
+
 class TestVertices:
     def test_d2_intersection_values(self, capsys):
         code, out, _ = run(capsys, "vertices", "--d", "2")
@@ -537,6 +542,15 @@ class TestSep:
         monkeypatch.setattr(cli, "sep_bound_check", no_work)
         monkeypatch.setattr(cli, "_digit_labels", no_work)
 
+    def test_pinned_k4_digest(self, capsys, tmp_path):
+        # a seeded d=3, K=4 point over two of its ceilings
+        fid = write_fid(tmp_path, "fid.json", 3, 4, seeded_k4_point())
+        code, out, _ = run(capsys, "sep", "--fid", fid)
+        assert code == 0
+        assert len(json.loads(out)["violated"]) == 2
+        digest = "24b2d4907ddb674f2bc1aa72431146801d74e39be57a1b6ff2b2dc87ba8eb0f7"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "field", [{"d": 2.5}, {"K": 1.5}, {"d": 2.0}, {"d": "2"}, {"K": True}]
     )
@@ -977,6 +991,13 @@ class TestExitCodeContract:
 
 
 class TestReduce:
+    def test_pinned_k4_digest(self, capsys, tmp_path):
+        fid = write_fid(tmp_path, "fid.json", 3, 4, seeded_k4_point())
+        code, out, _ = run(capsys, "reduce", "--fid", fid, "--pair", "2")
+        assert code == 0
+        digest = "2b01ea597fe710f375894cdd163333dab848370a8238615c8d01b8563d433afa"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_uniform_reduction(self, capsys, tmp_path):
         fid = write_fid(tmp_path, "u.json", 2, 2, [1 / 9] * 9)
         code, out, _ = run(capsys, "reduce", "--fid", fid, "--pair", "1")

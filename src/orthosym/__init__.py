@@ -28,7 +28,6 @@ from .projectors import (
     build_multipartite,
     check_family_budget,
     hull_generators,
-    multi_index_digits,
     multipartite_trace,
     pair_projectors,
     projector_family,
@@ -49,11 +48,9 @@ from .simplex import (
     default_grid_resolution,
     hull_vertices,
     intersection_point,
-    mask_digits,
     ppt_check,
     ppt_inequalities,
     product_state_fidelities_rows,
-    pt_map,
     pt_map_masks,
     pt_map_rows,
     reconstruct,

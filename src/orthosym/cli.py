@@ -22,6 +22,7 @@ from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
 from .jsonio import dumps, format_float, loads
 from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
+    VERTEX_LABELS,
     FidelityVector,
     check_output_budget,
     check_scan_budget,
@@ -160,23 +161,19 @@ def cmd_sep(args) -> int:
     f = _load(FidelityVector, args.fid)
     check_output_budget([2 * f.pi.size], f"sep of K={f.K}")  # pi and bound
     result = sep_bound_check(f)
-    violated = ["".join(map(str, a)) for a in result.violated]
-    failed = set(violated)
+    labels = _digit_labels(f.K, "012")
+    ok = np.ones(f.pi.size, dtype=bool)
+    ok[list(result.violated)] = False
     rows = [
-        {
-            "sigma": label,
-            "pi": float(f.pi[rank]),
-            "bound": float(result.bounds[rank]),
-            "ok": label not in failed,
-        }
-        for rank, label in enumerate(_digit_labels(f.K, "012"))
+        {"sigma": label, "pi": pi, "bound": bound, "ok": good}
+        for label, pi, bound, good in zip(labels, f.pi, result.bounds, ok)
     ]
     doc = {
         "d": f.d,
         "K": f.K,
         "passes": result.passes,
         "scope": "sufficient" if result.sufficient else "necessary-only",
-        "violated": violated,
+        "violated": [labels[r] for r in result.violated],
         "coordinates": rows,
     }
     _emit(args, dumps(doc) + "\n")
@@ -214,13 +211,12 @@ def cmd_reduce(args) -> int:
 def cmd_vertices(args) -> int:
     check_vertex_budget(args.K)
     crossing = intersection_point(args.d)
+    # row r of the table is the vertex of the r-th label sequence
+    vertices = zip(product(VERTEX_LABELS, repeat=args.K), hull_vertices(args.d, args.K))
     doc = {
         "d": args.d,
         "K": args.K,
-        "vertices": [
-            {"pairs": list(labels), "pi": f.pi}
-            for labels, f in hull_vertices(args.d, args.K)
-        ],
+        "vertices": [{"pairs": list(labels), "pi": pi} for labels, pi in vertices],
         "intersection": {
             "q": crossing.q,
             "p": crossing.p,

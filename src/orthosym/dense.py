@@ -51,6 +51,9 @@ class ComplexOperator:
         mat = np.array(self.matrix, dtype=np.complex128, order="C", copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got {mat.shape}")
+        # checked before int(), which would take 2.7 and "2" to 2; a bool is no dimension
+        if not all(_is_integer(s) for s in self.shape):
+            raise ValueError(f"local dimensions must be integers, got {tuple(self.shape)}")
         shape = tuple(int(s) for s in self.shape)
         if not shape or any(s < 1 for s in shape):
             raise ValueError(f"local dimensions must be positive, got {shape}")
@@ -91,6 +94,11 @@ class ComplexOperator:
         matrix = np.empty((dim, dim), dtype=np.complex128)
         matrix.real, matrix.imag = re.reshape(dim, dim), im.reshape(dim, dim)
         return cls(matrix, tuple(shape))
+
+
+def _is_integer(n) -> bool:
+    """True for an ``int`` or a NumPy integer, but not for a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _subsystems(shape: Sequence[int], subs: Iterable[int]) -> tuple[int, ...]:

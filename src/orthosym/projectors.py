@@ -64,17 +64,6 @@ def bipartite_traces(d: int) -> tuple[int, int, int]:
     return ((d - 1) * (d + 2) // 2, d * (d - 1) // 2, 1)
 
 
-def multi_index_digits(rank: int, K: int) -> tuple[int, ...]:
-    """The K base-3 digits of ``rank``, most significant digit first."""
-    if not 0 <= rank < 3**K:
-        raise ValueError(f"rank {rank} out of range for K={K}")
-    digits = []
-    for _ in range(K):
-        rank, g = divmod(rank, 3)
-        digits.append(g)
-    return tuple(reversed(digits))
-
-
 def all_multi_indices(K: int) -> list[tuple[int, ...]]:
     """All trinary K-digit multi-indices in rank order."""
     return list(product((0, 1, 2), repeat=K))

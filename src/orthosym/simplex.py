@@ -25,15 +25,12 @@ from .dense import (
     CapacityError,
     ComplexOperator,
     DomainError,
+    _is_integer,
     is_psd_rows,
     kron_rows,
 )
 from .jsonio import float_array
-from .projectors import (
-    bipartite_traces,
-    multi_index_digits,
-    pair_projectors,
-)
+from .projectors import bipartite_traces, pair_projectors
 
 #: Absolute slack allowed on the unit-sum constraint of state coordinates.
 SUM_TOL = 1e-12
@@ -55,8 +52,8 @@ class FidelityVector:
     """Coordinates pi_alpha of an invariant 2K-party state.
 
     Entries follow base-3 rank order with the first pair as the most
-    significant digit.  Vectors coming out of :func:`pt_map` may carry
-    negative entries; :meth:`is_state` tells the two cases apart.
+    significant digit.  Transposed coordinates (:attr:`PPTVerdict.transformed`)
+    may carry negative entries; :meth:`is_state` tells the two cases apart.
     """
 
     d: int
@@ -64,7 +61,7 @@ class FidelityVector:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, (int, np.integer)) for n in (self.d, self.K)):
+        if not (_is_integer(self.d) and _is_integer(self.K)):
             raise ValueError(f"d and K must be integers, got {self.d!r}, {self.K!r}")
         if self.d < 2:
             raise DomainError("local dimension must be >= 2")
@@ -99,20 +96,9 @@ def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return (pi.min(axis=1) >= -tol) & (np.abs(pi.sum(axis=1) - 1.0) <= SUM_TOL)
 
 
-def mask_digits(rank: int, K: int) -> tuple[int, ...]:
-    """The K binary digits of a transposition mask's rank, first pair most significant."""
-    if not 0 <= rank < 2**K:
-        raise ValueError(f"rank {rank} out of range for K={K}")
-    bits = []
-    for _ in range(K):
-        rank, b = divmod(rank, 2)
-        bits.append(b)
-    return tuple(reversed(bits))
-
-
 def all_masks(K: int) -> list[tuple[int, ...]]:
-    """The 2**K - 1 nonzero transposition masks in binary rank order."""
-    return [mask_digits(r, K) for r in range(1, 2**K)]
+    """The 2**K - 1 nonzero masks in binary rank order: mask r is ``all_masks(K)[r - 1]``."""
+    return list(product((0, 1), repeat=K))[1:]
 
 
 def bob_subsystems(mask: Sequence[int], K: int) -> tuple[int, ...]:
@@ -197,7 +183,7 @@ def pt_map_masks(pi: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
     """:func:`pt_map_rows` of every row of an (N, 3**K) array under all 2**K masks.
 
     Returns the (N, 2**K, 3**K) walk: slice r holds the rows under the mask
-    of rank r (:func:`mask_digits`), slice 0 the rows themselves.  Mask r is
+    of rank r, ``all_masks(K)[r - 1]``, slice 0 the rows themselves.  Mask r is
     ``c`` on the last masked axis of mask r & (r - 1), already in the walk, so
     each mask costs one contraction, and the axes are contracted in the
     order of :func:`pt_map_rows`, which keeps every float bitwise equal to it.
@@ -213,25 +199,15 @@ def pt_map_masks(pi: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
     return walk.reshape(2**K, *pi.shape).swapaxes(0, 1)
 
 
-def pt_map(f: FidelityVector, mask: Sequence[int]) -> FidelityVector:
-    """Coordinates after transposing the Bob factors selected by ``mask``.
-
-    Each masked digit is pushed through the 3x3 transposition matrix while
-    unmasked digits are left alone; the coordinate sum is preserved.  The
-    output may have negative entries, which is precisely the positivity
-    signal the PPT tests look for, so no error is raised.
-    """
-    return FidelityVector(f.d, f.K, pt_map_rows(f.pi[None], c_matrix(f.d), mask)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class PPTVerdict:
-    """Outcome of one partial-transposition positivity test."""
+    """Outcome of one partial-transposition positivity test; ``violations`` holds
+    the (rank, value) of each transformed coordinate below -tol."""
 
     mask: tuple[int, ...]
     is_ppt: bool
     transformed: FidelityVector
-    violations: tuple[tuple[tuple[int, ...], float], ...]
+    violations: tuple[tuple[int, float], ...]
 
 
 def ppt_check(f: FidelityVector, mask: Sequence[int], tol: float = PSD_TOL) -> PPTVerdict:
@@ -245,12 +221,9 @@ def ppt_check(f: FidelityVector, mask: Sequence[int], tol: float = PSD_TOL) -> P
     bits = _check_mask(mask, f.pi.size)
     if not f.is_state():
         raise DomainError("ppt_check requires state-valued coordinates")
-    g = pt_map(f, bits)
-    bad = np.nonzero(g.pi < -tol)[0]
-    violations = tuple(
-        (multi_index_digits(int(r), f.K), float(g.pi[r])) for r in bad
-    )
-    return PPTVerdict(bits, len(bad) == 0, g, violations)
+    g = pt_map_rows(f.pi[None], c_matrix(f.d), bits)[0]
+    violations = tuple((r, float(g[r])) for r in np.flatnonzero(g < -tol).tolist())
+    return PPTVerdict(bits, not violations, FidelityVector(f.d, f.K, g), violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,13 +293,14 @@ class SeparabilityBounds:
 
     ``sufficient`` is True only for a single pair, where passing the bounds
     characterizes separability; for K >= 2 a pass is a necessary condition
-    only and the state is merely a separability candidate.
+    only and the state is merely a separability candidate.  ``violated``
+    holds the ranks of the coordinates over their ceilings.
     """
 
     passes: bool
     sufficient: bool
     bounds: np.ndarray
-    violated: tuple[tuple[int, ...], ...]
+    violated: tuple[int, ...]
 
 
 def coordinate_bounds(d: int, K: int) -> np.ndarray:
@@ -336,17 +310,14 @@ def coordinate_bounds(d: int, K: int) -> np.ndarray:
         return 1.0 / kron_rows(*[weights] * K)[0, 0]
 
 
-def sep_bound_check(f: FidelityVector, tol: float = PSD_TOL) -> SeparabilityBounds:
-    """Check every coordinate against its product-state ceiling."""
+def sep_bound_check(f: FidelityVector) -> SeparabilityBounds:
+    """Check every coordinate against its product-state ceiling, within PSD_TOL."""
     if not f.is_state():
         raise DomainError("sep_bound_check requires state-valued coordinates")
     bounds = coordinate_bounds(f.d, f.K)
-    bad = np.nonzero(f.pi > bounds + tol)[0]
+    violated = tuple(np.flatnonzero(f.pi > bounds + PSD_TOL).tolist())
     return SeparabilityBounds(
-        passes=len(bad) == 0,
-        sufficient=f.K == 1,
-        bounds=bounds,
-        violated=tuple(multi_index_digits(int(r), f.K) for r in bad),
+        passes=not violated, sufficient=f.K == 1, bounds=bounds, violated=violated
     )
 
 
@@ -355,7 +326,7 @@ def _pair_legs(K: int) -> list[int]:
     return [leg for i in range(K) for leg in (i, K + i, 2 * K + i, 3 * K + i)]
 
 
-def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.ndarray:
+def twirl_rows(stack: np.ndarray, d: int, K: int) -> np.ndarray:
     """:func:`twirl_coords` of every density matrix of a (T, D, D) stack.
 
     Returns the (T, 3**K) coordinates.  Each check runs on the whole stack,
@@ -376,7 +347,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.nd
     off = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
     if off.size:
         raise DomainError(f"state trace {complex(traces[off[0]]):.12g} is not 1")
-    if not is_psd_rows(stack, tol).all():
+    if not is_psd_rows(stack).all():
         raise DomainError("state is not positive semidefinite within tolerance")
     t = len(stack)
     # [k, (a b a' b')] = Pi_k[a' b', a b], the transposed factor of the trace
@@ -387,9 +358,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int, tol: float = PSD_TOL) -> np.nd
     return pi / pi.sum(axis=1, keepdims=True)
 
 
-def twirl_coords(
-    rho: ComplexOperator, d: int, K: int, tol: float = PSD_TOL
-) -> FidelityVector:
+def twirl_coords(rho: ComplexOperator, d: int, K: int) -> FidelityVector:
     """Project a density matrix onto the invariant simplex.
 
     pi_alpha = Tr(rho Pi_alpha) is contracted one pair at a time, the (A_i, B_i
@@ -397,7 +366,7 @@ def twirl_coords(
     result is state-valued, idempotent with :func:`reconstruct`, and rescaled
     by its sum so that a trace off by up to 1e-10 still yields unit-sum output.
     """
-    pi = twirl_rows(rho.matrix[None], d, K, tol)[0]
+    pi = twirl_rows(rho.matrix[None], d, K)[0]
     # the dimension is d**(2K) by now, so all factors d make the shape (d,) * 2K;
     # no 2K-tuple is built, since d = 1 admits any K
     if any(s != d for s in rho.shape):
@@ -498,18 +467,16 @@ def check_vertex_budget(K: int) -> None:
     check_output_budget((12**k for k in range(1, K + 1)), f"the hull vertex list of K={K}")
 
 
-def hull_vertices(d: int, K: int) -> list[tuple[tuple[str, ...], FidelityVector]]:
+def hull_vertices(d: int, K: int) -> np.ndarray:
     """All 4**K tensor combinations of the bipartite hull generators.
 
-    Returned in lexicographic order over per-pair labels (Q0, Q1, P0, P1),
-    after :func:`check_vertex_budget`.
+    Returns the read-only (4**K, 3**K) table, row r the vertex labelled
+    ``list(product(VERTEX_LABELS, repeat=K))[r]``, after :func:`check_vertex_budget`.
     """
     check_vertex_budget(K)
     table = kron_rows(*[_vertex_table(d)[None]] * K)[0]
-    return [
-        (labels, FidelityVector(d, K, pi))
-        for labels, pi in zip(product(VERTEX_LABELS, repeat=K), table)
-    ]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)

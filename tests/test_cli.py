@@ -396,8 +396,8 @@ def reference_ppt(f, masks, tol):
                 "is_ppt": verdict.is_ppt,
                 "pi": verdict.transformed.pi,
                 "violations": [
-                    {"alpha": "".join(map(str, digits)), "value": value}
-                    for digits, value in verdict.violations
+                    {"alpha": "".join(map(str, all_multi_indices(f.K)[r])), "value": value}
+                    for r, value in verdict.violations
                 ],
             }
         )

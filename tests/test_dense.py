@@ -472,6 +472,26 @@ class TestOperatorType:
         with pytest.raises(ValueError):
             ComplexOperator(np.ones((2, 3)), (6,))
 
+    @pytest.mark.parametrize("shape", [(2.7, 2.2), (2.0, 2.0)])
+    def test_float_shape_rejected(self, shape):
+        # int() would take (2.7, 2.2) to the shape (2, 2) of the matrix
+        with pytest.raises(ValueError, match="local dimensions must be integers"):
+            ComplexOperator(np.eye(4), shape)
+
+    def test_string_shape_rejected(self):
+        with pytest.raises(ValueError, match="local dimensions must be integers"):
+            ComplexOperator(np.eye(4), ("2", "2"))
+
+    def test_bool_shape_rejected(self):
+        # True is an int, and would pass as a factor of dimension 1
+        with pytest.raises(ValueError, match="local dimensions must be integers"):
+            ComplexOperator(np.eye(2), (2, True))
+
+    def test_numpy_integer_shape_accepted(self):
+        op = ComplexOperator(np.eye(4), (np.int64(2), np.int32(2)))
+        assert op.shape == (2, 2)
+        assert all(type(s) is int for s in op.shape)
+
     def test_matrix_is_read_only(self):
         op = ComplexOperator(np.eye(2), (2,))
         with pytest.raises(ValueError):

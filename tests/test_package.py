@@ -1,10 +1,14 @@
 """Checks on the package as a whole: its public functions and the README example."""
 
 import ast
+import builtins
+import importlib
 import inspect
 import re
 from pathlib import Path
 from types import FunctionType
+
+import numpy as np
 
 import orthosym
 
@@ -76,3 +80,51 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert blocks
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def string_constants_in_package():
+    """Every string literal in ``src/orthosym``: check names, CSV columns, messages."""
+    return {
+        node.value
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def readme_code_names():
+    """The names of the backticked spans of README.md outside fenced blocks: each
+    ``name(`` called in a span, and each span that is one snake_case name."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        names.update(re.findall(r"([A-Za-z_][\w.]*)\(", span))
+        if re.fullmatch(r"[A-Za-z_][\w.]*", span) and "_" in span:
+            names.add(span)
+    return names
+
+
+def test_readme_names_are_defined():
+    # a README that names a deleted function documents API that is gone
+    modules = {
+        path.stem: importlib.import_module(f"orthosym.{path.stem}")
+        for path in PACKAGE.glob("*.py")
+        if not path.stem.startswith("__")  # importing __main__ would run the CLI
+    }
+    scopes = [orthosym, *modules.values(), np, np.linalg, builtins]
+    strings = string_constants_in_package()
+
+    def defined(name):
+        head, *rest = name.split(".")
+        roots = {**modules, "orthosym": orthosym, "np": np, "numpy": np}
+        if head in roots and rest:
+            obj = roots[head]
+            for attr in rest:
+                obj = getattr(obj, attr, None)
+            return obj is not None
+        return name in strings or any(hasattr(scope, name) for scope in scopes)
+
+    names = readme_code_names()
+    assert {"pt_map_rows", "c_matrix", "sep_bound"} <= names  # the scan found the spans
+    missing = sorted(name for name in names if not defined(name))
+    assert not missing, f"README names undefined: {', '.join(missing)}"

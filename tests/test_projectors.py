@@ -14,7 +14,6 @@ from orthosym import (
     build_multipartite,
     check_family_budget,
     hull_generators,
-    multi_index_digits,
     multipartite_trace,
     pair_projectors,
     projector_family,
@@ -171,18 +170,14 @@ class TestMultiIndex:
         assert idx[5] == (1, 2)
         assert len(idx) == 9
         for rank, digits in enumerate(idx):
-            assert multi_index_digits(rank, 2) == digits
+            assert int("".join(map(str, digits)), 3) == rank
 
     @given(st.integers(1, 6), st.data())
     def test_rank_digit_bijection(self, K, data):
         rank = data.draw(st.integers(0, 3**K - 1))
-        digits = multi_index_digits(rank, K)
+        digits = all_multi_indices(K)[rank]
         assert len(digits) == K
         assert int("".join(map(str, digits)), 3) == rank
-
-    def test_invalid_digits_rejected(self):
-        with pytest.raises(ValueError):
-            multi_index_digits(9, 2)
 
 
 class TestMultipartite:
@@ -332,8 +327,8 @@ class TestMultipartite:
         assert not family.flags.writeable
         with pytest.raises(ValueError):
             family[0, 0, 0] = 1.0
-        for rank, p in enumerate(family):
-            member = build_multipartite(d, K, multi_index_digits(rank, K)).matrix
+        for alpha, p in zip(all_multi_indices(K), family):
+            member = build_multipartite(d, K, alpha).matrix
             assert p.tobytes() == member.tobytes()
 
     def test_family_build_constructs_the_pair_basis_once(self, monkeypatch):

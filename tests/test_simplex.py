@@ -31,7 +31,6 @@ from orthosym import (
     hull_generators,
     hull_vertices,
     intersection_point,
-    mask_digits,
     min_eigenvalue_rows,
     multipartite_trace,
     pair_projectors,
@@ -41,7 +40,6 @@ from orthosym import (
     ppt_inequalities,
     product_state_fidelities_rows,
     projector_family,
-    pt_map,
     pt_map_masks,
     pt_map_rows,
     random_unit_vector,
@@ -94,7 +92,7 @@ def product_states(psis, phis):
 
 def vertex_coords(d):
     """The coordinates of the four pair vertices of ``hull_vertices(d, 1)``, by label."""
-    return {labels[0]: f.pi for labels, f in hull_vertices(d, 1)}
+    return dict(zip(VERTEX_LABELS, hull_vertices(d, 1)))
 
 
 def grid_points(d, K, n):
@@ -102,8 +100,13 @@ def grid_points(d, K, n):
     return [FidelityVector(d, K, np.array(c, dtype=float) / n) for c in simplex_grid(n, 3**K)]
 
 
+def transposed_coords(f, mask):
+    """The coordinates of ``f`` after the transposition ``mask``, through a stack of one."""
+    return pt_map_rows(f.pi[None], c_matrix(f.d), mask)[0]
+
+
 def single_point_pt_map(pi, c, mask):
-    """pt_map as one tensordot per masked digit of a single 3**K vector."""
+    """The transposition map as one tensordot per masked digit of a single 3**K vector."""
     tensor = pi.reshape((3,) * len(mask))
     for axis, bit in enumerate(mask):
         if bit:
@@ -170,15 +173,15 @@ class TestTranspositionMatrix:
 class TestPtMap:
     def test_zero_mask_is_identity(self):
         f = random_state_vector(3, 2, 4)
-        out = pt_map(f, (0, 0))
-        assert np.array_equal(out.pi, f.pi)
+        out = transposed_coords(f, (0, 0))
+        assert np.array_equal(out, f.pi)
 
     def test_entangled_vertex_d2(self):
         # the third row of the d=2 transposition matrix
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
-        out = pt_map(f, (1,))
-        assert np.array_equal(out.pi, np.array([1.0, -0.5, 0.5]))
-        assert not out.is_state()
+        out = transposed_coords(f, (1,))
+        assert np.array_equal(out, np.array([1.0, -0.5, 0.5]))
+        assert not FidelityVector(2, 1, out).is_state()
 
     def test_entangled_vertex_matches_dense_expansion(self):
         # expand the dense transposed state in the normalized projector
@@ -186,7 +189,7 @@ class TestPtMap:
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
         transposed = partial_transpose_rows(reconstruct(f).matrix[None], (2, 2), (1,))[0]
         dense = [np.einsum("ij,ji->", transposed, pi_k).real for pi_k in pair_projectors(2)]
-        assert np.abs(np.array(dense) - pt_map(f, (1,)).pi).max() <= 1e-14
+        assert np.abs(np.array(dense) - transposed_coords(f, (1,))).max() <= 1e-14
 
     def test_matches_matrix_oracle_for_each_mask(self):
         f = random_state_vector(2, 2, 9)
@@ -198,13 +201,13 @@ class TestPtMap:
             (1, 1): c.T @ p @ c,
         }
         for mask, expected in oracles.items():
-            got = pt_map(f, mask).pi.reshape(3, 3)
+            got = transposed_coords(f, mask).reshape(3, 3)
             assert np.abs(got - expected).max() <= 1e-14
 
     def test_uniform_k2_sum_preserved(self):
         f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
-        out = pt_map(f, (0, 1))
-        assert out.pi.sum() == pytest.approx(1.0, abs=1e-12)
+        out = transposed_coords(f, (0, 1))
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.integers(2, 5),
@@ -215,24 +218,22 @@ class TestPtMap:
     def test_sum_preservation_and_involution(self, d, K, seed, mask_seed):
         f = random_state_vector(d, K, seed)
         mask = tuple(np.random.default_rng(mask_seed).integers(0, 2, K))
-        out = pt_map(f, mask)
-        assert out.pi.sum() == pytest.approx(1.0, abs=1e-12)
-        back = pt_map(out, mask)
-        assert np.abs(back.pi - f.pi).max() <= 1e-12
+        out = transposed_coords(f, mask)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        back = transposed_coords(FidelityVector(d, K, out), mask)
+        assert np.abs(back - f.pi).max() <= 1e-12
 
     def test_mask_length_mismatch(self):
         f = random_state_vector(2, 2, 0)
         with pytest.raises(IndexError):
-            pt_map(f, (1,))
+            transposed_coords(f, (1,))
         with pytest.raises(IndexError):
-            pt_map(f, (0.7,))  # the length is checked before the bits
+            transposed_coords(f, (0.7,))  # the length is checked before the bits
 
     @pytest.mark.parametrize("mask", [(0.7,), (1.9,), (0.5,), (-1,), (2,), (1.0000001,)])
     def test_fractional_bits_rejected(self, mask):
         # int() would take 0.7 to the zero mask and 1.9 to mask 1
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="binary"):
-            pt_map(f, mask)
         with pytest.raises(ValueError, match="binary"):
             ppt_check(f, mask)
         with pytest.raises(ValueError, match="binary"):
@@ -240,9 +241,9 @@ class TestPtMap:
 
     def test_integral_bits_of_any_type_accepted(self):
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
-        want = pt_map(f, (1,)).pi
+        want = transposed_coords(f, (1,))
         for bit in (1.0, np.int64(1), np.float64(1.0), True):
-            assert np.array_equal(pt_map(f, (bit,)).pi, want)
+            assert np.array_equal(transposed_coords(f, (bit,)), want)
             verdict = ppt_check(f, (bit,))
             assert verdict.mask == (1,) and type(verdict.mask[0]) is int
             assert not verdict.is_ppt
@@ -253,7 +254,8 @@ class TestPPTCheck:
         f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
         verdict = ppt_check(f, (1,))
         assert not verdict.is_ppt
-        assert verdict.violations == (((1,), -0.5),)
+        assert verdict.violations == ((1, -0.5),)  # the rank of alpha = (1,)
+        assert type(verdict.violations[0][0]) is int
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_maximally_mixed_is_ppt(self, d):
@@ -328,9 +330,8 @@ class TestCutsAndCeilings:
 
 class TestMaskHelpers:
     def test_rank_roundtrip(self):
-        assert mask_digits(1, 2) == (0, 1)
-        assert mask_digits(2, 2) == (1, 0)
-        assert mask_digits(3, 2) == (1, 1)
+        # mask r is all_masks(K)[r - 1]
+        assert all_masks(2) == [(0, 1), (1, 0), (1, 1)]
         assert all_masks(1) == [(1,)]
 
     def test_bob_subsystems(self):
@@ -371,8 +372,8 @@ class TestPairInequalities:
         d = 3
         f = random_state_vector(d, 2, 17)
         res = ppt_inequalities(f)
-        p01 = pt_map(f, (0, 1)).pi.reshape(3, 3)
-        p10 = pt_map(f, (1, 0)).pi.reshape(3, 3)
+        p01 = transposed_coords(f, (0, 1)).reshape(3, 3)
+        p10 = transposed_coords(f, (1, 0)).reshape(3, 3)
         for k in range(3):
             assert np.sign(res.mask01[2 * k]) == np.sign(p01[k, 1])
             assert np.sign(res.mask01[2 * k + 1]) == np.sign(p01[k, 2])
@@ -443,7 +444,8 @@ class TestSepBounds:
     def test_entangled_vertex_fails(self):
         result = sep_bound_check(FidelityVector(2, 1, [0.0, 0.0, 1.0]))
         assert not result.passes
-        assert result.violated == ((2,),)
+        assert result.violated == (2,)  # the rank of sigma = (2,)
+        assert type(result.violated[0]) is int
         assert result.sufficient
 
     def test_symmetric_vertex_passes(self):
@@ -634,12 +636,13 @@ class TestVertices:
     def test_hull_vertex_count_and_products(self):
         vertices = hull_vertices(2, 2)
         assert len(vertices) == 16
-        labels, f = vertices[0]
-        assert labels == ("Q0", "Q0")
+        assert (vertices.dtype, vertices.shape) == (np.float64, (16, 9))
+        assert not vertices.flags.writeable
+        assert list(product(VERTEX_LABELS, repeat=2))[0] == ("Q0", "Q0")
         single = vertex_coords(2)["Q0"]
-        assert np.abs(f.pi - np.kron(single, single)).max() <= 1e-15
-        for _, vec in vertices:
-            assert vec.is_state(tol=1e-12)
+        assert np.abs(vertices[0] - np.kron(single, single)).max() <= 1e-15
+        for vec in vertices:
+            assert FidelityVector(2, 2, vec).is_state(tol=1e-12)
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_hull_vertices_equal_kron_chain(self, d):
@@ -654,10 +657,9 @@ class TestVertices:
                 for name in VERTEX_LABELS
             }
             vertices = hull_vertices(d, K)
-            assert [labels for labels, _ in vertices] == list(product(VERTEX_LABELS, repeat=K))
-            got = np.array([f.pi for _, f in vertices])
-            want = np.array([chains[labels] for labels, _ in vertices])
-            assert got.tobytes() == want.tobytes()
+            assert list(chains) == list(product(VERTEX_LABELS, repeat=K))
+            want = np.array(list(chains.values()))
+            assert vertices.tobytes() == want.tobytes()
 
 
 class TestIntersectionPoint:
@@ -782,7 +784,7 @@ class TestBatchedCore:
             batched = pt_map_rows(rows, c, mask)
             single = np.array([single_point_pt_map(p, c, mask) for p in rows])
             assert np.array_equal(batched, single)
-            wrapped = [pt_map(FidelityVector(d, K, p), mask).pi for p in rows]
+            wrapped = [transposed_coords(FidelityVector(d, K, p), mask) for p in rows]
             assert np.array_equal(batched, np.array(wrapped))
 
     @settings(max_examples=40, deadline=None)
@@ -834,8 +836,9 @@ class TestBatchedCore:
         c = c_matrix(d)
         walk = pt_map_masks(rows, c, K)
         assert walk.shape == (N, 2**K, 3**K)
-        for r in range(2**K):  # slice 0 is the zero mask, the rows themselves
-            assert np.array_equal(walk[:, r], pt_map_rows(rows, c, mask_digits(r, K)))
+        # slice 0 is the zero mask, the rows themselves
+        for r, mask in enumerate(product((0, 1), repeat=K)):
+            assert np.array_equal(walk[:, r], pt_map_rows(rows, c, mask))
         for i in range(N):
             assert np.array_equal(pt_map_masks(rows[i : i + 1], c, K), walk[i : i + 1])
 
@@ -856,8 +859,8 @@ class TestBatchedCore:
         pt_map_masks(pi, c, K)
         monkeypatch.setattr(simplex_module, "_contract_axes", contract_axes)
         assert len(outputs) == 2**K - 1
-        for r, t in enumerate(outputs, start=1):
-            assert np.array_equal(t.reshape(pi.shape), pt_map_rows(pi, c, mask_digits(r, K)))
+        for mask, t in zip(all_masks(K), outputs):
+            assert np.array_equal(t.reshape(pi.shape), pt_map_rows(pi, c, mask))
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_zero_rows_give_empty_results(self, K):
@@ -896,8 +899,7 @@ class TestBatchedCore:
         rows = np.random.default_rng([d, K]).dirichlet(np.ones(3**K), size=5)
         c, scaled = c_matrix(d), 2 * d * c_matrix(d)
         walk, scaled_walk = pt_map_masks(rows, c, K), pt_map_masks(rows, scaled, K)
-        for r in range(2**K):
-            mask = mask_digits(r, K)
+        for r, mask in enumerate(product((0, 1), repeat=K)):
             factor = (2 * d) ** sum(mask)
             got = pt_map_rows(rows, scaled, mask)
             assert np.allclose(got, factor * pt_map_rows(rows, c, mask), rtol=1e-13, atol=1e-13)
@@ -1155,6 +1157,13 @@ class TestFidelityVectorType:
     def test_non_integer_d_and_K_rejected(self, field, bad):
         # 2.5 would give ppt verdicts for a dimension that does not exist
         args = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]} | {field: bad}
+        with pytest.raises(ValueError, match="d and K must be integers"):
+            FidelityVector(**args)
+
+    @pytest.mark.parametrize("field", ["d", "K"])
+    def test_bool_d_and_K_rejected(self, field):
+        # True is an int: to_json would write "K": true, which from_json rejects
+        args = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]} | {field: True}
         with pytest.raises(ValueError, match="d and K must be integers"):
             FidelityVector(**args)
 

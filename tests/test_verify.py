@@ -12,13 +12,14 @@ from orthosym import (
     VerificationReport,
     all_masks,
     bob_subsystems,
+    c_matrix,
     coordinate_bounds,
     first_failure,
     min_eigenvalue_rows,
     partial_trace_rows,
     partial_transpose_rows,
     product_state_fidelities_rows,
-    pt_map,
+    pt_map_rows,
     random_orthogonal,
     random_unit_vector,
     reconstruct,
@@ -73,11 +74,11 @@ def reference_pt_consistency(d, K, samples, seed):
         for mask in all_masks(K):
             subs = bob_subsystems(mask, K)
             transposed = partial_transpose_rows(rho.matrix[None], rho.shape, subs)
-            g = pt_map(f, mask)
-            mixture = sum(w * t for w, t in zip(g.pi, tildes))
+            g = pt_map_rows(f.pi[None], c_matrix(d), mask)[0]
+            mixture = sum(w * t for w, t in zip(g, tildes))
             residual = max(residual, float(np.abs(transposed[0] - mixture).max()))
             eig = float(min_eigenvalue_rows(transposed)[0])
-            residual = max(residual, abs(eig - float((g.pi / traces).min())))
+            residual = max(residual, abs(eig - float((g / traces).min())))
     return residual
 
 

@@ -161,19 +161,20 @@ def cmd_sep(args) -> int:
     f = _load(FidelityVector, args.fid)
     check_output_budget([2 * f.pi.size], f"sep of K={f.K}")  # pi and bound
     result = sep_bound_check(f)
-    labels = _digit_labels(f.K, "012")
-    ok = np.ones(f.pi.size, dtype=bool)
-    ok[list(result.violated)] = False
+    # the labels live on only in the rows: a label list kept alive through the
+    # rendering raised the peak RSS by 4 MB at K = 12
     rows = [
-        {"sigma": label, "pi": pi, "bound": bound, "ok": good}
-        for label, pi, bound, good in zip(labels, f.pi, result.bounds, ok)
+        {"sigma": label, "pi": pi, "bound": bound, "ok": True}
+        for label, pi, bound in zip(_digit_labels(f.K, "012"), f.pi, result.bounds)
     ]
+    for r in result.violated:
+        rows[r]["ok"] = False
     doc = {
         "d": f.d,
         "K": f.K,
         "passes": result.passes,
         "scope": "sufficient" if result.sufficient else "necessary-only",
-        "violated": [labels[r] for r in result.violated],
+        "violated": [rows[r]["sigma"] for r in result.violated],
         "coordinates": rows,
     }
     _emit(args, dumps(doc) + "\n")

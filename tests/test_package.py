@@ -111,12 +111,12 @@ def test_readme_names_are_defined():
         for path in PACKAGE.glob("*.py")
         if not path.stem.startswith("__")  # importing __main__ would run the CLI
     }
+    roots = {**modules, "orthosym": orthosym, "np": np, "numpy": np}
     scopes = [orthosym, *modules.values(), np, np.linalg, builtins]
     strings = string_constants_in_package()
 
     def defined(name):
         head, *rest = name.split(".")
-        roots = {**modules, "orthosym": orthosym, "np": np, "numpy": np}
         if head in roots and rest:
             obj = roots[head]
             for attr in rest:

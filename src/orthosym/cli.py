@@ -43,6 +43,8 @@ from .verify import DEFAULT_SEED, first_failure, run_suite
 #: Largest JSON input file read, in bytes.  An operator at the dimension cap
 #: MAX_DIM, written with shortest round-trip floats, is about 840 MB.
 INPUT_BYTES = 2**30
+#: Largest read after the first, which asks for the file's size plus one byte.
+READ_PIECE_BYTES = 2**24
 
 
 def _digit_labels(K: int, digits: str) -> list[str]:
@@ -79,8 +81,16 @@ def _read_input(path: str) -> str:
             raise CapacityError(
                 f"input file {path} has {size} bytes, over the budget of {INPUT_BYTES}"
             )
-        # a pipe reports size 0, so the read itself is bounded too
-        data = fh.read(INPUT_BYTES + 1)
+        # a pipe reports size 0, so the reads are bounded too; a regular file
+        # takes one read, and every read allocates the full size it asks for
+        pieces, total, ask = [], 0, size + 1
+        while piece := fh.read(ask):
+            pieces.append(piece)
+            total += len(piece)
+            if len(piece) < ask or total > INPUT_BYTES:
+                break
+            ask = min(READ_PIECE_BYTES, INPUT_BYTES + 1 - total)
+    data = b"".join(pieces)
     if len(data) > INPUT_BYTES:
         raise CapacityError(f"input {path} has more bytes than the budget of {INPUT_BYTES}")
     return data.decode()
@@ -345,5 +355,39 @@ def main(argv=None) -> int:
         return 2
 
 
+def _observed() -> bool:
+    """Whether a trace or profile function, or a ``sys.monitoring`` tool, is set."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
+    )
+
+
+def run() -> None:
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code.
+
+    Once stdout and stderr are flushed, the process ends with ``os._exit``,
+    which skips module teardown (numpy's takes tens of milliseconds) and any
+    ``atexit`` handlers that other code registered; this package registers
+    none.  Two cases exit through ``sys.exit`` instead, so the interpreter
+    reports and tears down as usual: a flush that raises ``OSError`` (a
+    closed pipe), and an observed process (coverage, cProfile, a debugger),
+    whose reports run at exit.  ``SystemExit`` from argument parsing and
+    uncaught exceptions leave before any of this.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without the fd
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

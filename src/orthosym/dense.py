@@ -158,10 +158,12 @@ def _hermitian_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     more than :data:`HERM_RTOL` relative to its largest entry magnitude.
     """
     scale = np.abs(stack).max(axis=(1, 2))
-    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    # one adjoint serves the skew and, with the stack added in place, the sum
+    herm = np.conj(stack.swapaxes(1, 2), order="C")
+    skew = np.abs(stack - herm).max(axis=(1, 2))
     if (skew > HERM_RTOL * scale).any():
         raise DomainError("matrix is not Hermitian within tolerance")
-    herm = stack + stack.conj().swapaxes(1, 2)
+    herm += stack
     herm /= 2.0
     return herm, scale
 

@@ -12,7 +12,6 @@ explicitly supplied (twirling) or requested (reconstruction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
@@ -498,9 +497,9 @@ def intersection_point(d: int) -> IntersectionPoint:
     """Closed-form crossing parameters of the Werner and isotropic lines.
 
     Returns q = 1/2 - 1/(d(d+1)) and p = 2/(d(d+1)) * (1/2 + 1/(d(d+1))),
-    evaluated exactly as rationals, together with the point each parameter
-    selects on its line.  Both satisfy the separability side of the line
-    conditions (q < 1/2, p < 1/d).
+    each as one correctly rounded integer division, together with the point
+    each parameter selects on its line.  Both satisfy the separability side
+    of the line conditions (q < 1/2, p < 1/d).
 
     Note: the two selected points coincide only in their third coordinate.
     The exact crossing of the two lines is the maximally mixed state,
@@ -509,9 +508,11 @@ def intersection_point(d: int) -> IntersectionPoint:
     """
     if d < 2:
         raise DomainError("local dimension must be >= 2")
-    s = Fraction(1, d * (d + 1))
-    q = float(Fraction(1, 2) - s)
-    p = float(2 * s * (Fraction(1, 2) + s))
+    # q = (n - 2) / (2n) and p = (n + 2) / n^2 exactly, with n = d(d + 1);
+    # int / int rounds the exact quotient once, as float(Fraction) does
+    n = d * (d + 1)
+    q = (n - 2) / (2 * n)
+    p = (n + 2) / (n * n)
     w0, w1, i0, i1 = _vertex_table(d)
     return IntersectionPoint(q, p, (1 - q) * w0 + q * w1, (1 - p) * i0 + p * i1)
 

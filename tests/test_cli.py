@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +40,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(unbuffered=None):
+    """The environment of a child process that imports this checkout's orthosym;
+    ``unbuffered`` sets (True) or removes (False) PYTHONUNBUFFERED."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def wishart_doc(d, K):
@@ -784,6 +797,35 @@ class TestInputBudget:
         assert out == ""
         assert "budget" in err
 
+    def test_piped_input_is_read_in_pieces(self, capsys, tmp_path, monkeypatch):
+        text = json.dumps({"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]})
+        _, want, _ = run(capsys, "sep", "--fid", write_fid(tmp_path, "fid.json", 2, 1, [1, 0, 0]))
+        fifo = tmp_path / "fid.fifo"
+        monkeypatch.setattr(cli, "READ_PIECE_BYTES", 5)
+        for budget, code in ((len(text), 0), (len(text) - 1, 3), (len(text) + 3, 0)):
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+            writer.start()
+            monkeypatch.setattr(cli, "INPUT_BYTES", budget)
+            got, out, _ = run(capsys, "sep", "--fid", str(fifo))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            fifo.unlink()
+            assert (got, out) == ((0, want) if code == 0 else (3, ""))
+
+    def test_read_allocates_about_the_file_size(self, tmp_path):
+        # every read allocates the full size it asks for, before it reads
+        path = tmp_path / "fid.json"
+        path.write_bytes(b" " * 10**6)
+        tracemalloc.start()
+        try:
+            text = cli._read_input(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 10**6
+        assert peak < 4 * 10**6
+
 
 class TestMalformedInput:
     # the long array is read as a float64 array, and still named a list
@@ -1181,14 +1223,100 @@ class TestExtremeInputs:
             argv += ["--state", str(path)]
         if argv[0] == "scan":
             argv += ["--out", str(tmp_path / "scan.csv")]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-m", "orthosym", *argv],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "scan.csv").exists()
+
+
+class TestRunEntryPoint:
+    """``cli.run``, the entry point of ``python -m orthosym``, flushes the output
+    and ends the process without interpreter teardown."""
+
+    @pytest.mark.parametrize("module", ["orthosym", "orthosym.cli"])
+    @pytest.mark.parametrize("K", ["1", "5"])
+    def test_output_equals_in_process_main(self, capsys, module, K):
+        # buffered stdout: at K = 1 (477 bytes) the whole output waits in the
+        # buffer for run's flush; at K = 5 (942 KB) one write passes it through
+        argv = ["vertices", "--d", "2", "--K", K]
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, timeout=120, env=child_env(unbuffered=False),
+        )
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (code, err.encode()) == (0, b"")
+        assert proc.stdout == out.encode()
+
+    @pytest.mark.parametrize(
+        "unbuffered, code, message",
+        [(False, 120, "Exception ignored"), (True, 2, "error: [Errno 32] Broken pipe")],
+    )
+    def test_closed_stdout_exits_as_the_interpreter_does(self, unbuffered, code, message):
+        # unbuffered, the write fails inside main; buffered, the flush fails and
+        # the interpreter reports it at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orthosym", "vertices", "--d", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=child_env(unbuffered=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr.count(message) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_closed_stderr_still_exits_0(self, capsys):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "orthosym",
+             "vertices", "--d", "2"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        _, out, _ = run(capsys, "vertices", "--d", "2")
+        assert (proc.returncode, proc.stdout) == (0, out)
+
+    def test_profiler_still_reports(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "orthosym", "vertices", "--d", "2"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        _, out, _ = run(capsys, "vertices", "--d", "2")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(out)
+        assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "observer, observed",
+        [
+            ("", False),
+            ("sys.settrace(lambda frame, event, arg: None)", True),
+            ("sys.setprofile(lambda frame, event, arg: None)", True),
+            ("sys.monitoring = SimpleNamespace(get_tool=lambda i: 'cov' if i == 1 else None)",
+             True),
+        ],
+        ids=["none", "trace", "profile", "monitoring"],
+    )
+    def test_atexit_handlers_run_only_when_observed(self, capsys, observer, observed):
+        script = "\n".join([
+            "import atexit, sys",
+            "from types import SimpleNamespace",
+            "from orthosym.cli import run",
+            observer,
+            "atexit.register(print, 'atexit ran')",
+            "sys.argv = ['orthosym', 'vertices', '--d', '2']",
+            "run()",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=child_env(unbuffered=False),
+        )
+        _, out, _ = run(capsys, "vertices", "--d", "2")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == out + ("atexit ran\n" if observed else "")

@@ -373,6 +373,29 @@ class TestIsPsdCertificate:
             assert str(from_psd.value) == str(from_eig.value)
 
 
+class TestHermitianRows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.integers(1, 4),
+        dim=st.integers(1, 12),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_two_adjoint_formula_bitwise(self, t, dim, field, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((t, dim, dim))
+        if field == "complex":
+            stack = stack + 1j * rng.standard_normal((t, dim, dim))
+        # Hermitian up to a skew far below HERM_RTOL, so the gate passes
+        stack = stack + stack.conj().swapaxes(1, 2)
+        stack += 1e-14 * rng.standard_normal(stack.shape)
+        herm, scale = dense_module._hermitian_rows(stack)
+        want = stack + stack.conj().swapaxes(1, 2)
+        want /= 2.0
+        assert herm.dtype == want.dtype and herm.tobytes() == want.tobytes()
+        assert scale.tobytes() == np.abs(stack).max(axis=(1, 2)).tobytes()
+
+
 class TestStackedGate:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -4,7 +4,10 @@ import ast
 import builtins
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType
 
@@ -128,3 +131,14 @@ def test_readme_names_are_defined():
     assert {"pt_map_rows", "c_matrix", "sep_bound"} <= names  # the scan found the spans
     missing = sorted(name for name in names if not defined(name))
     assert not missing, f"README names undefined: {', '.join(missing)}"
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # together about 3 ms of every start-up; a fresh child has its own sys.modules
+    script = "import sys, orthosym.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

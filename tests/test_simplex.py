@@ -671,6 +671,14 @@ class TestIntersectionPoint:
         assert ip3.q == float(Fraction(5, 12))
         assert ip3.p == float(Fraction(7, 72))
 
+    def test_parameters_equal_the_rounded_fractions(self):
+        # one int / int division rounds the exact quotient, as float(Fraction) does
+        for d in range(2, 2001):
+            s = Fraction(1, d * (d + 1))
+            ip = intersection_point(d)
+            assert ip.q == float(Fraction(1, 2) - s), d
+            assert ip.p == float(2 * s * (Fraction(1, 2) + s)), d
+
     @pytest.mark.parametrize("d", range(2, 9))
     def test_parameters_in_separable_range(self, d):
         ip = intersection_point(d)

@@ -19,7 +19,7 @@ from .dense import (
     min_eigenvalue_rows,
     partial_trace_rows,
     partial_transpose_rows,
-    random_orthogonal,
+    random_orthogonal_rows,
     random_unit_vector,
 )
 from .projectors import (

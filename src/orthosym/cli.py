@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .dense import CapacityError, ComplexOperator, DomainError, PSD_TOL
-from .jsonio import dumps, format_float, loads
+from .jsonio import dumps, float_array, format_float, loads
 from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
     VERTEX_LABELS,
@@ -56,6 +56,14 @@ def _parse_mask(text: str, K: int) -> tuple[int, ...]:
     if len(text) != K or any(ch not in "01" for ch in text):
         raise ValueError(f"mask must be {K} binary digits, got {text!r}")
     return tuple(int(ch) for ch in text)
+
+
+def _parse_alpha(text: str) -> tuple[int, ...]:
+    # int() would also read "+1", "01", " 2" and non-ASCII digits
+    tokens = text.split(",")
+    if any(tok not in ("0", "1", "2") for tok in tokens):
+        raise ValueError(f"alpha must be digits 0, 1 or 2 separated by commas, got {text!r}")
+    return tuple(map(int, tokens))
 
 
 def _load_json(path: str) -> dict:
@@ -96,13 +104,41 @@ def _read_input(path: str) -> str:
     return data.decode()
 
 
-def _load(cls, path: str):
-    """``cls.from_json`` of the JSON object in ``path``, naming a missing key."""
+def _load(path: str, reader):
+    """``reader`` of the JSON object in ``path``, naming a missing key."""
     doc = _load_json(path)
     try:
-        return cls.from_json(doc)
+        return reader(doc)
     except KeyError as exc:
         raise ValueError(f"input {path} has no key {exc}") from None
+
+
+def _read_operator(doc: dict) -> ComplexOperator:
+    """The operator of a row-major ``{"dim", "shape", "re", "im"}`` document."""
+    dim, shape = doc["dim"], doc["shape"]
+    if type(shape) is not list or any(type(x) is not int for x in [dim, *shape]):
+        raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
+    re, im = float_array(doc["re"], "re"), float_array(doc["im"], "im")
+    if dim < 1 or re.size != dim * dim or im.size != dim * dim:
+        raise ValueError(
+            "dim must be positive with dim**2 entries in re and im, "
+            f"got dim {dim} with {re.size} and {im.size}"
+        )
+    matrix = np.empty((dim, dim), dtype=np.complex128)
+    matrix.real, matrix.imag = re.reshape(dim, dim), im.reshape(dim, dim)
+    return ComplexOperator(matrix, tuple(shape))
+
+
+def _read_fidelities(doc: dict) -> FidelityVector:
+    """The coordinates of a ``{"d", "K", "pi"}`` document."""
+    if type(doc["d"]) is not int or type(doc["K"]) is not int:
+        raise ValueError(f"d and K must be JSON integers, got {doc['d']!r}, {doc['K']!r}")
+    return FidelityVector(doc["d"], doc["K"], float_array(doc["pi"], "pi"))
+
+
+def _fidelity_doc(f: FidelityVector) -> dict:
+    """The ``{"d", "K", "pi"}`` document that :func:`_read_fidelities` reads."""
+    return {"d": f.d, "K": f.K, "pi": f.pi}
 
 
 def _emit(args, text: str) -> None:
@@ -115,32 +151,36 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_projectors(args) -> int:
-    alpha = tuple(int(tok) for tok in args.alpha.split(","))
+    alpha = _parse_alpha(args.alpha)
     # 2 * d**(4 * pairs) floats, the real and imaginary parts
     check_output_budget(
         (2 * args.d**k for k in range(4 * len(alpha) + 1)),
         f"the projector of {len(alpha)} pairs at d={args.d}",
     )
     op = build_multipartite(args.d, args.K, alpha)
+    flat = op.matrix.reshape(-1)
     doc = {
         "d": args.d,
         "K": args.K,
         "alpha": list(alpha),
         "trace": str(multipartite_trace(args.d, alpha)),
+        "dim": op.dim,
+        "shape": list(op.shape),
+        "re": flat.real,
+        "im": flat.imag,
     }
-    doc.update(op.to_json())
     _emit(args, dumps(doc) + "\n")
     return 0
 
 
 def cmd_twirl(args) -> int:
-    f = twirl_coords(_load(ComplexOperator, args.state), args.d, args.K)
-    _emit(args, dumps(f.to_json()) + "\n")
+    f = twirl_coords(_load(args.state, _read_operator), args.d, args.K)
+    _emit(args, dumps(_fidelity_doc(f)) + "\n")
     return 0
 
 
 def cmd_ppt(args) -> int:
-    f = _load(FidelityVector, args.fid)
+    f = _load(args.fid, _read_fidelities)
     single = args.mask is not None
     check_output_budget([(1 if single else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
     c = c_matrix(f.d)
@@ -168,7 +208,7 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_sep(args) -> int:
-    f = _load(FidelityVector, args.fid)
+    f = _load(args.fid, _read_fidelities)
     check_output_budget([2 * f.pi.size], f"sep of K={f.K}")  # pi and bound
     result = sep_bound_check(f)
     # the labels live on only in the rows: a label list kept alive through the
@@ -214,8 +254,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f = _load(FidelityVector, args.fid)
-    _emit(args, dumps(reduce_pair(f, args.pair).to_json()) + "\n")
+    f = _load(args.fid, _read_fidelities)
+    _emit(args, dumps(_fidelity_doc(reduce_pair(f, args.pair))) + "\n")
     return 0
 
 
@@ -245,7 +285,12 @@ def cmd_verify(args) -> int:
         reports = run_suite(seed=args.seed, combos=combos)
     else:
         reports = run_suite(seed=args.seed)
-    _emit(args, dumps([r.to_json() for r in reports]) + "\n")
+    docs = [
+        {"check": r.check, "params": r.params, "max_residual": r.max_residual,
+         "tolerance": r.tolerance, "pass": r.passed}
+        for r in reports
+    ]
+    _emit(args, dumps(docs) + "\n")
     failed = first_failure(reports)
     if failed is not None:
         print(

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .jsonio import float_array
-
 #: Hard cap on the total Hilbert dimension of any dense construction.
 MAX_DIM = 4096
 
@@ -69,31 +67,6 @@ class ComplexOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def to_json(self) -> dict:
-        """Row-major JSON form ``{"dim", "shape", "re", "im"}``."""
-        flat = self.matrix.reshape(-1)
-        return {
-            "dim": self.dim,
-            "shape": list(self.shape),
-            "re": flat.real.tolist(),
-            "im": flat.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ComplexOperator":
-        dim, shape = data["dim"], data["shape"]
-        if type(shape) is not list or any(type(x) is not int for x in [dim, *shape]):
-            raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
-        re, im = float_array(data["re"], "re"), float_array(data["im"], "im")
-        if dim < 1 or re.size != dim * dim or im.size != dim * dim:
-            raise ValueError(
-                "dim must be positive with dim**2 entries in re and im, "
-                f"got dim {dim} with {re.size} and {im.size}"
-            )
-        matrix = np.empty((dim, dim), dtype=np.complex128)
-        matrix.real, matrix.imag = re.reshape(dim, dim), im.reshape(dim, dim)
-        return cls(matrix, tuple(shape))
 
 
 def _is_integer(n) -> bool:
@@ -202,19 +175,20 @@ def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return min_eigenvalue_rows(stack) >= -tol
 
 
-def random_orthogonal(d: int, seed) -> np.ndarray:
-    """Haar-distributed real orthogonal (d, d) float64 matrix, deterministic per seed.
+def random_orthogonal_rows(d: int, seeds) -> np.ndarray:
+    """Haar-distributed real orthogonal (d, d) float64 matrices, one per seed,
+    as a (T, d, d) stack; each deterministic per its seed.
 
-    A square matrix of independent standard normals is QR-orthogonalized and
-    the column signs are fixed so the triangular factor has a positive
-    diagonal, which makes the distribution exactly Haar on O(d).
+    Each seed's square matrix of independent standard normals, drawn from its
+    own generator, is QR-orthogonalized in one stacked factorization, and the
+    column signs are fixed so each triangular factor has a positive diagonal,
+    which makes the distribution exactly Haar on O(d).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    g = np.array([np.random.default_rng(seed).standard_normal((d, d)) for seed in seeds])
+    q, r = np.linalg.qr(g.reshape(-1, d, d))
+    return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
 
 
 def random_unit_vector(d: int, field: str, seed) -> np.ndarray:

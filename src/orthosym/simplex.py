@@ -28,7 +28,6 @@ from .dense import (
     is_psd_rows,
     kron_rows,
 )
-from .jsonio import float_array
 from .projectors import bipartite_traces, pair_projectors
 
 #: Absolute slack allowed on the unit-sum constraint of state coordinates.
@@ -79,15 +78,6 @@ class FidelityVector:
     def is_state(self, tol: float = PSD_TOL) -> bool:
         """True when every coordinate exceeds -tol and the sum is one."""
         return bool(_state_rows(self.pi[None], tol)[0])
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "K": self.K, "pi": self.pi.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FidelityVector":
-        if type(data["d"]) is not int or type(data["K"]) is not int:
-            raise ValueError(f"d and K must be JSON integers, got {data['d']!r}, {data['K']!r}")
-        return cls(data["d"], data["K"], float_array(data["pi"], "pi"))
 
 
 def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -600,7 +590,5 @@ def classify_lattice(
     bounds = coordinate_bounds(d, K)
     for comp in _composition_blocks(n, m, SCAN_BLOCK_COORDS):
         pi = comp / n
-        if not _state_rows(pi).all():
-            raise DomainError("scan requires state-valued coordinates")
         ppt = ~(pt_map_masks(pi, c, K)[:, 1:] < -tol).any(axis=2)
         yield comp, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)

@@ -21,7 +21,7 @@ from .dense import (
     min_eigenvalue_rows,
     partial_trace_rows,
     partial_transpose_rows,
-    random_orthogonal,
+    random_orthogonal_rows,
     random_unit_vector,
 )
 from .projectors import (
@@ -68,15 +68,6 @@ class VerificationReport:
     def build(cls, check: str, params: dict, residual: float, tolerance: float):
         residual = float(residual)
         return cls(check, dict(params), residual, float(tolerance), residual <= tolerance)
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -132,8 +123,7 @@ def verify_invariance(
         return VerificationReport.build("invariance", params, 0.0, tolerance)
     family = projector_family(d, K)
     children = np.random.SeedSequence(seed).spawn(trials * K)
-    rotations = np.array([random_orthogonal(d, child) for child in children])
-    rotations = rotations.reshape(trials, K, d, d)
+    rotations = random_orthogonal_rows(d, children).reshape(trials, K, d, d)
     residual = 0.0
     for chunk in _chunks(trials, d ** (2 * K)):
         ops = rotations[chunk].swapaxes(0, 1)

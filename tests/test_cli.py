@@ -17,15 +17,15 @@ import pytest
 from orthosym import (
     MAX_DIM,
     PSD_TOL,
-    ComplexOperator,
     DomainError,
     FidelityVector,
     all_masks,
     all_multi_indices,
+    build_multipartite,
     check_scan_budget,
     cli,
     ppt_check,
-    random_orthogonal,
+    random_orthogonal_rows,
     sep_bound_check,
     simplex_grid,
 )
@@ -62,8 +62,13 @@ def wishart_doc(d, K):
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
-    flat = rho.reshape(-1)
-    return {"dim": dim, "shape": [d] * (2 * K), "re": flat.real.tolist(),
+    return operator_doc(rho, [d] * (2 * K))
+
+
+def operator_doc(matrix, shape):
+    """The row-major ``{"dim", "shape", "re", "im"}`` JSON form of a square matrix."""
+    flat = np.asarray(matrix, dtype=np.complex128).reshape(-1)
+    return {"dim": len(matrix), "shape": list(shape), "re": flat.real.tolist(),
             "im": flat.imag.tolist()}
 
 
@@ -124,6 +129,22 @@ class TestProjectorsAndTwirl:
         assert doc["shape"] == [2, 2, 2, 2]
         assert len(doc["re"]) == 256
 
+    def test_projector_output_is_read_back(self, capsys):
+        code, out, _ = run(capsys, "projectors", "--d", "2", "--K", "2", "--alpha", "0,2")
+        assert code == 0
+        back = cli._read_operator(json.loads(out))
+        assert np.array_equal(back.matrix, build_multipartite(2, 2, (0, 2)).matrix)
+        assert back.shape == (2, 2, 2, 2)
+
+    # int() reads the signed, zero-padded, spaced and Arabic-Indic forms as digits
+    @pytest.mark.parametrize(
+        "alpha", ["", "0,,1", "0,2,", "+1", "01", " 2", "0, 2", "\u0661", "3", "1.0", "0;2"]
+    )
+    def test_malformed_alpha_exits_2(self, capsys, alpha):
+        code, out, err = run(capsys, "projectors", "--d", "2", "--K", "2", "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha must be digits 0, 1 or 2 separated by commas, got {alpha!r}\n"
+
     def test_projector_feeds_twirl(self, capsys, tmp_path):
         # the fully entangled projector has unit trace, so its emitted JSON
         # is directly a valid state for the twirl command
@@ -179,13 +200,13 @@ class TestProjectorsAndTwirl:
         state = tmp_path / "state.json"
         state.write_text(json.dumps(doc))
         argv = ["twirl", "--d", "2", "--K", "3", "--state", str(state)]
-        want = run(capsys, *argv), ComplexOperator.from_json(json.loads(state.read_text()))
+        want = run(capsys, *argv), cli._read_operator(json.loads(state.read_text()))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the operator file was read by json.loads")
 
         monkeypatch.setattr(json, "loads", refuse)
-        got = run(capsys, *argv), ComplexOperator.from_json(cli._load_json(str(state)))
+        got = run(capsys, *argv), cli._read_operator(cli._load_json(str(state)))
         assert got[0] == want[0]
         assert got[0][0] == 4
         assert got[1].matrix.tobytes() == want[1].matrix.tobytes()
@@ -279,11 +300,11 @@ class TestProjectorsAndTwirl:
     @pytest.mark.parametrize("factor, exit_code", [(0.5, 0), (2.0, 4)])
     def test_twirl_psd_tolerance_boundary(self, capsys, tmp_path, factor, exit_code):
         # d=2, K=1 state with smallest eigenvalue -factor * PSD_TOL
-        u = random_orthogonal(4, 11)
+        u = random_orthogonal_rows(4, [11])[0]
         lam = np.array([-factor * PSD_TOL, 0.5, 0.3, 0.2 + factor * PSD_TOL])
         rho = (u * lam) @ u.T
         state = tmp_path / "edge.json"
-        state.write_text(json.dumps(ComplexOperator(rho, (2, 2)).to_json()))
+        state.write_text(json.dumps(operator_doc(rho, (2, 2))))
         code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(state))
         assert code == exit_code
         if exit_code:
@@ -533,7 +554,7 @@ class TestSep:
         # 2 x 3**14 = 9.6e6 floats fit the budget, 2 x 3**15 = 2.9e7 do not; the
         # coordinates are one broadcast value, so no 3**K array is allocated
         f = SimpleNamespace(d=2, K=K, pi=np.broadcast_to(3.0**-K, (3**K,)))
-        monkeypatch.setattr(cli, "_load", lambda cls, path: f)
+        monkeypatch.setattr(cli, "_load", lambda path, reader: f)
 
         def reached(*args):
             raise DomainError("check reached")
@@ -827,6 +848,37 @@ class TestInputBudget:
         assert peak < 4 * 10**6
 
 
+class TestFileFormats:
+    """The readers of the operator and fidelity documents, and the fidelity writer."""
+
+    def test_operator_roundtrip(self):
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        back = cli._read_operator(json.loads(dumps(operator_doc(g, (2, 3)))))
+        assert np.array_equal(back.matrix, g)
+        assert back.shape == (2, 3)
+
+    @pytest.mark.parametrize("dim, n_re, n_im", [(-1, 1, 1), (0, 0, 0), (2, 4, 3), (2, 9, 9)])
+    def test_read_operator_rejects_a_dim_that_misses_the_entries(self, dim, n_re, n_im):
+        doc = {"dim": dim, "shape": [2], "re": [0.0] * n_re, "im": [0.0] * n_im}
+        with pytest.raises(ValueError, match=f"got dim {dim} with {n_re} and {n_im}"):
+            cli._read_operator(doc)
+
+    def test_read_operator_keeps_each_part_bit_for_bit(self):
+        # re + 1j * im would turn these -0.0 parts into 0.0, and the infinite
+        # imaginary part into a NaN real part
+        re, im = [-0.0, 0.5, -0.0, 1.0], [-0.0, -0.0, 0.25, float("inf")]
+        m = cli._read_operator({"dim": 2, "shape": [2], "re": re, "im": im}).matrix
+        assert m.real.tobytes() == np.array(re).tobytes()
+        assert m.imag.tobytes() == np.array(im).tobytes()
+
+    def test_fidelity_roundtrip(self):
+        f = FidelityVector(3, 2, np.random.default_rng(5).dirichlet(np.ones(9)))
+        back = cli._read_fidelities(json.loads(dumps(cli._fidelity_doc(f))))
+        assert back.d == 3 and back.K == 2
+        assert np.array_equal(back.pi, f.pi)
+
+
 class TestMalformedInput:
     # the long array is read as a float64 array, and still named a list
     @pytest.mark.parametrize("doc", [[1.0, 0.0, 0.0], "pi", [0.5] * 30000])
@@ -850,7 +902,7 @@ class TestMalformedInput:
         assert err == f"error: input {path} has no key 'pi'\n"
 
     def test_twirl_missing_im_is_named(self, capsys, tmp_path):
-        doc = ComplexOperator(np.eye(4) / 4, (2, 2)).to_json()
+        doc = operator_doc(np.eye(4) / 4, (2, 2))
         del doc["im"]
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
@@ -870,7 +922,7 @@ class TestMalformedInput:
     )
     def test_twirl_shape_must_be_2K_factors_of_d(self, capsys, tmp_path, shape, d, K, message):
         dim = int(np.prod(shape))
-        doc = ComplexOperator(np.eye(dim) / dim, tuple(shape)).to_json()
+        doc = operator_doc(np.eye(dim) / dim, shape)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "twirl", "--d", str(d), "--K", str(K), "--state", str(path))
@@ -882,7 +934,7 @@ class TestMalformedInput:
         [{"shape": 5}, {"dim": 4.7, "shape": [2.9, "2"]}, {"dim": 4.0}, {"shape": [2, True]}],
     )
     def test_twirl_dim_and_shape_must_be_integers(self, capsys, tmp_path, field):
-        doc = {**ComplexOperator(np.eye(4) / 4, (2, 2)).to_json(), **field}
+        doc = {**operator_doc(np.eye(4) / 4, (2, 2)), **field}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(path))
@@ -897,7 +949,7 @@ class TestMalformedInput:
         [{"re": "0.25"}, {"re": False}, {"re": None}, {"im": False}, {"im": [0.0]}, "dict"],
     )
     def test_twirl_operator_entries_must_be_numbers(self, capsys, tmp_path, field):
-        doc = ComplexOperator(np.eye(4) / 4, (2, 2)).to_json()
+        doc = operator_doc(np.eye(4) / 4, (2, 2))
         if field == "dict":
             doc["re"] = {"a": 1}
         else:
@@ -977,7 +1029,7 @@ MALFORMED_DOCUMENTS = {
     "overflow_pi": '{"d": 2, "K": 1, "pi": [1e999, 0, 0]}',
     "true_pi": '{"d": 2, "K": 1, "pi": [true, 0, 0]}',
     **{
-        f"dim_{dim}": json.dumps({**ComplexOperator(np.eye(4) / 4, (2, 2)).to_json(), "dim": dim})
+        f"dim_{dim}": json.dumps({**operator_doc(np.eye(4) / 4, (2, 2)), "dim": dim})
         for dim in (-1, 0, 3)
     },
     "huge_K": '{"d": 2, "K": 1000000000000, "pi": [1, 0, 0]}',
@@ -1085,6 +1137,14 @@ class TestVerify:
             "product_fidelities",
         }
         assert err == ""
+
+    def test_report_fields(self, capsys):
+        code, out, _ = run(capsys, "verify", "--d", "2", "--K", "1")
+        assert code == 0
+        doc = json.loads(out)[0]
+        assert doc["check"] == "c_matrix"
+        assert set(doc) == {"check", "params", "max_residual", "tolerance", "pass"}
+        assert doc["pass"] is True
 
     @pytest.mark.parametrize("d, K", [(2, 5), (2, 6), (4, 3), (7, 2)])
     def test_over_family_budget_exits_3_before_any_build(self, capsys, monkeypatch, d, K):
@@ -1219,7 +1279,7 @@ class TestExtremeInputs:
             argv += ["--fid", str(path)]
         if argv[0] == "twirl":
             path = tmp_path / "state.json"
-            path.write_text(json.dumps(ComplexOperator(np.eye(9) / 9, (3, 3)).to_json()))
+            path.write_text(json.dumps(operator_doc(np.eye(9) / 9, (3, 3))))
             argv += ["--state", str(path)]
         if argv[0] == "scan":
             argv += ["--out", str(tmp_path / "scan.csv")]

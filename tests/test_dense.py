@@ -17,7 +17,7 @@ from orthosym import (
     min_eigenvalue_rows,
     partial_trace_rows,
     partial_transpose_rows,
-    random_orthogonal,
+    random_orthogonal_rows,
     random_unit_vector,
 )
 from orthosym import dense as dense_module
@@ -329,7 +329,7 @@ class TestIsPsdCertificate:
 
     @pytest.fixture(scope="class")
     def unitary_729(self):
-        return random_orthogonal(729, 729)
+        return random_orthogonal_rows(729, [729])[0]
 
     @pytest.mark.parametrize("factor", LAMBDA_FACTORS)
     def test_matches_eigenvalue_verdict_dim_729(self, unitary_729, factor):
@@ -449,23 +449,46 @@ class TestStackedGate:
 class TestRandomSampling:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_orthogonal_properties(self, d):
-        o = random_orthogonal(d, 42)
+        o = random_orthogonal_rows(d, [42])[0]
         assert o.dtype == np.float64 and o.shape == (d, d)
         assert np.abs(o.imag).max() == 0.0
         assert np.abs(o.T @ o - np.eye(d)).max() <= 1e-12
         assert abs(abs(np.linalg.det(o.real)) - 1.0) <= 1e-10
 
     def test_orthogonal_deterministic(self):
-        a = random_orthogonal(3, 7)
-        b = random_orthogonal(3, 7)
-        c = random_orthogonal(3, 8)
+        a = random_orthogonal_rows(3, [7])[0]
+        b = random_orthogonal_rows(3, [7])[0]
+        c = random_orthogonal_rows(3, [8])[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_orthogonal_d1_is_sign(self):
-        vals = {float(random_orthogonal(1, s)[0, 0]) for s in range(20)}
+        vals = {float(random_orthogonal_rows(1, [s])[0, 0, 0]) for s in range(20)}
         assert vals <= {-1.0, 1.0}
         assert len(vals) == 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_orthogonal_stack_equals_one_seed_at_a_time(self, d):
+        # the seeds of a verify_invariance draw, factorized in one stack
+        seeds = np.random.SeedSequence(8191).spawn(12)
+        stack = random_orthogonal_rows(d, seeds)
+        one_by_one = np.array([random_orthogonal_rows(d, [s])[0] for s in seeds])
+        assert stack.shape == (12, d, d)
+        assert stack.tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_orthogonal_sign_rule(self, d):
+        # Q^T G is the triangular factor, whose diagonal the sign fix makes positive
+        o = random_orthogonal_rows(d, [3])[0]
+        g = np.random.default_rng(3).standard_normal((d, d))
+        r = o.T @ g
+        assert (np.diag(r) > 0).all()
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_orthogonal_dimension_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            random_orthogonal_rows(d, [1])
 
     def test_unitary_properties(self):
         u = random_unitary(4, 3)
@@ -519,26 +542,6 @@ class TestOperatorType:
         op = ComplexOperator(np.eye(2), (2,))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
-
-    def test_json_roundtrip(self):
-        op = random_operator(6, (2, 3), 13)
-        back = ComplexOperator.from_json(op.to_json())
-        assert np.array_equal(back.matrix, op.matrix)
-        assert back.shape == op.shape
-
-    @pytest.mark.parametrize("dim, n_re, n_im", [(-1, 1, 1), (0, 0, 0), (2, 4, 3), (2, 9, 9)])
-    def test_from_json_rejects_a_dim_that_misses_the_entries(self, dim, n_re, n_im):
-        doc = {"dim": dim, "shape": [2], "re": [0.0] * n_re, "im": [0.0] * n_im}
-        with pytest.raises(ValueError, match=f"got dim {dim} with {n_re} and {n_im}"):
-            ComplexOperator.from_json(doc)
-
-    def test_from_json_keeps_each_part_bit_for_bit(self):
-        # re + 1j * im would turn these -0.0 parts into 0.0, and the infinite
-        # imaginary part into a NaN real part
-        re, im = [-0.0, 0.5, -0.0, 1.0], [-0.0, -0.0, 0.25, float("inf")]
-        m = ComplexOperator.from_json({"dim": 2, "shape": [2], "re": re, "im": im}).matrix
-        assert m.real.tobytes() == np.array(re).tobytes()
-        assert m.imag.tobytes() == np.array(im).tobytes()
 
     def test_pure_state_projector(self):
         v = random_unit_vector(3, "complex", 2)

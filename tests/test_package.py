@@ -142,3 +142,38 @@ def test_cli_import_loads_no_fractions_or_decimal():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def imported_modules(path):
+    """The modules a file imports, relative ones with their leading dots: ``from . import
+    jsonio`` counts as ``.jsonio``."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules.add(base)
+            if not node.module:
+                modules.update(base + a.name for a in node.names)
+    return modules
+
+
+def test_numeric_core_has_no_file_format():
+    # the file formats live in cli alone: the numeric core neither imports a
+    # JSON module nor gives its exported classes a JSON form
+    for name in ("dense", "projectors", "simplex", "verify"):
+        found = sorted(
+            m
+            for m in imported_modules(PACKAGE / f"{name}.py")
+            if m.split(".")[0] == "json" or m in (".jsonio", "orthosym.jsonio")
+        )
+        assert not found, f"{name}.py imports {', '.join(found)}"
+    formats = sorted(
+        f"{name}.{attr}"
+        for name in dir(orthosym)
+        if inspect.isclass(cls := getattr(orthosym, name))
+        for attr in ("to_json", "from_json")
+        if attr in vars(cls)
+    )
+    assert not formats, f"exported classes with a JSON form: {', '.join(formats)}"

@@ -17,7 +17,7 @@ from orthosym import (
     multipartite_trace,
     pair_projectors,
     projector_family,
-    random_orthogonal,
+    random_orthogonal_rows,
     random_unit_vector,
 )
 from orthosym import projectors as projectors_module
@@ -206,7 +206,7 @@ class TestMultipartite:
         family = projector_family(3, 1)
         worst = 0.0
         for seed in range(100):
-            big = doubled_tensor([random_orthogonal(3, seed)])
+            big = doubled_tensor([random_orthogonal_rows(3, [seed])[0]])
             for p in family:
                 worst = max(worst, np.abs(big @ p - p @ big).max())
         assert worst <= 1e-10
@@ -218,8 +218,7 @@ class TestMultipartite:
         op = build_multipartite(d, 2, (0, 1)).matrix
         worst = 0.0
         for seed in range(50):
-            o1 = random_orthogonal(d, 2 * seed)
-            o2 = random_orthogonal(d, 2 * seed + 1)
+            o1, o2 = random_orthogonal_rows(d, [2 * seed, 2 * seed + 1])
             big = doubled_tensor([o1, o2])
             worst = max(worst, np.abs(big @ op - op @ big).max())
         assert worst <= 1e-10

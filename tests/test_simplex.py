@@ -1146,12 +1146,6 @@ class TestVertexBudget:
 
 
 class TestFidelityVectorType:
-    def test_json_roundtrip(self):
-        f = random_state_vector(3, 2, 5)
-        back = FidelityVector.from_json(f.to_json())
-        assert back.d == 3 and back.K == 2
-        assert np.array_equal(back.pi, f.pi)
-
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FidelityVector(2, 2, [1.0, 0.0, 0.0])
@@ -1170,7 +1164,7 @@ class TestFidelityVectorType:
 
     @pytest.mark.parametrize("field", ["d", "K"])
     def test_bool_d_and_K_rejected(self, field):
-        # True is an int: to_json would write "K": true, which from_json rejects
+        # True is an int: the CLI would write "K": true, which its reader rejects
         args = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]} | {field: True}
         with pytest.raises(ValueError, match="d and K must be integers"):
             FidelityVector(**args)

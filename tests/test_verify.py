@@ -1,5 +1,6 @@
 """Tests for the dense verification suite itself."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,7 @@ from orthosym import (
     partial_transpose_rows,
     product_state_fidelities_rows,
     pt_map_rows,
-    random_orthogonal,
+    random_orthogonal_rows,
     random_unit_vector,
     reconstruct,
     reconstruct_rows,
@@ -54,7 +55,7 @@ def reference_invariance(d, K, trials, seed):
     children = np.random.SeedSequence(seed).spawn(trials * K)
     residual = 0.0
     for t in range(trials):
-        ops = [random_orthogonal(d, children[t * K + i]) for i in range(K)]
+        ops = [random_orthogonal_rows(d, [children[t * K + i]])[0] for i in range(K)]
         big = doubled_tensor(ops)
         for p in family:
             residual = max(residual, float(np.abs(big @ p - p @ big).max()))
@@ -213,7 +214,7 @@ class TestStackedChecks:
         def reports(stack_bytes):
             monkeypatch.setattr(verify_module, "STACK_BYTES", stack_bytes)
             suite = run_suite(seed=11, combos=((d, K),), trials=7, samples=7)
-            return [r.to_json() for r in suite]
+            return [dataclasses.asdict(r) for r in suite]
 
         one_sample = 16 * d ** (4 * K)
         assert reports(one_sample) == reports(7 * one_sample)
@@ -359,11 +360,6 @@ class TestReportContract:
         good = VerificationReport.build("x", {}, 1e-13, 1e-12)
         bad = VerificationReport.build("x", {}, 1e-11, 1e-12)
         assert good.passed and not bad.passed
-
-    def test_json_fields(self):
-        doc = verify_c_matrix(2).to_json()
-        assert set(doc) == {"check", "params", "max_residual", "tolerance", "pass"}
-        assert doc["pass"] is True
 
     def test_deterministic_given_seed(self):
         a = verify_pt_consistency(2, 1, samples=5, seed=123)

@@ -74,6 +74,17 @@ def _is_integer(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _check_local_dimension(d: int) -> None:
+    if d < 2:
+        raise DomainError("local dimension must be >= 2")
+
+
+def _check_dimension(dim: int) -> int:
+    if dim > MAX_DIM:
+        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    return dim
+
+
 def _subsystems(shape: Sequence[int], subs: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(int(s) for s in subs))
     if len(set(out)) != len(out):

@@ -15,6 +15,7 @@ import json
 import json.decoder
 import json.scanner
 import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
 
@@ -113,8 +114,13 @@ def dumps(obj) -> str:
     """JSON text of ``obj``, with every float in 17 significant digits."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    # no value passes two of these tests, so the most frequent come first
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         # a list of finite floats is rendered at once; anything else item by
         # item, so that format_float names the first non-finite float
@@ -125,10 +131,6 @@ def dumps(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")

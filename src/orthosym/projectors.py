@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .dense import (
-    MAX_DIM,
     CapacityError,
     ComplexOperator,
-    DomainError,
+    _check_dimension,
+    _check_local_dimension,
     kron_rows,
 )
 
@@ -41,11 +41,8 @@ def hull_generators(d: int) -> np.ndarray:
     P0 = 1 - P1.  d = 1 is rejected: the antisymmetric sector is empty there
     and the simplex degenerates.
     """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
-    n = d * d
-    if n > MAX_DIM:
-        raise CapacityError(f"dimension {n} exceeds the cap {MAX_DIM}")
+    _check_local_dimension(d)
+    n = _check_dimension(d * d)
     eye = np.eye(n)
     swap = eye.reshape(d, d, d, d).swapaxes(2, 3).reshape(n, n)
     entangled = np.zeros((n, n))
@@ -85,9 +82,7 @@ def _family_rows(d: int, K: int, alphas: Sequence[tuple[int, ...]]) -> np.ndarra
     one transpose of its legs to grouped order, written into its row in turn,
     so the build holds one family and one member besides.
     """
-    dim = d ** (2 * K)
-    if dim > MAX_DIM:
-        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    dim = _check_dimension(d ** (2 * K))
     pair = pair_projectors(d)[:, None]
     # grouped leg j comes from pair-ordered leg legs[j]: A_i is leg 2i, B_i is 2i + 1
     legs = [*range(0, 2 * K, 2), *range(1, 2 * K, 2)]

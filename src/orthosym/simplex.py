@@ -19,11 +19,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dense import (
-    MAX_DIM,
     PSD_TOL,
     CapacityError,
     ComplexOperator,
     DomainError,
+    _check_dimension,
+    _check_local_dimension,
     _is_integer,
     is_psd_rows,
     kron_rows,
@@ -61,14 +62,11 @@ class FidelityVector:
     def __post_init__(self) -> None:
         if not (_is_integer(self.d) and _is_integer(self.K)):
             raise ValueError(f"d and K must be integers, got {self.d!r}, {self.K!r}")
-        if self.d < 2:
-            raise DomainError("local dimension must be >= 2")
+        _check_local_dimension(self.d)
         if self.K < 1:
             raise ValueError("pair count must be >= 1")
         pi = np.array(self.pi, dtype=float, copy=True)
-        # 3**K is over the size once K reaches its bit length: capped there,
-        # an enormous K forms no enormous power
-        if pi.ndim != 1 or pi.size != 3 ** min(self.K, pi.size.bit_length()):
+        if pi.ndim != 1 or not _is_power(pi.size, 3, self.K):
             raise ValueError(f"expected 3**{self.K} coordinates, got shape {pi.shape}")
         if not np.isfinite(pi).all():
             raise DomainError("coordinates must be finite")
@@ -105,8 +103,7 @@ def c_matrix(d: int) -> np.ndarray:
     trace preservation; the entries are not all nonnegative, so the matrix
     is not stochastic.  It squares to the identity.
     """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
+    _check_local_dimension(d)
     m = np.array(
         [
             [d - 2, d, 2],
@@ -128,11 +125,15 @@ def _check_mask(mask: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int(b) for b in mask)
 
 
+def _is_power(size: int, base: int, exp: int) -> bool:
+    """Whether ``size == base**exp``.  For base >= 2 the power is over the size once exp
+    reaches the size's bit length, so capping exp there keeps the verdict (1**x is 1)."""
+    return size == base ** min(exp, size.bit_length())
+
+
 def _check_rows(pi: np.ndarray, K: int) -> None:
     """Raise ValueError unless ``pi`` is an (N, 3**K) array of coordinate rows."""
-    # 3**K is over the width once K reaches its bit length: capped there, an
-    # enormous K forms no enormous power
-    if pi.ndim != 2 or pi.shape[1] != 3 ** min(K, pi.shape[1].bit_length()):
+    if pi.ndim != 2 or not _is_power(pi.shape[1], 3, K):
         raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
 
 
@@ -260,8 +261,7 @@ def product_state_fidelities_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndar
     if psis.ndim != 3 or psis.shape != phis.shape or psis.shape[1] < 1:
         raise ValueError("need one psi and one phi per pair")
     d = psis.shape[2]
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
+    _check_local_dimension(d)
     for v in (psis, phis):
         if (np.abs(np.linalg.norm(v, axis=2) - 1.0) > 1e-10).any():
             raise DomainError("vectors must have unit norm")
@@ -324,12 +324,9 @@ def twirl_rows(stack: np.ndarray, d: int, K: int) -> np.ndarray:
     matrix, so a row gives the floats of a stack of one.
     """
     dim = stack.shape[-1]
-    # for d >= 2, d**(2K) is over the dimension once 2K reaches its bit length, so
-    # capping 2K there keeps the verdict and forms no enormous power (1**x is 1)
-    if dim != d ** min(2 * K, dim.bit_length()):
+    if not _is_power(dim, d, 2 * K):
         raise DomainError(f"state dimension {dim} is not {d}^(2*{K})")
-    if dim > MAX_DIM:
-        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    _check_dimension(dim)
     if not np.isfinite(stack).all():
         raise DomainError("state has non-finite entries")
     traces = np.trace(stack, axis1=1, axis2=2)
@@ -356,9 +353,7 @@ def twirl_coords(rho: ComplexOperator, d: int, K: int) -> FidelityVector:
     by its sum so that a trace off by up to 1e-10 still yields unit-sum output.
     """
     pi = twirl_rows(rho.matrix[None], d, K)[0]
-    # the dimension is d**(2K) by now, so all factors d make the shape (d,) * 2K;
-    # no 2K-tuple is built, since d = 1 admits any K
-    if any(s != d for s in rho.shape):
+    if rho.shape != (d,) * (2 * K):  # d >= 2 and d**(2K) <= MAX_DIM by now
         raise DomainError(f"state shape {list(rho.shape)} is not {2 * K} factors of {d}")
     return FidelityVector(d, K, pi)
 
@@ -373,9 +368,7 @@ def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
     _check_rows(pi, K)
     if not _state_rows(pi).all():
         raise DomainError("reconstruct requires state-valued coordinates")
-    dim = d ** (2 * K)
-    if dim > MAX_DIM:
-        raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
+    dim = _check_dimension(d ** (2 * K))
     n = len(pi)
     pair = pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
     x = _contract_axes(pi.reshape((n,) + (3,) * K), pair, range(1, K + 1))
@@ -496,8 +489,7 @@ def intersection_point(d: int) -> IntersectionPoint:
     reached at line parameters (d-1)/(2d) and 1/d**2; both parametrized
     points are returned so the discrepancy stays observable.
     """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
+    _check_local_dimension(d)
     # q = (n - 2) / (2n) and p = (n + 2) / n^2 exactly, with n = d(d + 1);
     # int / int rounds the exact quotient once, as float(Fraction) does
     n = d * (d + 1)
@@ -582,8 +574,7 @@ def classify_lattice(
     row by row, the masks taken from one :func:`pt_map_masks` walk per block.
     :func:`check_scan_budget` runs before the first block.
     """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
+    _check_local_dimension(d)
     check_scan_budget(n, K)
     m = 3**K
     c = c_matrix(d)

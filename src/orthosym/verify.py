@@ -17,6 +17,7 @@ from .dense import (
     MAX_DIM,
     CapacityError,
     DomainError,
+    _check_local_dimension,
     kron_rows,
     min_eigenvalue_rows,
     partial_trace_rows,
@@ -91,8 +92,7 @@ def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
     re-expanded in the projector basis by trace inner products; the
     expansion coefficients must reproduce the closed-form matrix row by row.
     """
-    if d < 2:
-        raise DomainError("local dimension must be >= 2")
+    _check_local_dimension(d)
     if d**4 > MAX_DIM:
         raise CapacityError(f"d^4 = {d ** 4} exceeds the cap {MAX_DIM}")
     pis = pair_projectors(d)

@@ -301,15 +301,21 @@ def reference_dumps(obj) -> str:
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True)
+#: Texts that JSON must escape: a quote, a backslash, control and non-ASCII characters.
+escaped = st.text(st.sampled_from('"\\\n\x00\x1f\x7f\u00e9\u2028\U0001f600a'), max_size=4)
+strings = st.text(max_size=3) | escaped
 scalars = (
-    finite | st.integers() | st.booleans() | st.none() | st.text(max_size=3)
+    finite | st.integers() | st.booleans() | st.none() | strings | escaped.map(np.str_)
     | finite.map(np.float64) | st.integers(-5, 5).map(np.int64) | st.booleans().map(np.bool_)
+    | st.floats(width=32).map(np.float32) | st.floats(width=16).map(np.float16)
+    | st.integers(-(2**31), 2**31 - 1).map(np.int32) | st.integers(0, 255).map(np.uint8)
+    | floats.map(np.array)
 )
 float_lists = st.lists(finite, max_size=20) | st.lists(floats, max_size=20)
 documents = st.recursive(
     scalars | float_lists | float_lists.map(np.array),
     lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    | st.dictionaries(strings | escaped.map(np.str_), inner, max_size=4),
     max_leaves=30,
 )
 
@@ -330,6 +336,11 @@ class TestDumps:
             ({"pi": np.array([1.0]), "ok": np.array([True, False])},
              '{"pi": [1], "ok": [true, false]}'),
             ([], "[]"),
+            ({'a"b\\': ["\n\x00\x1f\x7f\u00e9\U0001f600\u2028", np.str_("x")]},
+             r'{"a\"b\\": ["\n\u0000\u001f\u007f\u00e9\ud83d\ude00\u2028", "x"]}'),
+            ([np.float32(0.1), np.int32(-3), np.uint8(7), np.bool_(False), np.float16(0.1),
+              np.array(0.25), np.str_("q")],
+             '[0.10000000149011612, -3, 7, false, 0.0999755859375, 0.25, "q"]'),
         ],
     )
     def test_text(self, doc, text):

@@ -1,4 +1,5 @@
-"""Checks on the package as a whole: its public functions and the README example."""
+"""Checks on the package as a whole: its public functions, its layering, the owners of
+its argument rules and the README example."""
 
 import ast
 import builtins
@@ -12,6 +13,7 @@ from pathlib import Path
 from types import FunctionType
 
 import numpy as np
+import pytest
 
 import orthosym
 
@@ -177,3 +179,69 @@ def test_numeric_core_has_no_file_format():
         if attr in vars(cls)
     )
     assert not formats, f"exported classes with a JSON form: {', '.join(formats)}"
+
+
+def owners(predicate):
+    """The (module, function) pairs of ``src/orthosym`` with a node that ``predicate``
+    accepts, each node owned by its innermost enclosing function (None at module level)."""
+    found = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if predicate(node):
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def message_template(node):
+    """A string literal as it is, an f-string with ``{}`` for each field, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+@pytest.mark.parametrize(
+    "template", ["local dimension must be >= 2", "dimension {} exceeds the cap {}"]
+)
+def test_each_argument_rule_is_raised_by_one_function(template):
+    # a rule stated at every call site drifts apart one copy at a time
+    def raises(node):
+        return (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and any(message_template(arg) == template for arg in node.exc.args)
+        )
+
+    found = owners(raises)
+    assert len(found) == 1, f"{template!r} is raised by {sorted(found, key=str)}"
+
+
+def test_capped_power_size_test_lives_in_is_power():
+    # size == base ** min(exp, size.bit_length()): the one place that says why
+    def capped_power(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Call)
+            and isinstance(node.right.func, ast.Name)
+            and node.right.func.id == "min"
+            and any(
+                isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Attribute)
+                and arg.func.attr == "bit_length"
+                for arg in node.right.args
+            )
+        )
+
+    def size_test(node):
+        return isinstance(node, ast.Compare) and any(map(capped_power, ast.walk(node)))
+
+    assert owners(size_test) == {("simplex", "_is_power")}

@@ -52,6 +52,7 @@ from orthosym import (
     twirl_coords,
     twirl_rows,
 )
+from orthosym import dense as dense_module
 from orthosym import simplex as simplex_module
 from orthosym.simplex import VERTEX_LABELS
 
@@ -328,6 +329,44 @@ class TestCutsAndCeilings:
             assert sep_bound_check(FidelityVector(d, K, row)).passes
 
 
+def combination(coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i], entry by entry."""
+    return [sum(c * x for c, x in zip(coeffs, entries, strict=True)) for entries in zip(*vectors)]
+
+
+class TestMultiPPTCone:
+    """One pair's PPT inequalities span the cone of its no-signalling ones.
+
+    R holds the walk's per-pair inequalities: e0, e1, e2 (a coordinate is >= 0)
+    and the columns of C (a transposed coordinate is >= 0).  N.G holds p(1|a),
+    p(0|a), p(1|b) and p(0|b) pulled back through G.  Equal cones per pair give
+    equal cones of the K-fold products, so multi-PPT is the no-signalling
+    polytope in the Bell frame.
+    """
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_each_cone_holds_the_other_generators(self, d):
+        half, inv_d = Fraction(1, 2), Fraction(1, d)
+        units = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        r = units + [list(col) for col in zip(*fraction_c(d))]
+        ng = [[Fraction(x) for x in v] for v in ([1, -1, 1], [0, 2, 0], [0, 0, d], [1, 1, 1 - d])]
+        # 2 e0 = (1,-1,1) + (1,1,1-d) + (1 - 2/d)(0,0,d), e1 = (0,2,0)/2, e2 = (0,0,d)/d
+        units_in_ng = [[half, 0, half - inv_d, half], [0, half, 0, 0], [0, 0, inv_d, 0]]
+        col0 = r[3]
+        assert min(col0) >= 0  # so column 0 is a sum of the units
+        r_in_ng = units_in_ng + [
+            combination(col0, units_in_ng),
+            [0, 0, 0, half],  # column 1 = (1,1,1-d)/2
+            [inv_d, 0, 0, 0],  # column 2 = (1,-1,1)/d
+        ]
+        # (1,-1,1) = d col2, (0,2,0) = 2 e1, (0,0,d) = d e2, (1,1,1-d) = 2 col1
+        ng_in_r = [[0, 0, 0, 0, 0, d], [0, 2, 0, 0, 0, 0], [0, 0, d, 0, 0, 0], [0, 0, 0, 0, 2, 0]]
+        for targets, table, sources in ((r, r_in_ng, ng), (ng, ng_in_r, r)):
+            for target, coeffs in zip(targets, table, strict=True):
+                assert min(coeffs) >= 0
+                assert combination(coeffs, sources) == target
+
+
 class TestMaskHelpers:
     def test_rank_roundtrip(self):
         # mask r is all_masks(K)[r - 1]
@@ -553,7 +592,7 @@ class TestTwirlAndReconstruct:
         rho = ComplexOperator(nan_state, (2,) * 4)
         with pytest.raises(DomainError, match="non-finite"):
             twirl_coords(rho, 2, 2)
-        monkeypatch.setattr(simplex_module, "MAX_DIM", 8)
+        monkeypatch.setattr(dense_module, "MAX_DIM", 8)  # the cap lives in dense._check_dimension
         with pytest.raises(CapacityError):
             twirl_coords(rho, 2, 2)  # the cap comes before the entries are read
         with pytest.raises(DomainError, match="dimension"):

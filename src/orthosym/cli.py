@@ -10,7 +10,6 @@ verification, 2 argument errors, 3 capacity, 4 domain errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -24,6 +23,7 @@ from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
     VERTEX_LABELS,
     FidelityVector,
+    _check_state_rows,
     check_output_budget,
     check_scan_budget,
     check_vertex_budget,
@@ -183,14 +183,14 @@ def cmd_ppt(args) -> int:
     f = _load(args.fid, _read_fidelities)
     single = args.mask is not None
     check_output_budget([(1 if single else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
+    bits = _parse_mask(args.mask, f.K) if single else None
+    _check_state_rows(f.pi[None], "ppt")
     c = c_matrix(f.d)
     # all masks come from one walk; a lone mask contracts only its own axes
     if single:
-        masks, rows = [args.mask], pt_map_rows(f.pi[None], c, _parse_mask(args.mask, f.K))
+        masks, rows = [args.mask], pt_map_rows(f.pi[None], c, bits)
     else:
         masks, rows = _digit_labels(f.K, "01")[1:], pt_map_masks(f.pi[None], c, f.K)[0, 1:]
-    if not f.is_state():
-        raise DomainError("ppt requires state-valued coordinates")
     bad = rows < -args.tol
     # built only for a violation: at K = 14, one --mask admits 4.8e6 labels
     labels = _digit_labels(f.K, "012") if bad.any() else []
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, IndexError, KeyError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, KeyError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,6 +79,11 @@ def _check_local_dimension(d: int) -> None:
         raise DomainError("local dimension must be >= 2")
 
 
+def _check_draw_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+
+
 def _check_dimension(dim: int) -> int:
     if dim > MAX_DIM:
         raise CapacityError(f"dimension {dim} exceeds the cap {MAX_DIM}")
@@ -195,8 +200,7 @@ def random_orthogonal_rows(d: int, seeds) -> np.ndarray:
     column signs are fixed so each triangular factor has a positive diagonal,
     which makes the distribution exactly Haar on O(d).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_draw_dimension(d)
     g = np.array([np.random.default_rng(seed).standard_normal((d, d)) for seed in seeds])
     q, r = np.linalg.qr(g.reshape(-1, d, d))
     return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
@@ -204,8 +208,7 @@ def random_orthogonal_rows(d: int, seeds) -> np.ndarray:
 
 def random_unit_vector(d: int, field: str, seed) -> np.ndarray:
     """Unit-norm random vector over the ``"real"`` or ``"complex"`` field."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_draw_dimension(d)
     rng = np.random.default_rng(seed)
     if field == "real":
         v = rng.standard_normal(d)

@@ -63,8 +63,7 @@ class FidelityVector:
         if not (_is_integer(self.d) and _is_integer(self.K)):
             raise ValueError(f"d and K must be integers, got {self.d!r}, {self.K!r}")
         _check_local_dimension(self.d)
-        if self.K < 1:
-            raise ValueError("pair count must be >= 1")
+        _check_pair_count(self.K)
         pi = np.array(self.pi, dtype=float, copy=True)
         if pi.ndim != 1 or not _is_power(pi.size, 3, self.K):
             raise ValueError(f"expected 3**{self.K} coordinates, got shape {pi.shape}")
@@ -81,6 +80,17 @@ class FidelityVector:
 def _state_rows(pi: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """:meth:`FidelityVector.is_state` for every row of an (N, 3**K) array."""
     return (pi.min(axis=1) >= -tol) & (np.abs(pi.sum(axis=1) - 1.0) <= SUM_TOL)
+
+
+def _check_state_rows(pi: np.ndarray, what: str) -> None:
+    """Raise DomainError naming ``what`` unless every row of ``pi`` is state-valued."""
+    if not _state_rows(pi).all():
+        raise DomainError(f"{what} requires state-valued coordinates")
+
+
+def _check_pair_count(K: int) -> None:
+    if K < 1:
+        raise ValueError("pair count must be >= 1")
 
 
 def all_masks(K: int) -> list[tuple[int, ...]]:
@@ -209,8 +219,7 @@ def ppt_check(f: FidelityVector, mask: Sequence[int], tol: float = PSD_TOL) -> P
     a violation.
     """
     bits = _check_mask(mask, f.pi.size)
-    if not f.is_state():
-        raise DomainError("ppt_check requires state-valued coordinates")
+    _check_state_rows(f.pi[None], "ppt_check")
     g = pt_map_rows(f.pi[None], c_matrix(f.d), bits)[0]
     violations = tuple((r, float(g[r])) for r in np.flatnonzero(g < -tol).tolist())
     return PPTVerdict(bits, not violations, FidelityVector(f.d, f.K, g), violations)
@@ -301,8 +310,7 @@ def coordinate_bounds(d: int, K: int) -> np.ndarray:
 
 def sep_bound_check(f: FidelityVector) -> SeparabilityBounds:
     """Check every coordinate against its product-state ceiling, within PSD_TOL."""
-    if not f.is_state():
-        raise DomainError("sep_bound_check requires state-valued coordinates")
+    _check_state_rows(f.pi[None], "sep_bound_check")
     bounds = coordinate_bounds(f.d, f.K)
     violated = tuple(np.flatnonzero(f.pi > bounds + PSD_TOL).tolist())
     return SeparabilityBounds(
@@ -366,8 +374,7 @@ def reconstruct_rows(pi: np.ndarray, d: int, K: int) -> np.ndarray:
     stack of one.
     """
     _check_rows(pi, K)
-    if not _state_rows(pi).all():
-        raise DomainError("reconstruct requires state-valued coordinates")
+    _check_state_rows(pi, "reconstruct")
     dim = _check_dimension(d ** (2 * K))
     n = len(pi)
     pair = pair_projectors(d).reshape(3, d**4) / np.array(bipartite_traces(d))[:, None]
@@ -531,8 +538,7 @@ def default_grid_resolution(K: int) -> int:
     there, so an enormous K forms no enormous power.  K < 1 is rejected: at
     K = 0 every n would fit.
     """
-    if K < 1:
-        raise ValueError("pair count must be >= 1")
+    _check_pair_count(K)
     limit = 100_000
     m = 3 ** min(K, limit.bit_length())
     n = 1

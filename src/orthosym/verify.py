@@ -268,7 +268,4 @@ def run_suite(
 
 def first_failure(reports) -> VerificationReport | None:
     """The first failing report, or None when everything passed."""
-    for report in reports:
-        if not report.passed:
-            return report
-    return None
+    return next((report for report in reports if not report.passed), None)

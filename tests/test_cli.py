@@ -598,6 +598,35 @@ class TestSep:
         assert "integers" in err
 
 
+class TestStateValuedInput:
+    """ppt and sep on the d = 2, K = 1 vector (0.9, 0.4, -0.3), which is no state."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["ppt"], 4, "error: ppt requires state-valued coordinates\n"),
+            (["ppt", "--mask", "1"], 4, "error: ppt requires state-valued coordinates\n"),
+            (["ppt", "--mask", "012"], 2, "error: mask must be 1 binary digits, got '012'\n"),
+            (["sep"], 4, "error: sep_bound_check requires state-valued coordinates\n"),
+        ],
+    )
+    def test_exit_and_message(self, capsys, tmp_path, argv, code, err):
+        fid = write_fid(tmp_path, "bad.json", 2, 1, [0.9, 0.4, -0.3])
+        command, *rest = argv
+        assert run(capsys, command, "--fid", fid, *rest) == (code, "", err)
+
+    @pytest.mark.parametrize("mask", [[], ["--mask", "1"]])
+    def test_ppt_rejects_before_the_walk(self, capsys, tmp_path, monkeypatch, mask):
+        def no_walk(*args):
+            raise AssertionError("ppt walked the masks of a non-state vector")
+
+        monkeypatch.setattr(cli, "pt_map_masks", no_walk)
+        monkeypatch.setattr(cli, "pt_map_rows", no_walk)
+        fid = write_fid(tmp_path, "bad.json", 2, 1, [0.9, 0.4, -0.3])
+        code, out, err = run(capsys, "ppt", "--fid", fid, *mask)
+        assert (code, out, err) == (4, "", "error: ppt requires state-valued coordinates\n")
+
+
 class TestScan:
     def test_small_scan_layout(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"
@@ -784,7 +813,7 @@ class TestInputBudget:
             raise AssertionError("an input file over budget was parsed")
 
         monkeypatch.setattr(cli, "INPUT_BYTES", size - 1)
-        monkeypatch.setattr(cli.json, "loads", no_parse)
+        monkeypatch.setattr(json, "loads", no_parse)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -900,6 +929,15 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: input {path} has no key 'pi'\n"
+
+    @pytest.mark.parametrize("command", ["ppt", "sep", "reduce"])
+    def test_truncated_json_is_usage_error(self, capsys, tmp_path, command):
+        # json.JSONDecodeError is a ValueError, so it exits 2 with the parser's message
+        path = tmp_path / "fid.json"
+        path.write_text('{"d": 2, "K": 1, "pi": [0.9, 0.4')
+        argv = [command, "--fid", str(path)] + (["--pair", "0"] if command == "reduce" else [])
+        err = "error: Expecting ',' delimiter: line 1 column 33 (char 32)\n"
+        assert run(capsys, *argv) == (2, "", err)
 
     def test_twirl_missing_im_is_named(self, capsys, tmp_path):
         doc = operator_doc(np.eye(4) / 4, (2, 2))

@@ -208,20 +208,54 @@ def message_template(node):
     return None
 
 
-@pytest.mark.parametrize(
-    "template", ["local dimension must be >= 2", "dimension {} exceeds the cap {}"]
-)
-def test_each_argument_rule_is_raised_by_one_function(template):
-    # a rule stated at every call site drifts apart one copy at a time
-    def raises(node):
+def raises(template):
+    """A predicate for a ``raise`` of an exception whose message is ``template``."""
+
+    def accept(node):
         return (
             isinstance(node, ast.Raise)
             and isinstance(node.exc, ast.Call)
             and any(message_template(arg) == template for arg in node.exc.args)
         )
 
-    found = owners(raises)
+    return accept
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "local dimension must be >= 2",
+        "dimension {} exceeds the cap {}",
+        "{} requires state-valued coordinates",
+        "pair count must be >= 1",
+        "dimension must be >= 1",
+    ],
+)
+def test_each_argument_rule_is_raised_by_one_function(template):
+    # a rule stated at every call site drifts apart one copy at a time
+    found = owners(raises(template))
     assert len(found) == 1, f"{template!r} is raised by {sorted(found, key=str)}"
+
+
+CORE = ("dense", "projectors", "simplex", "verify")
+
+
+def test_no_message_is_raised_by_two_core_functions():
+    # cli stays with the templates listed above: cli._parse_mask words the text
+    # form of the mask rule exactly as simplex.bob_subsystems words the sequence form
+    templates = {
+        message_template(arg)
+        for name in CORE
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        for arg in node.exc.args
+    } - {None}
+    shared = {}
+    for template in sorted(templates):
+        found = sorted(pair for pair in owners(raises(template)) if pair[0] in CORE)
+        if len(found) > 1:
+            shared[template] = found
+    assert not shared, f"messages raised by two core functions: {shared}"
 
 
 def test_capped_power_size_test_lives_in_is_power():

@@ -31,6 +31,7 @@ from orthosym import (
     hull_generators,
     hull_vertices,
     intersection_point,
+    kron_rows,
     min_eigenvalue_rows,
     multipartite_trace,
     pair_projectors,
@@ -281,6 +282,18 @@ class TestPPTCheck:
         f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
         assert all(ppt_check(f, mask).is_ppt for mask in all_masks(2))
 
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (lambda f: ppt_check(f, (1,)), "ppt_check requires state-valued coordinates"),
+            (sep_bound_check, "sep_bound_check requires state-valued coordinates"),
+        ],
+    )
+    def test_non_state_message(self, check, message):
+        with pytest.raises(DomainError) as exc:
+            check(FidelityVector(2, 1, [0.9, 0.4, -0.3]))
+        assert str(exc.value) == message
+
 
 class TestCutsAndCeilings:
     """Multi-PPT covers every cut of the 2K parties and implies the ceilings."""
@@ -365,6 +378,27 @@ class TestMultiPPTCone:
             for target, coeffs in zip(targets, table, strict=True):
                 assert min(coeffs) >= 0
                 assert combination(coeffs, sources) == target
+
+    @settings(deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 4), st.data())
+    def test_all_mask_verdict_is_the_no_signalling_forms(self, d, K, data):
+        # c is w copies of the integer maximally mixed point (the pair traces, d**(2K)
+        # in all) plus a composition of n: lone compositions of a small n are PPT at
+        # K >= 2 in almost no draw.  The walk with M = 2d C and the 4**K forms
+        # (N G)^(x K) c are then integers below 4 d**(2K) 98**K < 2**53 (98 is the
+        # largest row sum of |M| at d = 7), so both verdicts are exact
+        n = data.draw(st.integers(1, d ** (2 * K)), label="n")
+        bars = data.draw(st.lists(st.integers(0, n), min_size=3**K - 1, max_size=3**K - 1))
+        w = data.draw(st.integers(0, 3), label="w")
+        mixed = reduce(np.kron, [np.array(bipartite_traces(d), dtype=float)] * K)
+        c = w * mixed + np.diff([0, *sorted(bars), n])
+        m = np.array(
+            [[d - 2, d, 2], [d + 2, d, -2], [(d - 1) * (d + 2), -d * (d - 1), 2]], dtype=float
+        )
+        assert np.array_equal(m / (2 * d), c_matrix(d))
+        ng = np.array([[1, -1, 1], [0, 2, 0], [0, 0, d], [1, 1, 1 - d]], dtype=float)
+        ppt = (pt_map_masks(c[None], m, K) >= 0).all()
+        assert ppt == (kron_rows(*[ng[None]] * K)[0] @ c >= 0).all()
 
 
 class TestMaskHelpers:

@@ -23,6 +23,7 @@ from .projectors import build_multipartite, multipartite_trace
 from .simplex import (
     VERTEX_LABELS,
     FidelityVector,
+    _binary_mask,
     _check_state_rows,
     check_output_budget,
     check_scan_budget,
@@ -50,12 +51,6 @@ READ_PIECE_BYTES = 2**24
 def _digit_labels(K: int, digits: str) -> list[str]:
     """All K-digit strings over ``digits`` in rank order: multi-indices or masks."""
     return list(map("".join, product(digits, repeat=K)))
-
-
-def _parse_mask(text: str, K: int) -> tuple[int, ...]:
-    if len(text) != K or any(ch not in "01" for ch in text):
-        raise ValueError(f"mask must be {K} binary digits, got {text!r}")
-    return tuple(int(ch) for ch in text)
 
 
 def _parse_alpha(text: str) -> tuple[int, ...]:
@@ -183,7 +178,7 @@ def cmd_ppt(args) -> int:
     f = _load(args.fid, _read_fidelities)
     single = args.mask is not None
     check_output_budget([(1 if single else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
-    bits = _parse_mask(args.mask, f.K) if single else None
+    bits = _binary_mask(args.mask, f.K) if single else None
     _check_state_rows(f.pi[None], "ppt")
     c = c_matrix(f.d)
     # all masks come from one walk; a lone mask contracts only its own axes

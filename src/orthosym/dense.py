@@ -191,6 +191,53 @@ def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return min_eigenvalue_rows(stack) >= -tol
 
 
+class _SeedChild:
+    """A SeedSequence child with its PCG64 seed words known; the real child answers the rest."""
+
+    __slots__ = ("_entropy", "_index", "_words")
+
+    def __init__(self, entropy, index: int, words: np.ndarray):
+        self._entropy, self._index, self._words = entropy, index, words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self._words
+        child = np.random.SeedSequence(self._entropy, spawn_key=(self._index,))
+        return child.generate_state(n_words, dtype)
+
+
+def _spawn_seeds(seed, count: int) -> list:
+    """``np.random.SeedSequence(seed).spawn(count)``'s children and streams, their PCG64 seed
+    words from one vectorized pass of SeedSequence's mixing, not one Cython call per child."""
+    # imported here: numpy.random at module level adds ~15 ms to every start-up
+    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
+
+    ISeedSequence.register(_SeedChild)
+    parent = np.random.SeedSequence(seed)
+    size = parent.pool_size
+    run = _coerce_to_uint32_array(parent.entropy)[:, None]
+    zeros = [np.zeros(1, np.uint32)] * (size - len(run))  # a spawn key pads run to the pool
+    words = [*run, *zeros, np.arange(count, dtype=np.uint32)]  # child i's entropy
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: np.ndarray) -> np.ndarray:  # const steps alike for any data
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & 0xFFFFFFFF)
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:size]]
+    for src, word in enumerate(words):  # the pool's words into each other, then the rest
+        value = pool[src] if src < size else word
+        for dst in (i for i in range(size) if i != src):
+            mixed = pool[dst] * 0xCA01F9DD - hashmix(value) * 0x4973F715
+            pool[dst] = mixed ^ mixed >> 16
+    const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64)
+    table = np.stack([hashmix(pool[i % size]) for i in range(8)], axis=1)
+    table = table.astype("<u4").view("<u8").astype(np.uint64)
+    table.setflags(write=False)
+    return [_SeedChild(parent.entropy, i, row) for i, row in enumerate(table)]
+
+
 def random_orthogonal_rows(d: int, seeds) -> np.ndarray:
     """Haar-distributed real orthogonal (d, d) float64 matrices, one per seed,
     as a (T, d, d) stack; each deterministic per its seed.

@@ -98,11 +98,18 @@ def all_masks(K: int) -> list[tuple[int, ...]]:
     return list(product((0, 1), repeat=K))[1:]
 
 
+def _binary_mask(mask: "str | Sequence[int]", K: int) -> tuple[int, ...]:
+    """The bits of a K-digit '0'/'1' string or a K-bit 0/1 sequence; forms no power of K."""
+    digits, shown = ("01", repr(mask)) if isinstance(mask, str) else ((0, 1), tuple(mask))
+    if len(mask) != K or any(b not in digits for b in mask):
+        raise ValueError(f"mask must be {K} binary digits, got {shown}")
+    return tuple(map(int, mask))
+
+
 def bob_subsystems(mask: Sequence[int], K: int) -> tuple[int, ...]:
     """Dense subsystems transposed by the K-bit ``mask``: {K + i : mask[i] = 1}."""
-    if len(mask) != K or any(b not in (0, 1) for b in mask):
-        raise ValueError(f"mask must be {K} binary digits, got {tuple(mask)}")
-    return tuple(K + i for i, b in enumerate(mask) if b)
+    bits = _binary_mask(tuple(mask), K)  # as a tuple, a '0'/'1' string is no bit sequence
+    return tuple(K + i for i, b in enumerate(bits) if b)
 
 
 def c_matrix(d: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from .dense import (
     CapacityError,
     DomainError,
     _check_local_dimension,
+    _spawn_seeds,
     kron_rows,
     min_eigenvalue_rows,
     partial_trace_rows,
@@ -122,7 +123,7 @@ def verify_invariance(
         params["note"] = "no samples"
         return VerificationReport.build("invariance", params, 0.0, tolerance)
     family = projector_family(d, K)
-    children = np.random.SeedSequence(seed).spawn(trials * K)
+    children = _spawn_seeds(seed, trials * K)
     rotations = random_orthogonal_rows(d, children).reshape(trials, K, d, d)
     residual = 0.0
     for chunk in _chunks(trials, d ** (2 * K)):
@@ -180,7 +181,7 @@ def verify_product_fidelities(
     """
     family = projector_family(d, K)
     bounds = coordinate_bounds(d, K)
-    children = iter(np.random.SeedSequence(seed).spawn(4 * trials * K))
+    children = iter(_spawn_seeds(seed, 4 * trials * K))
     residual = 0.0
     for field in ("real", "complex"):
         # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order

@@ -813,7 +813,7 @@ class TestInputBudget:
             raise AssertionError("an input file over budget was parsed")
 
         monkeypatch.setattr(cli, "INPUT_BYTES", size - 1)
-        monkeypatch.setattr(json, "loads", no_parse)
+        monkeypatch.setattr(cli, "loads", no_parse)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""

@@ -511,6 +511,43 @@ class TestRandomSampling:
         )
 
 
+class TestSpawnSeeds:
+    # 2**128 + 3 is five uint32 words, more than the pool of four
+    SEEDS = [0, 1, 8191, 2**32, 2**64 + 1, 2**128 + 3, [1, 2, 3]]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 1600])
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_children_equal_numpy_spawn(self, seed, count):
+        children = dense_module._spawn_seeds(seed, count)
+        reference = np.random.SeedSequence(seed).spawn(count)
+        assert len(children) == len(reference) == count
+        for child, ref in zip(children, reference):
+            words = child.generate_state(4, np.uint64)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, ref.generate_state(4, np.uint64))
+            draws = np.random.default_rng(child).standard_normal(7)
+            assert draws.tobytes() == np.random.default_rng(ref).standard_normal(7).tobytes()
+            # any other request is answered by the real child
+            assert np.array_equal(child.generate_state(624), ref.generate_state(624))
+            words = child.generate_state(8, np.uint32)
+            assert np.array_equal(words, ref.generate_state(8, np.uint32))
+
+    def test_fast_path_builds_only_the_parent(self, monkeypatch):
+        built = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        children = dense_module._spawn_seeds(8191, 1600)
+        for child in children:
+            np.random.default_rng(child)
+        assert len(children) == 1600
+        assert len(built) <= 1
+
+
 class TestOperatorType:
     def test_shape_product_must_match(self):
         with pytest.raises(ValueError):

@@ -135,15 +135,27 @@ def test_readme_names_are_defined():
     assert not missing, f"README names undefined: {', '.join(missing)}"
 
 
-def test_cli_import_loads_no_fractions_or_decimal():
-    # together about 3 ms of every start-up; a fresh child has its own sys.modules
-    script = "import sys, orthosym.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+def run_script(script):
+    """Exit code, stdout and stderr of ``python -c script`` with ``src`` on the path: a
+    fresh child has its own sys.modules."""
     src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # together about 3 ms of every start-up
+    script = "import sys, orthosym.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert run_script(script) == (0, "[]\n", "")
+
+
+def test_cli_import_loads_no_numpy_random():
+    # about 15 ms of every start-up; verify imports it when it first draws
+    script = "import orthosym.cli, sys; assert 'numpy.random' not in sys.modules"
+    assert run_script(script) == (0, "", "")
 
 
 def imported_modules(path):
@@ -229,6 +241,7 @@ def raises(template):
         "{} requires state-valued coordinates",
         "pair count must be >= 1",
         "dimension must be >= 1",
+        "mask must be {} binary digits, got {}",
     ],
 )
 def test_each_argument_rule_is_raised_by_one_function(template):
@@ -241,8 +254,6 @@ CORE = ("dense", "projectors", "simplex", "verify")
 
 
 def test_no_message_is_raised_by_two_core_functions():
-    # cli stays with the templates listed above: cli._parse_mask words the text
-    # form of the mask rule exactly as simplex.bob_subsystems words the sequence form
     templates = {
         message_template(arg)
         for name in CORE

@@ -415,7 +415,15 @@ class TestMaskHelpers:
 
     @pytest.mark.parametrize(
         "mask, K",
-        [((0.7,), 1), ((0.0, 1.9), 2), ((1, 1, 1), 2), ((1,), 2), ((2,), 1), ((-1, 0), 2)],
+        [
+            ((0.7,), 1),
+            ((0.0, 1.9), 2),
+            ((1, 1, 1), 2),
+            ((1,), 2),
+            ((2,), 1),
+            ((-1, 0), 2),
+            ("01", 2),  # the CLI's text form is no bit sequence
+        ],
     )
     def test_bob_subsystems_rejects_fractional_bits_and_wrong_length(self, mask, K):
         with pytest.raises(ValueError, match="binary"):

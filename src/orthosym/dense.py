@@ -207,30 +207,29 @@ class _SeedChild:
 
 
 def _spawn_seeds(seed, count: int) -> list:
-    """``np.random.SeedSequence(seed).spawn(count)``'s children and streams, their PCG64 seed
-    words from one vectorized pass of SeedSequence's mixing, not one Cython call per child."""
-    # imported here: numpy.random at module level adds ~15 ms to every start-up
-    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
+    """``np.random.SeedSequence(seed).spawn(count)``'s children and streams; for an integer
+    seed, their PCG64 seed words come from one vectorized pass over the parent's pool."""
+    from numpy.random.bit_generator import ISeedSequence  # at module level: +15 ms start-up
 
-    ISeedSequence.register(_SeedChild)
     parent = np.random.SeedSequence(seed)
+    if not _is_integer(parent.entropy):
+        return parent.spawn(count)
+    ISeedSequence.register(_SeedChild)
+    # numpy >= 1.19 pads a child's run entropy to the pool, so child i's pool is the parent's
+    # until its last entropy word, i, which meets the hash constant after this many steps
     size = parent.pool_size
-    run = _coerce_to_uint32_array(parent.entropy)[:, None]
-    zeros = [np.zeros(1, np.uint32)] * (size - len(run))  # a spawn key pads run to the pool
-    words = [*run, *zeros, np.arange(count, dtype=np.uint32)]  # child i's entropy
-    const, mult = 0x43B0D7E5, 0x931E8875
+    hashes = size * max(size, -(-int(parent.entropy).bit_length() // 32))
+    const, mult = 0x43B0D7E5 * pow(0x931E8875, hashes, 2**32) % 2**32, 0x931E8875
 
     def hashmix(value: np.ndarray) -> np.ndarray:  # const steps alike for any data
         nonlocal const
         value = (value ^ const) * (const := const * mult & 0xFFFFFFFF)
         return value ^ value >> 16
 
-    pool = [hashmix(w) for w in words[:size]]
-    for src, word in enumerate(words):  # the pool's words into each other, then the rest
-        value = pool[src] if src < size else word
-        for dst in (i for i in range(size) if i != src):
-            mixed = pool[dst] * 0xCA01F9DD - hashmix(value) * 0x4973F715
-            pool[dst] = mixed ^ mixed >> 16
+    pool, index = list(parent.pool[:, None]), np.arange(count, dtype=np.uint32)
+    for dst in range(size):
+        mixed = pool[dst] * 0xCA01F9DD - hashmix(index) * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
     const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64)
     table = np.stack([hashmix(pool[i % size]) for i in range(8)], axis=1)
     table = table.astype("<u4").view("<u8").astype(np.uint64)

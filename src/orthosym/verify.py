@@ -18,6 +18,7 @@ from .dense import (
     CapacityError,
     DomainError,
     _check_local_dimension,
+    _is_integer,
     _spawn_seeds,
     kron_rows,
     min_eigenvalue_rows,
@@ -77,7 +78,7 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _seed_param(seed) -> "int | str":
-    return seed if isinstance(seed, int) else str(seed)
+    return int(seed) if _is_integer(seed) else str(seed)
 
 
 def _chunks(count: int, dim: int) -> Iterator[slice]:

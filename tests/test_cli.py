@@ -1224,6 +1224,11 @@ class TestVerify:
                 ["--d", "2", "--K", "2", "--seed", "5"],
                 "ba0e49b6cea1b38eea3471f33260727fcb57de44a0645df0df327dcac3c53c61",
             ),
+            (
+                # 2**128 + 3: five uint32 words, more than SeedSequence's pool of four
+                ["--d", "2", "--K", "1", "--seed", "340282366920938463463374607431768211459"],
+                "4b0401e7f83daa7796f65925d493fe465d7803173d17c6723ee91bc40efb680f",
+            ),
         ],
     )
     def test_pinned_verify_digest(self, capsys, argv, digest):

@@ -512,8 +512,10 @@ class TestRandomSampling:
 
 
 class TestSpawnSeeds:
-    # 2**128 + 3 is five uint32 words, more than the pool of four
-    SEEDS = [0, 1, 8191, 2**32, 2**64 + 1, 2**128 + 3, [1, 2, 3]]
+    # 2**128 + 3 is five uint32 words, more than the pool of four; 2**32 - 1, 2**96,
+    # 2**128 - 1 and 2**160 are the edges of the word count that steps the hash constant
+    SEEDS = [0, 1, 8191, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 3, 2**160]
+    SEEDS += [np.uint64(2**63 + 5), [1, 2, 3]]
 
     @pytest.mark.parametrize("count", [0, 1, 2, 1600])
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
@@ -532,7 +534,8 @@ class TestSpawnSeeds:
             words = child.generate_state(8, np.uint32)
             assert np.array_equal(words, ref.generate_state(8, np.uint32))
 
-    def test_fast_path_builds_only_the_parent(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [8191, 2**160])
+    def test_fast_path_builds_only_the_parent(self, monkeypatch, seed):
         built = []
 
         class Counting(np.random.SeedSequence):
@@ -541,7 +544,7 @@ class TestSpawnSeeds:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", Counting)
-        children = dense_module._spawn_seeds(8191, 1600)
+        children = dense_module._spawn_seeds(seed, 1600)
         for child in children:
             np.random.default_rng(child)
         assert len(children) == 1600

@@ -158,6 +158,34 @@ def test_cli_import_loads_no_numpy_random():
     assert run_script(script) == (0, "", "")
 
 
+def private_numpy_names(path):
+    """The ``_``-prefixed numpy names a file imports, or reads through an attribute chain
+    rooted at ``np`` or ``numpy``: numpy may drop any of them in a minor release."""
+
+    def private(dotted):
+        return any(p.startswith("_") and not p.endswith("__") for p in dotted.split("."))
+
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            while isinstance(node := node.value, ast.Attribute):
+                chain.append(node.attr)
+            if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+                found.add(".".join([node.id, *reversed(chain)]))
+    return sorted(name for name in found if private(name))
+
+
+def test_no_private_numpy_names():
+    # a private name is no interface: without it, verify ends in an ImportError
+    found = {path.name: private_numpy_names(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(found.values()), f"private numpy names read: {found}"
+
+
 def imported_modules(path):
     """The modules a file imports, relative ones with their leading dots: ``from . import
     jsonio`` counts as ``.jsonio``."""

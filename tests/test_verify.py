@@ -127,6 +127,7 @@ SAMPLED_CHECKS = [
 REFERENCE_CASES = [
     (check, reference, d, K, seed)
     for d, K, seed in [(2, 1, 5), (3, 1, 6), (2, 2, 0), (3, 2, 1), (2, 3, 2), (4, 2, 3)]
+    + [(2, 1, 2**128 + 3), (2, 1, [1, 2, 3])]  # past the pool of four words; not an integer
     for check, reference in SAMPLED_CHECKS
     if K >= 2 or check is not verify_reduction
 ]
@@ -166,6 +167,14 @@ class TestIndividualChecks:
         assert report.passed
         assert report.max_residual == 0.0
         assert report.params["note"] == "no samples"
+
+    @pytest.mark.parametrize("check", [c for c, _ in SAMPLED_CHECKS])
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=repr)
+    def test_numpy_integer_seed_reported_as_int(self, check, seed):
+        # the report is the one a Python int seed gives, its seed a Python int
+        report = dataclasses.asdict(check(2, 2, 1, seed=seed))
+        assert report == dataclasses.asdict(check(2, 2, 1, seed=5))
+        assert type(report["params"]["seed"]) is int
 
     def test_pt_consistency_small(self):
         report = verify_pt_consistency(2, 1, samples=20)

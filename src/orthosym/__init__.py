@@ -20,7 +20,7 @@ from .dense import (
     partial_trace_rows,
     partial_transpose_rows,
     random_orthogonal_rows,
-    random_unit_vector,
+    random_unit_rows,
 )
 from .projectors import (
     all_multi_indices,

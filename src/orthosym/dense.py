@@ -191,29 +191,24 @@ def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return min_eigenvalue_rows(stack) >= -tol
 
 
+@dataclass(eq=False, slots=True)
 class _SeedChild:
-    """A SeedSequence child with its PCG64 seed words known; the real child answers the rest."""
+    """A SeedSequence child as PCG64 seeds from it: its four uint64 seed words."""
 
-    __slots__ = ("_entropy", "_index", "_words")
-
-    def __init__(self, entropy, index: int, words: np.ndarray):
-        self._entropy, self._index, self._words = entropy, index, words
+    words: np.ndarray
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
-            return self._words
-        child = np.random.SeedSequence(self._entropy, spawn_key=(self._index,))
-        return child.generate_state(n_words, dtype)
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a seed child gives 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
-def _spawn_seeds(seed, count: int) -> list:
-    """``np.random.SeedSequence(seed).spawn(count)``'s children and streams; for an integer
-    seed, their PCG64 seed words come from one vectorized pass over the parent's pool."""
+def _spawn_seeds(seed: int, count: int) -> list:
+    """For an integer seed, the PCG64 seed words of the ``count`` children that numpy's
+    ``SeedSequence.spawn`` gives, from one vectorized pass over the parent's pool."""
     from numpy.random.bit_generator import ISeedSequence  # at module level: +15 ms start-up
 
     parent = np.random.SeedSequence(seed)
-    if not _is_integer(parent.entropy):
-        return parent.spawn(count)
     ISeedSequence.register(_SeedChild)
     # numpy >= 1.19 pads a child's run entropy to the pool, so child i's pool is the parent's
     # until its last entropy word, i, which meets the hash constant after this many steps
@@ -234,7 +229,7 @@ def _spawn_seeds(seed, count: int) -> list:
     table = np.stack([hashmix(pool[i % size]) for i in range(8)], axis=1)
     table = table.astype("<u4").view("<u8").astype(np.uint64)
     table.setflags(write=False)
-    return [_SeedChild(parent.entropy, i, row) for i, row in enumerate(table)]
+    return [_SeedChild(row) for row in table]
 
 
 def random_orthogonal_rows(d: int, seeds) -> np.ndarray:
@@ -252,14 +247,18 @@ def random_orthogonal_rows(d: int, seeds) -> np.ndarray:
     return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
 
 
-def random_unit_vector(d: int, field: str, seed) -> np.ndarray:
-    """Unit-norm random vector over the ``"real"`` or ``"complex"`` field."""
+def random_unit_rows(d: int, field: str, seeds) -> np.ndarray:
+    """Unit-norm random vectors over the ``"real"`` or ``"complex"`` field, one per seed, as
+    a (T, d) stack; each seed's generator draws d normals, 2d (real parts first) if complex.
+
+    Each norm is ``np.linalg.norm``'s of one vector, bitwise: the ``sqrt`` of the summed dot
+    products of the real and imaginary views (zero if real), as (1, d) @ (d, 1) products.
+    """
     _check_draw_dimension(d)
-    rng = np.random.default_rng(seed)
-    if field == "real":
-        v = rng.standard_normal(d)
-    elif field == "complex":
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    else:
+    if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
-    return v / np.linalg.norm(v)
+    n = d if field == "real" else 2 * d
+    g = np.array([np.random.default_rng(s).standard_normal(n) for s in seeds]).reshape(-1, n)
+    v = g if field == "real" else g[:, :d] + 1j * g[:, d:]
+    squares = v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None]
+    return v / np.sqrt(squares)[:, 0]

@@ -136,10 +136,7 @@ def c_matrix(d: int) -> np.ndarray:
 def _check_mask(mask: Sequence[int], width: int) -> tuple[int, ...]:
     if 3 ** len(mask) != width:
         raise IndexError(f"mask length {len(mask)} does not match {width} coordinates")
-    # checked before int(), which would take 0.7 to 0 and 1.9 to 1
-    if any(b not in (0, 1) for b in mask):
-        raise ValueError(f"mask must be binary, got {tuple(mask)}")
-    return tuple(int(b) for b in mask)
+    return _binary_mask(tuple(mask), len(mask))
 
 
 def _is_power(size: int, base: int, exp: int) -> bool:
@@ -310,6 +307,8 @@ class SeparabilityBounds:
 
 def coordinate_bounds(d: int, K: int) -> np.ndarray:
     """Product-state ceilings 1 / (f_s1 ... f_sK) with (f_0, f_1, f_2) = (1, 2, d)."""
+    _check_local_dimension(d)
+    _check_pair_count(K)
     weights = np.array([[[1.0, 2.0, float(d)]]])
     with np.errstate(over="ignore"):  # a product past the float range is inf: ceiling 0
         return 1.0 / kron_rows(*[weights] * K)[0, 0]
@@ -469,6 +468,8 @@ def hull_vertices(d: int, K: int) -> np.ndarray:
     Returns the read-only (4**K, 3**K) table, row r the vertex labelled
     ``list(product(VERTEX_LABELS, repeat=K))[r]``, after :func:`check_vertex_budget`.
     """
+    _check_local_dimension(d)
+    _check_pair_count(K)
     check_vertex_budget(K)
     table = kron_rows(*[_vertex_table(d)[None]] * K)[0]
     table.setflags(write=False)

@@ -25,7 +25,7 @@ from .dense import (
     partial_trace_rows,
     partial_transpose_rows,
     random_orthogonal_rows,
-    random_unit_vector,
+    random_unit_rows,
 )
 from .projectors import (
     bipartite_traces,
@@ -77,8 +77,10 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", a, b).real)
 
 
-def _seed_param(seed) -> "int | str":
-    return int(seed) if _is_integer(seed) else str(seed)
+def _check_seed(seed) -> int:
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _chunks(count: int, dim: int) -> Iterator[slice]:
@@ -119,7 +121,7 @@ def verify_invariance(
     d: int, K: int, trials: int, seed=DEFAULT_SEED, tolerance: float = 1e-10
 ) -> VerificationReport:
     """Largest commutator of any family member with sampled doubled rotations."""
-    params = {"d": d, "K": K, "trials": trials, "seed": _seed_param(seed)}
+    params = {"d": d, "K": K, "trials": trials, "seed": _check_seed(seed)}
     if trials < 1:
         params["note"] = "no samples"
         return VerificationReport.build("invariance", params, 0.0, tolerance)
@@ -148,6 +150,7 @@ def verify_pt_consistency(
     mixture entrywise, and its smallest eigenvalue must equal the smallest
     normalized output coordinate.
     """
+    params = {"d": d, "K": K, "samples": samples, "seed": _check_seed(seed)}
     check_family_budget(d, K, copies=2)  # the family and its normalized copy
     rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
     traces = kron_rows(*[np.array([[bipartite_traces(d)]], dtype=float)] * K)[0, 0]
@@ -168,7 +171,6 @@ def verify_pt_consistency(
             del mixture  # before the eigenvalue temporaries
             eig = min_eigenvalue_rows(transposed)
             residual = max(residual, float(np.abs(eig - (g / traces).min(axis=1)).max()))
-    params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("pt_consistency", params, residual, tolerance)
 
 
@@ -180,16 +182,14 @@ def verify_product_fidelities(
     Also checks that every sampled product state clears the per-coordinate
     separability ceilings; any excess above a ceiling counts as residual.
     """
+    params = {"d": d, "K": K, "trials": trials, "seed": _check_seed(seed)}
     family = projector_family(d, K)
     bounds = coordinate_bounds(d, K)
-    children = iter(_spawn_seeds(seed, 4 * trials * K))
+    count = 2 * trials * K  # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order
+    children = _spawn_seeds(seed, 2 * count)
     residual = 0.0
-    for field in ("real", "complex"):
-        # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order
-        vectors = np.array(
-            [random_unit_vector(d, field, next(children)) for _ in range(2 * trials * K)],
-            dtype=np.complex128,
-        ).reshape(trials, 2 * K, d)
+    for field, seeds in (("real", children[:count]), ("complex", children[count:])):
+        vectors = random_unit_rows(d, field, seeds).astype(np.complex128).reshape(trials, 2 * K, d)
         for chunk in _chunks(trials, d ** (2 * K)):
             vs = vectors[chunk]
             projectors = vs[..., :, None] * vs.conj()[..., None, :]
@@ -204,7 +204,6 @@ def verify_product_fidelities(
                 float(np.abs(dense - twirled).max()),
                 float((f - bounds).max()),
             )
-    params = {"d": d, "K": K, "trials": trials, "seed": _seed_param(seed)}
     return VerificationReport.build("product_fidelities", params, residual, tolerance)
 
 
@@ -229,6 +228,7 @@ def verify_reduction(
     d: int, K: int, samples: int, seed=DEFAULT_SEED, tolerance: float = 1e-12
 ) -> VerificationReport:
     """Coordinate reduction against dense partial trace plus re-twirling."""
+    params = {"d": d, "K": K, "samples": samples, "seed": _check_seed(seed)}
     if K < 2:
         raise DomainError("reduction checks require K >= 2")
     rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
@@ -241,7 +241,6 @@ def verify_reduction(
         dense = twirl_rows(np.concatenate(reduced), d, K - 1)
         coords = np.concatenate([reduce_rows(pis, K, pair) for pair in range(K)])
         residual = max(residual, float(np.abs(coords - dense).max()))
-    params = {"d": d, "K": K, "samples": samples, "seed": _seed_param(seed)}
     return VerificationReport.build("reduction", params, residual, tolerance)
 
 
@@ -252,6 +251,7 @@ def run_suite(
     samples: int = 100,
 ) -> list[VerificationReport]:
     """Standard battery over the given (d, K) pairs, one report per check."""
+    seed = _check_seed(seed)
     reports = []
     for d in sorted({d for d, _ in combos}):
         reports.append(verify_c_matrix(d))

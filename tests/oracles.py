@@ -22,6 +22,21 @@ def swap_oracle(d: int) -> np.ndarray:
     )
 
 
+def random_unit_vector(d: int, field: str, seed) -> np.ndarray:
+    """Unit-norm random vector over the ``"real"`` or ``"complex"`` field, drawn from its own
+    seed's generator: the per-seed reference of ``random_unit_rows``."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    rng = np.random.default_rng(seed)
+    if field == "real":
+        v = rng.standard_normal(d)
+    elif field == "complex":
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    else:
+        raise ValueError(f"unknown field {field!r}")
+    return v / np.linalg.norm(v)
+
+
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary matrix (complex Ginibre + QR phase fix)."""
     if d < 1:

@@ -18,7 +18,7 @@ from orthosym import (
     partial_trace_rows,
     partial_transpose_rows,
     random_orthogonal_rows,
-    random_unit_vector,
+    random_unit_rows,
 )
 from orthosym import dense as dense_module
 from orthosym.projectors import (
@@ -28,7 +28,7 @@ from orthosym.projectors import (
     pair_projectors,
 )
 
-from oracles import pure_state_projector, random_unitary, swap_oracle
+from oracles import pure_state_projector, random_unit_vector, random_unitary, swap_oracle
 
 
 def random_operator(dim, shape, seed, hermitian=False):
@@ -496,26 +496,48 @@ class TestRandomSampling:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_unit_vector_norm(self, field):
-        v = random_unit_vector(7, field, 5)
+        v = random_unit_rows(7, field, [5])[0]
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
         assert abs(np.linalg.norm(v.conj()) - 1.0) <= 1e-14
         if field == "real":
             assert not np.iscomplexobj(v)
 
     def test_unit_vector_d1_real(self):
-        assert float(abs(random_unit_vector(1, "real", 0)[0])) == pytest.approx(1.0)
+        assert float(abs(random_unit_rows(1, "real", [0])[0, 0])) == pytest.approx(1.0)
 
     def test_unit_vector_deterministic(self):
         assert np.array_equal(
-            random_unit_vector(4, "complex", 9), random_unit_vector(4, "complex", 9)
+            random_unit_rows(4, "complex", [9]), random_unit_rows(4, "complex", [9])
         )
+
+    @pytest.mark.parametrize("count", [0, 1, 1600])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_unit_rows_equal_one_seed_at_a_time(self, d, field, count):
+        # the draws of verify_product_fidelities, and norms bitwise np.linalg.norm's
+        seeds = dense_module._spawn_seeds(8191, count)
+        stack = random_unit_rows(d, field, seeds)
+        dtype = np.float64 if field == "real" else np.complex128
+        reference = np.array([random_unit_vector(d, field, s) for s in seeds], dtype=dtype)
+        assert stack.shape == (count, d)
+        assert stack.dtype == dtype
+        assert stack.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_unit_rows_dimension_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            random_unit_rows(d, "real", [1])
+
+    def test_unit_rows_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown field 'quaternion'"):
+            random_unit_rows(2, "quaternion", [1])
 
 
 class TestSpawnSeeds:
     # 2**128 + 3 is five uint32 words, more than the pool of four; 2**32 - 1, 2**96,
     # 2**128 - 1 and 2**160 are the edges of the word count that steps the hash constant
     SEEDS = [0, 1, 8191, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 3, 2**160]
-    SEEDS += [np.uint64(2**63 + 5), [1, 2, 3]]
+    SEEDS += [np.uint64(2**63 + 5)]
 
     @pytest.mark.parametrize("count", [0, 1, 2, 1600])
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
@@ -529,10 +551,13 @@ class TestSpawnSeeds:
             assert np.array_equal(words, ref.generate_state(4, np.uint64))
             draws = np.random.default_rng(child).standard_normal(7)
             assert draws.tobytes() == np.random.default_rng(ref).standard_normal(7).tobytes()
-            # any other request is answered by the real child
-            assert np.array_equal(child.generate_state(624), ref.generate_state(624))
-            words = child.generate_state(8, np.uint32)
-            assert np.array_equal(words, ref.generate_state(8, np.uint32))
+
+    @pytest.mark.parametrize("n_words, dtype", [(624, np.uint32), (8, np.uint32), (2, np.uint64)])
+    def test_child_gives_only_the_pcg64_seed_words(self, n_words, dtype):
+        # a child holds PCG64's four uint64 words and no other state to answer from
+        (child,) = dense_module._spawn_seeds(8191, 1)
+        with pytest.raises(ValueError, match="a seed child gives 4 uint64 words"):
+            child.generate_state(n_words, dtype)
 
     @pytest.mark.parametrize("seed", [8191, 2**160])
     def test_fast_path_builds_only_the_parent(self, monkeypatch, seed):

@@ -270,6 +270,7 @@ def raises(template):
         "pair count must be >= 1",
         "dimension must be >= 1",
         "mask must be {} binary digits, got {}",
+        "seed must be a non-negative integer, got {}",
     ],
 )
 def test_each_argument_rule_is_raised_by_one_function(template):

@@ -18,11 +18,10 @@ from orthosym import (
     pair_projectors,
     projector_family,
     random_orthogonal_rows,
-    random_unit_vector,
 )
 from orthosym import projectors as projectors_module
 
-from oracles import doubled_tensor, random_unitary, swap_oracle
+from oracles import doubled_tensor, random_unit_vector, random_unitary, swap_oracle
 
 
 def swap(d):

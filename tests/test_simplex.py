@@ -43,7 +43,6 @@ from orthosym import (
     projector_family,
     pt_map_masks,
     pt_map_rows,
-    random_unit_vector,
     reconstruct,
     reconstruct_rows,
     reduce_pair,
@@ -57,7 +56,7 @@ from orthosym import dense as dense_module
 from orthosym import simplex as simplex_module
 from orthosym.simplex import VERTEX_LABELS
 
-from oracles import pure_state_projector
+from oracles import pure_state_projector, random_unit_vector
 
 
 def random_state_vector(d, K, seed):
@@ -293,6 +292,14 @@ class TestPPTCheck:
         with pytest.raises(DomainError) as exc:
             check(FidelityVector(2, 1, [0.9, 0.4, -0.3]))
         assert str(exc.value) == message
+
+    def test_non_binary_mask_message(self):
+        # the sequence form of the one mask rule, worded as for the --mask text
+        f = FidelityVector(2, 2, np.full(9, 1.0 / 9.0))
+        for check in (ppt_check, lambda f, m: pt_map_rows(f.pi[None], c_matrix(2), m)):
+            with pytest.raises(ValueError) as exc:
+                check(f, (0, 2))
+            assert str(exc.value) == "mask must be 2 binary digits, got (0, 2)"
 
 
 class TestCutsAndCeilings:
@@ -741,6 +748,25 @@ class TestVertices:
             assert list(chains) == list(product(VERTEX_LABELS, repeat=K))
             want = np.array(list(chains.values()))
             assert vertices.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("build", [hull_vertices, coordinate_bounds])
+    @pytest.mark.parametrize(
+        "d, K, error, message",
+        [
+            (1, 1, DomainError, "local dimension must be >= 2"),
+            (0, 1, DomainError, "local dimension must be >= 2"),
+            (0, 2, DomainError, "local dimension must be >= 2"),
+            (2, 0, ValueError, "pair count must be >= 1"),
+            (2, -1, ValueError, "pair count must be >= 1"),
+        ],
+    )
+    def test_local_dimension_and_pair_count_checked(self, build, d, K, error, message):
+        # unchecked, d = 1 gave a table, d = 0 a ZeroDivisionError or inf ceilings, and
+        # K = 0 an IndexError from an empty Kronecker chain
+        with pytest.raises(ValueError) as exc:
+            build(d, K)
+        assert (exc.type, str(exc.value)) == (error, message)
 
 
 class TestIntersectionPoint:

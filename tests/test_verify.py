@@ -22,7 +22,6 @@ from orthosym import (
     product_state_fidelities_rows,
     pt_map_rows,
     random_orthogonal_rows,
-    random_unit_vector,
     reconstruct,
     reconstruct_rows,
     reduce_pair,
@@ -45,7 +44,7 @@ from orthosym.projectors import (
     projector_family,
 )
 
-from oracles import doubled_tensor, pure_state_projector
+from oracles import doubled_tensor, pure_state_projector, random_unit_vector
 
 
 # The sampled checks as one loop per sample, on ComplexOperator and the dense
@@ -127,7 +126,7 @@ SAMPLED_CHECKS = [
 REFERENCE_CASES = [
     (check, reference, d, K, seed)
     for d, K, seed in [(2, 1, 5), (3, 1, 6), (2, 2, 0), (3, 2, 1), (2, 3, 2), (4, 2, 3)]
-    + [(2, 1, 2**128 + 3), (2, 1, [1, 2, 3])]  # past the pool of four words; not an integer
+    + [(2, 1, 2**128 + 3)]  # past the pool of four words
     for check, reference in SAMPLED_CHECKS
     if K >= 2 or check is not verify_reduction
 ]
@@ -167,6 +166,22 @@ class TestIndividualChecks:
         assert report.passed
         assert report.max_residual == 0.0
         assert report.params["note"] == "no samples"
+
+    @pytest.mark.parametrize("check", [run_suite] + [c for c, _ in SAMPLED_CHECKS])
+    @pytest.mark.parametrize("seed", [None, [1, 2, 3], True, -1, 2.5, "7"], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, check, seed):
+        # None would draw fresh OS entropy on every call, under one reported seed
+        def early(*args, **kwargs):
+            raise AssertionError("ran before the seed was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", early)
+        monkeypatch.setattr(np.random, "SeedSequence", early)
+        monkeypatch.setattr(verify_module, "verify_c_matrix", early)  # run_suite's first check
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
+            if check is run_suite:
+                run_suite(seed=seed, combos=((2, 2),), trials=1, samples=1)
+            else:
+                check(2, 2, 1, seed=seed)
 
     @pytest.mark.parametrize("check", [c for c, _ in SAMPLED_CHECKS])
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=repr)

@@ -75,8 +75,17 @@ def _is_integer(n) -> bool:
 
 
 def _check_local_dimension(d: int) -> None:
+    if not _is_integer(d):
+        raise ValueError(f"local dimension must be an integer, got {d!r}")
     if d < 2:
         raise DomainError("local dimension must be >= 2")
+
+
+def _check_pair_count(K: int) -> None:
+    if not _is_integer(K):
+        raise ValueError(f"pair count must be an integer, got {K!r}")
+    if K < 1:
+        raise ValueError("pair count must be >= 1")
 
 
 def _check_draw_dimension(d: int) -> None:

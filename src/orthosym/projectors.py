@@ -23,6 +23,7 @@ from .dense import (
     ComplexOperator,
     _check_dimension,
     _check_local_dimension,
+    _check_pair_count,
     kron_rows,
 )
 
@@ -48,16 +49,15 @@ def hull_generators(d: int) -> np.ndarray:
     entangled = np.zeros((n, n))
     diag = np.arange(d) * (d + 1)
     entangled[np.ix_(diag, diag)] = 1.0 / d
-    stack = np.array(
-        [(eye + swap) / 2.0, (eye - swap) / 2.0, eye - entangled, entangled],
-        dtype=np.complex128,
-    )
+    generators = [(eye + swap) / 2.0, (eye - swap) / 2.0, eye - entangled, entangled]
+    stack = np.array(generators, dtype=np.complex128)
     stack.setflags(write=False)
     return stack
 
 
 def bipartite_traces(d: int) -> tuple[int, int, int]:
     """Exact traces of (Pi0, Pi1, Pi2): ((d-1)(d+2)/2, d(d-1)/2, 1)."""
+    _check_local_dimension(d)
     return ((d - 1) * (d + 2) // 2, d * (d - 1) // 2, 1)
 
 
@@ -100,6 +100,7 @@ def build_multipartite(d: int, K: int, alpha: Sequence[int]) -> ComplexOperator:
 
     The result lives on shape [d]*2K with all Alice factors first.
     """
+    _check_pair_count(K)
     if len(alpha) != K:
         raise ValueError(f"alpha has {len(alpha)} digits, expected K={K}")
     return ComplexOperator(_family_rows(d, K, [_trinary(alpha)])[0], (d,) * (2 * K))
@@ -125,6 +126,8 @@ def check_family_budget(d: int, K: int, copies: int = 1) -> None:
     The size is built one pair at a time and the check stops at the first
     partial size over budget, so an enormous K is rejected at once.
     """
+    _check_local_dimension(d)
+    _check_pair_count(K)
     needed = copies * 16
     for _ in range(K):
         needed *= 3 * d**4

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from math import comb, prod
+from math import comb, inf, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .dense import (
     DomainError,
     _check_dimension,
     _check_local_dimension,
-    _is_integer,
+    _check_pair_count,
     is_psd_rows,
     kron_rows,
 )
@@ -60,8 +60,6 @@ class FidelityVector:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.d) and _is_integer(self.K)):
-            raise ValueError(f"d and K must be integers, got {self.d!r}, {self.K!r}")
         _check_local_dimension(self.d)
         _check_pair_count(self.K)
         pi = np.array(self.pi, dtype=float, copy=True)
@@ -88,9 +86,15 @@ def _check_state_rows(pi: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} requires state-valued coordinates")
 
 
-def _check_pair_count(K: int) -> None:
-    if K < 1:
-        raise ValueError("pair count must be >= 1")
+def _check_tolerance(tol: float) -> None:
+    if not 0 <= tol < inf:  # nan fails both comparisons
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
+def _check_reduction(K: int) -> None:
+    _check_pair_count(K)
+    if K < 2:
+        raise DomainError("reduction requires K >= 2")
 
 
 def all_masks(K: int) -> list[tuple[int, ...]]:
@@ -147,6 +151,7 @@ def _is_power(size: int, base: int, exp: int) -> bool:
 
 def _check_rows(pi: np.ndarray, K: int) -> None:
     """Raise ValueError unless ``pi`` is an (N, 3**K) array of coordinate rows."""
+    _check_pair_count(K)
     if pi.ndim != 2 or not _is_power(pi.shape[1], 3, K):
         raise ValueError(f"expected rows of 3**{K} coordinates, got shape {pi.shape}")
 
@@ -224,6 +229,7 @@ def ppt_check(f: FidelityVector, mask: Sequence[int], tol: float = PSD_TOL) -> P
     """
     bits = _check_mask(mask, f.pi.size)
     _check_state_rows(f.pi[None], "ppt_check")
+    _check_tolerance(tol)
     g = pt_map_rows(f.pi[None], c_matrix(f.d), bits)[0]
     violations = tuple((r, float(g[r])) for r in np.flatnonzero(g < -tol).tolist())
     return PPTVerdict(bits, not violations, FidelityVector(f.d, f.K, g), violations)
@@ -249,13 +255,11 @@ def ppt_inequalities(f: FidelityVector) -> PairInequalities:
     """
     if f.K != 2:
         raise DomainError("pair inequality systems are defined for K = 2")
-    d = f.d
     p = f.pi.reshape(3, 3)
-    sys01 = []
-    sys10 = []
+    sys01, sys10 = [], []
     for k in range(3):
-        sys01 += [p[k, 0] + p[k, 1] - (d - 1) * p[k, 2], p[k, 0] - p[k, 1] + p[k, 2]]
-        sys10 += [p[0, k] + p[1, k] - (d - 1) * p[2, k], p[0, k] - p[1, k] + p[2, k]]
+        sys01 += [p[k, 0] + p[k, 1] - (f.d - 1) * p[k, 2], p[k, 0] - p[k, 1] + p[k, 2]]
+        sys10 += [p[0, k] + p[1, k] - (f.d - 1) * p[2, k], p[0, k] - p[1, k] + p[2, k]]
     return PairInequalities(np.array(sys01), np.array(sys10))
 
 
@@ -319,9 +323,7 @@ def sep_bound_check(f: FidelityVector) -> SeparabilityBounds:
     _check_state_rows(f.pi[None], "sep_bound_check")
     bounds = coordinate_bounds(f.d, f.K)
     violated = tuple(np.flatnonzero(f.pi > bounds + PSD_TOL).tolist())
-    return SeparabilityBounds(
-        passes=not violated, sufficient=f.K == 1, bounds=bounds, violated=violated
-    )
+    return SeparabilityBounds(not violated, f.K == 1, bounds, violated)
 
 
 def _pair_legs(K: int) -> list[int]:
@@ -337,6 +339,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int) -> np.ndarray:
     failing matrix.  Each pair is contracted by one matrix product per
     matrix, so a row gives the floats of a stack of one.
     """
+    _check_pair_count(K)
     dim = stack.shape[-1]
     if not _is_power(dim, d, 2 * K):
         raise DomainError(f"state dimension {dim} is not {d}^(2*{K})")
@@ -396,8 +399,7 @@ def reconstruct(f: FidelityVector) -> ComplexOperator:
 
 def reduce_rows(pi: np.ndarray, K: int, pair_index: int) -> np.ndarray:
     """:func:`reduce_pair` of every row of an (N, 3**K) array, as (N, 3**(K-1)) rows."""
-    if K < 2:
-        raise DomainError("reduction requires K >= 2")
+    _check_reduction(K)
     if not 0 <= pair_index < K:
         raise IndexError(f"pair index {pair_index} out of range for K={K}")
     _check_rows(pi, K)
@@ -588,12 +590,12 @@ def classify_lattice(
     row by row, the masks taken from one :func:`pt_map_masks` walk per block.
     :func:`check_scan_budget` runs before the first block.
     """
-    _check_local_dimension(d)
+    c = c_matrix(d)  # checks d
+    _check_pair_count(K)
+    _check_tolerance(tol)
     check_scan_budget(n, K)
-    m = 3**K
-    c = c_matrix(d)
     bounds = coordinate_bounds(d, K)
-    for comp in _composition_blocks(n, m, SCAN_BLOCK_COORDS):
+    for comp in _composition_blocks(n, 3**K, SCAN_BLOCK_COORDS):
         pi = comp / n
         ppt = ~(pt_map_masks(pi, c, K)[:, 1:] < -tol).any(axis=2)
         yield comp, ppt, ~(pi > bounds + PSD_TOL).any(axis=1)

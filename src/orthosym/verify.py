@@ -16,7 +16,6 @@ import numpy as np
 from .dense import (
     MAX_DIM,
     CapacityError,
-    DomainError,
     _check_local_dimension,
     _is_integer,
     _spawn_seeds,
@@ -35,6 +34,7 @@ from .projectors import (
     projector_family,
 )
 from .simplex import (
+    _check_reduction,
     all_masks,
     bob_subsystems,
     c_matrix,
@@ -77,10 +77,10 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", a, b).real)
 
 
-def _check_seed(seed) -> int:
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def _check_nonnegative(value, name: str) -> int:
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _chunks(count: int, dim: int) -> Iterator[slice]:
@@ -121,10 +121,8 @@ def verify_invariance(
     d: int, K: int, trials: int, seed=DEFAULT_SEED, tolerance: float = 1e-10
 ) -> VerificationReport:
     """Largest commutator of any family member with sampled doubled rotations."""
-    params = {"d": d, "K": K, "trials": trials, "seed": _check_seed(seed)}
-    if trials < 1:
-        params["note"] = "no samples"
-        return VerificationReport.build("invariance", params, 0.0, tolerance)
+    trials, seed = _check_nonnegative(trials, "trials"), _check_nonnegative(seed, "seed")
+    params = {"d": d, "K": K, "trials": trials, "seed": seed}
     family = projector_family(d, K)
     children = _spawn_seeds(seed, trials * K)
     rotations = random_orthogonal_rows(d, children).reshape(trials, K, d, d)
@@ -150,7 +148,8 @@ def verify_pt_consistency(
     mixture entrywise, and its smallest eigenvalue must equal the smallest
     normalized output coordinate.
     """
-    params = {"d": d, "K": K, "samples": samples, "seed": _check_seed(seed)}
+    samples, seed = _check_nonnegative(samples, "samples"), _check_nonnegative(seed, "seed")
+    params = {"d": d, "K": K, "samples": samples, "seed": seed}
     check_family_budget(d, K, copies=2)  # the family and its normalized copy
     rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
     traces = kron_rows(*[np.array([[bipartite_traces(d)]], dtype=float)] * K)[0, 0]
@@ -182,7 +181,8 @@ def verify_product_fidelities(
     Also checks that every sampled product state clears the per-coordinate
     separability ceilings; any excess above a ceiling counts as residual.
     """
-    params = {"d": d, "K": K, "trials": trials, "seed": _check_seed(seed)}
+    trials, seed = _check_nonnegative(trials, "trials"), _check_nonnegative(seed, "seed")
+    params = {"d": d, "K": K, "trials": trials, "seed": seed}
     family = projector_family(d, K)
     bounds = coordinate_bounds(d, K)
     count = 2 * trials * K  # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order
@@ -219,8 +219,7 @@ def verify_coplanarity(d: int, tolerance: float = 1e-12) -> VerificationReport:
     gram = np.array([[_trace_product(x, y) for y in tildes] for x in tildes])
     residual = abs(float(np.linalg.det(gram)))
     q0, q1, p0, p1 = generators
-    dependence = q0 + q1 - p0 - p1
-    residual = max(residual, float(np.abs(dependence).max()))
+    residual = max(residual, float(np.abs(q0 + q1 - p0 - p1).max()))
     return VerificationReport.build("coplanarity", {"d": d}, residual, tolerance)
 
 
@@ -228,9 +227,10 @@ def verify_reduction(
     d: int, K: int, samples: int, seed=DEFAULT_SEED, tolerance: float = 1e-12
 ) -> VerificationReport:
     """Coordinate reduction against dense partial trace plus re-twirling."""
-    params = {"d": d, "K": K, "samples": samples, "seed": _check_seed(seed)}
-    if K < 2:
-        raise DomainError("reduction checks require K >= 2")
+    samples, seed = _check_nonnegative(samples, "samples"), _check_nonnegative(seed, "seed")
+    params = {"d": d, "K": K, "samples": samples, "seed": seed}
+    _check_local_dimension(d)
+    _check_reduction(K)
     rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
@@ -251,13 +251,14 @@ def run_suite(
     samples: int = 100,
 ) -> list[VerificationReport]:
     """Standard battery over the given (d, K) pairs, one report per check."""
-    seed = _check_seed(seed)
+    seed = _check_nonnegative(seed, "seed")
+    trials, samples = _check_nonnegative(trials, "trials"), _check_nonnegative(samples, "samples")
+    for d, K in combos:
+        check_family_budget(d, K, copies=2)  # the most that any check holds
     reports = []
     for d in sorted({d for d, _ in combos}):
         reports.append(verify_c_matrix(d))
         reports.append(verify_coplanarity(d))
-    for d, K in combos:
-        check_family_budget(d, K, copies=2)  # the most that any check holds
     for d, K in combos:
         reports.append(verify_resolution(d, K))
         reports.append(verify_invariance(d, K, trials, seed=seed))

@@ -3,6 +3,7 @@ its argument rules and the README example."""
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import inspect
 import os
@@ -264,19 +265,150 @@ def raises(template):
 @pytest.mark.parametrize(
     "template",
     [
+        "local dimension must be an integer, got {}",
         "local dimension must be >= 2",
         "dimension {} exceeds the cap {}",
         "{} requires state-valued coordinates",
+        "pair count must be an integer, got {}",
         "pair count must be >= 1",
+        "reduction requires K >= 2",
+        "tolerance must be a finite number >= 0, got {}",
         "dimension must be >= 1",
         "mask must be {} binary digits, got {}",
-        "seed must be a non-negative integer, got {}",
+        "{} must be a non-negative integer, got {}",
     ],
 )
 def test_each_argument_rule_is_raised_by_one_function(template):
     # a rule stated at every call site drifts apart one copy at a time
     found = owners(raises(template))
     assert len(found) == 1, f"{template!r} is raised by {sorted(found, key=str)}"
+
+
+def test_integer_test_lives_in_the_owners():
+    # d, K, seeds and counts are each checked by their owner, never at a call site; the
+    # local dimensions of a ComplexOperator follow their own rule, as they may be 1
+    def reads_is_integer(node):  # a call, or the function handed on, as to map()
+        return isinstance(node, ast.Name) and node.id == "_is_integer"
+
+    assert owners(reads_is_integer) == {
+        ("dense", "_check_local_dimension"),
+        ("dense", "_check_pair_count"),
+        ("dense", "__post_init__"),
+        ("verify", "_check_nonnegative"),
+    }
+
+
+#: Every public function that takes a local dimension d, at K = 1 (K = 2 to reduce).
+D_ENTRY_POINTS = {
+    "c_matrix": lambda d: orthosym.c_matrix(d),
+    "hull_generators": lambda d: orthosym.hull_generators(d),
+    "pair_projectors": lambda d: orthosym.pair_projectors(d),
+    "bipartite_traces": lambda d: orthosym.bipartite_traces(d),
+    "multipartite_trace": lambda d: orthosym.multipartite_trace(d, (0,)),
+    "intersection_point": lambda d: orthosym.intersection_point(d),
+    "hull_vertices": lambda d: orthosym.hull_vertices(d, 1),
+    "coordinate_bounds": lambda d: orthosym.coordinate_bounds(d, 1),
+    "classify_lattice": lambda d: list(orthosym.classify_lattice(d, 1, 3)),
+    "FidelityVector": lambda d: orthosym.FidelityVector(d, 1, [1.0, 0.0, 0.0]),
+    "reconstruct_rows": lambda d: orthosym.reconstruct_rows(np.array([[1.0, 0.0, 0.0]]), d, 1),
+    "check_family_budget": lambda d: orthosym.check_family_budget(d, 1),
+    "projector_family": lambda d: orthosym.projector_family(d, 1),
+    "build_multipartite": lambda d: orthosym.build_multipartite(d, 1, (0,)),
+    "verify_c_matrix": lambda d: orthosym.verify_c_matrix(d),
+    "verify_coplanarity": lambda d: orthosym.verify_coplanarity(d),
+    "verify_resolution": lambda d: orthosym.verify_resolution(d, 1),
+    "verify_invariance": lambda d: orthosym.verify_invariance(d, 1, 2),
+    "verify_pt_consistency": lambda d: orthosym.verify_pt_consistency(d, 1, 2),
+    "verify_product_fidelities": lambda d: orthosym.verify_product_fidelities(d, 1, 2),
+    "verify_reduction": lambda d: orthosym.verify_reduction(d, 2, 2),
+    "run_suite": lambda d: orthosym.run_suite(combos=((d, 1),), trials=2, samples=2),
+}
+#: Every public function that takes a pair count K, at d = 2.
+K_ENTRY_POINTS = {
+    "FidelityVector": lambda K: orthosym.FidelityVector(2, K, np.full(9, 1 / 9)),
+    "hull_vertices": lambda K: orthosym.hull_vertices(2, K),
+    "coordinate_bounds": lambda K: orthosym.coordinate_bounds(2, K),
+    "default_grid_resolution": lambda K: orthosym.default_grid_resolution(K),
+    "classify_lattice": lambda K: list(orthosym.classify_lattice(2, K, 3)),
+    "reduce_rows": lambda K: orthosym.reduce_rows(np.full((1, 9), 1 / 9), K, 0),
+    "pt_map_masks": lambda K: orthosym.pt_map_masks(np.full((1, 9), 1 / 9), np.eye(3), K),
+    "reconstruct_rows": lambda K: orthosym.reconstruct_rows(np.full((1, 9), 1 / 9), 2, K),
+    "twirl_rows": lambda K: orthosym.twirl_rows(np.eye(16)[None] / 16, 2, K),
+    "check_family_budget": lambda K: orthosym.check_family_budget(2, K),
+    "projector_family": lambda K: orthosym.projector_family(2, K),
+    "build_multipartite": lambda K: orthosym.build_multipartite(2, K, (0, 0)),
+    "verify_resolution": lambda K: orthosym.verify_resolution(2, K),
+    "verify_invariance": lambda K: orthosym.verify_invariance(2, K, 2),
+    "verify_pt_consistency": lambda K: orthosym.verify_pt_consistency(2, K, 2),
+    "verify_product_fidelities": lambda K: orthosym.verify_product_fidelities(2, K, 2),
+    "verify_reduction": lambda K: orthosym.verify_reduction(2, K, 2),
+    "run_suite": lambda K: orthosym.run_suite(combos=((2, K),), trials=2, samples=2),
+}
+
+
+def no_draws(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before d and K were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    monkeypatch.setattr(np.random, "SeedSequence", draw)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3)], ids=repr)
+@pytest.mark.parametrize("call", D_ENTRY_POINTS.values(), ids=D_ENTRY_POINTS)
+def test_non_integer_local_dimension_rejected(monkeypatch, call, d):
+    # c_matrix(2.5), hull_vertices(2.5, 1) and the lattice verdicts gave numbers for a
+    # dimension that does not exist, bipartite_traces(2.5) the traces (3.0, 1.0, 1)
+    no_draws(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        call(d)
+    assert (exc.type, str(exc.value)) == (ValueError, f"local dimension must be an integer, got {d!r}")
+
+
+@pytest.mark.parametrize(
+    "K, message",
+    [
+        (1.5, "pair count must be an integer, got 1.5"),
+        (True, "pair count must be an integer, got True"),
+        (0, "pair count must be >= 1"),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("call", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
+def test_non_integer_or_zero_pair_count_rejected(monkeypatch, call, K, message):
+    # projector_family(2, True) built a K = 1 family, and K = 0 ended in an IndexError
+    # from an empty Kronecker chain
+    no_draws(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        call(K)
+    assert (exc.type, str(exc.value)) == (ValueError, message)
+
+
+def content(value):
+    """A result as nested (shape, dtype, bytes) triples, integers widened to int64."""
+    if value is None:
+        return None
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = sorted(value.items())
+    if isinstance(value, (list, tuple)):
+        return [content(v) for v in value]
+    array = np.asarray(value)
+    if array.dtype.kind in "iu":
+        array = array.astype(np.int64)
+    return array.shape, array.dtype.str, array.tobytes()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32], ids=lambda t: t.__name__)
+@pytest.mark.parametrize(
+    "call, value",
+    [(call, 3) for call in D_ENTRY_POINTS.values()]
+    + [(call, 2) for call in K_ENTRY_POINTS.values()],
+    ids=[f"d-{name}" for name in D_ENTRY_POINTS] + [f"K-{name}" for name in K_ENTRY_POINTS],
+)
+def test_numpy_integers_give_the_python_int_result(call, value, kind):
+    assert content(call(kind(value))) == content(call(value))
 
 
 CORE = ("dense", "projectors", "simplex", "verify")

@@ -301,6 +301,36 @@ class TestPPTCheck:
                 check(f, (0, 2))
             assert str(exc.value) == "mask must be 2 binary digits, got (0, 2)"
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0], ids=repr)
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda tol: ppt_check(FidelityVector(2, 1, [0.0, 0.0, 1.0]), (1,), tol),
+            lambda tol: next(classify_lattice(2, 1, 4, tol)),
+        ],
+        ids=["ppt_check", "classify_lattice"],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, monkeypatch, check, tol):
+        # nan and inf compare false with every coordinate: the entangled P1 read as PPT,
+        # and a scan at d = 2, K = 1, n = 4 flagged 0 NPT rows instead of 6
+        def walk(*args):
+            raise AssertionError("walked before the tolerance was checked")
+
+        monkeypatch.setattr(simplex_module, "pt_map_rows", walk)
+        monkeypatch.setattr(simplex_module, "pt_map_masks", walk)
+        with pytest.raises(ValueError) as exc:
+            check(tol)
+        assert (exc.type, str(exc.value)) == (
+            ValueError,
+            f"tolerance must be a finite number >= 0, got {tol!r}",
+        )
+
+    def test_zero_tolerance_accepted(self):
+        f = FidelityVector(2, 1, [0.0, 0.0, 1.0])
+        assert not ppt_check(f, (1,), 0.0).is_ppt
+        npt = sum(int((~ppt.all(axis=1)).sum()) for _, ppt, _ in classify_lattice(2, 1, 4, 0))
+        assert npt == 6
+
 
 class TestCutsAndCeilings:
     """Multi-PPT covers every cut of the 2K parties and implies the ceilings."""
@@ -682,7 +712,7 @@ class TestReduce:
                 assert np.abs(got.pi - dense).max() <= 1e-12
 
     def test_rejects_single_pair(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^reduction requires K >= 2$"):
             reduce_pair(FidelityVector(2, 1, [1.0, 0.0, 0.0]), 0)
 
     def test_rejects_bad_pair_index(self):
@@ -1262,19 +1292,25 @@ class TestFidelityVectorType:
             FidelityVector(2, 2, np.full((3, 3), 1.0 / 9.0))
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
-    @pytest.mark.parametrize("field", ["d", "K"])
-    def test_non_integer_d_and_K_rejected(self, field, bad):
+    @pytest.mark.parametrize(
+        "field, rule", [("d", "local dimension"), ("K", "pair count")]
+    )
+    def test_non_integer_d_and_K_rejected(self, field, rule, bad):
         # 2.5 would give ppt verdicts for a dimension that does not exist
         args = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]} | {field: bad}
-        with pytest.raises(ValueError, match="d and K must be integers"):
+        with pytest.raises(ValueError) as exc:
             FidelityVector(**args)
+        assert (exc.type, str(exc.value)) == (ValueError, f"{rule} must be an integer, got {bad!r}")
 
-    @pytest.mark.parametrize("field", ["d", "K"])
-    def test_bool_d_and_K_rejected(self, field):
+    @pytest.mark.parametrize(
+        "field, rule", [("d", "local dimension"), ("K", "pair count")]
+    )
+    def test_bool_d_and_K_rejected(self, field, rule):
         # True is an int: the CLI would write "K": true, which its reader rejects
         args = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0]} | {field: True}
-        with pytest.raises(ValueError, match="d and K must be integers"):
+        with pytest.raises(ValueError) as exc:
             FidelityVector(**args)
+        assert (exc.type, str(exc.value)) == (ValueError, f"{rule} must be an integer, got True")
 
     def test_numpy_integer_d_and_K_accepted(self):
         f = FidelityVector(np.int64(3), np.int32(1), [1.0, 0.0, 0.0])

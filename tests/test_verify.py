@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orthosym import (
+    DEFAULT_SEED,
     CapacityError,
     DomainError,
     FidelityVector,
@@ -123,6 +124,13 @@ SAMPLED_CHECKS = [
     (verify_product_fidelities, reference_product_fidelities),
     (verify_reduction, reference_reduction),
 ]
+#: Each sampled check with the name of its sample count.
+SAMPLED_COUNTS = [
+    (verify_invariance, "trials"),
+    (verify_pt_consistency, "samples"),
+    (verify_product_fidelities, "trials"),
+    (verify_reduction, "samples"),
+]
 REFERENCE_CASES = [
     (check, reference, d, K, seed)
     for d, K, seed in [(2, 1, 5), (3, 1, 6), (2, 2, 0), (3, 2, 1), (2, 3, 2), (4, 2, 3)]
@@ -161,12 +169,6 @@ class TestIndividualChecks:
         assert report.passed
         assert report.params["trials"] == 10
 
-    def test_invariance_no_samples_is_vacuous(self):
-        report = verify_invariance(2, 1, trials=0)
-        assert report.passed
-        assert report.max_residual == 0.0
-        assert report.params["note"] == "no samples"
-
     @pytest.mark.parametrize("check", [run_suite] + [c for c, _ in SAMPLED_CHECKS])
     @pytest.mark.parametrize("seed", [None, [1, 2, 3], True, -1, 2.5, "7"], ids=repr)
     def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, check, seed):
@@ -182,6 +184,35 @@ class TestIndividualChecks:
                 run_suite(seed=seed, combos=((2, 2),), trials=1, samples=1)
             else:
                 check(2, 2, 1, seed=seed)
+
+    @pytest.mark.parametrize(
+        "check, count", SAMPLED_COUNTS + [(run_suite, "trials"), (run_suite, "samples")]
+    )
+    @pytest.mark.parametrize("value", [-1, 2.5, True, None, np.float64(3)], ids=repr)
+    def test_count_must_be_a_nonnegative_integer(self, monkeypatch, check, count, value):
+        # -1 passed invariance and product_fidelities and gave numpy's error in the other
+        # two; True ran one sample and reported "trials": True
+        def early(*args, **kwargs):
+            raise AssertionError(f"ran before the {count} count was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", early)
+        monkeypatch.setattr(np.random, "SeedSequence", early)
+        monkeypatch.setattr(verify_module, "projector_family", early)
+        monkeypatch.setattr(verify_module, "verify_c_matrix", early)  # run_suite's first check
+        with pytest.raises(ValueError) as exc:
+            if check is run_suite:
+                run_suite(combos=((2, 2),), **{"trials": 1, "samples": 1, count: value})
+            else:
+                check(2, 2, value)
+        message = f"{count} must be a non-negative integer, got {value!r}"
+        assert (exc.type, str(exc.value)) == (ValueError, message)
+
+    @pytest.mark.parametrize("check", [c for c, _ in SAMPLED_CHECKS])
+    @pytest.mark.parametrize("count", [np.int64(2), np.int32(2)], ids=repr)
+    def test_numpy_integer_count_reported_as_int(self, check, count):
+        report = dataclasses.asdict(check(2, 2, count, seed=3))
+        assert report == dataclasses.asdict(check(2, 2, 2, seed=3))
+        assert all(type(v) is int for k, v in report["params"].items() if k not in ("d", "K"))
 
     @pytest.mark.parametrize("check", [c for c, _ in SAMPLED_CHECKS])
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=repr)
@@ -217,7 +248,8 @@ class TestIndividualChecks:
         assert verify_reduction(2, 2, samples=5).passed
 
     def test_reduction_rejects_single_pair(self):
-        with pytest.raises(DomainError):
+        # the wording of reduce_rows, from one owner
+        with pytest.raises(DomainError, match="^reduction requires K >= 2$"):
             verify_reduction(2, 1, samples=1)
 
 
@@ -243,14 +275,13 @@ class TestStackedChecks:
         one_sample = 16 * d ** (4 * K)
         assert reports(one_sample) == reports(7 * one_sample)
 
-    @pytest.mark.parametrize(
-        "check", [verify_pt_consistency, verify_product_fidelities, verify_reduction]
-    )
-    def test_empty_stack_passes_with_zero_residual(self, check):
+    @pytest.mark.parametrize("check, count", SAMPLED_COUNTS)
+    def test_empty_stack_passes_with_zero_residual(self, check, count):
+        # zero samples is one case in every sampled check: no note, the count in params
         report = check(2, 2, 0)
         assert report.passed
         assert report.max_residual == 0.0
-        assert "note" not in report.params
+        assert report.params == {"d": 2, "K": 2, count: 0, "seed": DEFAULT_SEED}
 
 
 class TestBatchedFastPaths:
@@ -408,6 +439,18 @@ class TestSuite:
         assert checks.count("resolution") == 2
         assert checks.count("reduction") == 1
         assert first_failure(reports) is None
+
+    @pytest.mark.parametrize(
+        "combo, error", [((2, 5), CapacityError), ((2, 1.5), ValueError), ((2.0, 1), ValueError)]
+    )
+    def test_pre_pass_runs_before_the_first_check(self, monkeypatch, combo, error):
+        # every (d, K) and its two-family budget are checked before any report is made
+        def early(*args, **kwargs):
+            raise AssertionError("a check ran before the pre-pass")
+
+        monkeypatch.setattr(verify_module, "verify_c_matrix", early)
+        with pytest.raises(error):
+            run_suite(combos=((2, 1), combo))
 
     def test_suite_deterministic(self):
         a = run_suite(combos=((2, 1),), trials=3, samples=3, seed=7)

@@ -73,10 +73,12 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _read_input(path: str) -> str:
-    """The text of ``path``, at most INPUT_BYTES bytes of UTF-8.
+def _read_input(path: str) -> bytes:
+    """The bytes of ``path``, at most INPUT_BYTES of them.
 
-    Only the text is returned, so the bytes are freed before the JSON is parsed.
+    They go to :func:`loads` as they are: it decodes only the document's
+    skeleton unless it falls back to :mod:`json`, so a large operator file is
+    held once, as bytes.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -96,7 +98,7 @@ def _read_input(path: str) -> str:
     data = b"".join(pieces)
     if len(data) > INPUT_BYTES:
         raise CapacityError(f"input {path} has more bytes than the budget of {INPUT_BYTES}")
-    return data.decode()
+    return data
 
 
 def _load(path: str, reader):

@@ -4,9 +4,9 @@ Python's default float repr is shortest-round-trip; data emitted by the CLI
 instead uses a fixed 17-significant-digit form so output is byte-stable and
 still losslessly round-trips through a double.
 
-:func:`loads` reads the long flat number arrays of a dense operator with
-orjson's correctly rounded number parser straight into float64 arrays, and
-everything else with the standard library.
+:func:`loads` reads a document from its bytes: the long flat number arrays
+of a dense operator with orjson's correctly rounded number parser straight
+into float64 arrays, and everything else with the standard library.
 """
 
 from __future__ import annotations
@@ -19,72 +19,124 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 
 import numpy as np
 
-#: Characters of one flat number array handed to orjson at a time (arrays
-#: shorter than this are read by the standard library).  A piece's text and
+#: Bytes of one flat number array handed to orjson at a time (arrays
+#: shorter than this are read by the standard library).  A piece's bytes and
 #: its list are held at once, so the piece size sets the extra memory of a
 #: load: on a 26 MB operator file whole-document orjson raised peak RSS by
 #: 42%, 1 MiB pieces by 8% and 64 KiB pieces by under 1%.
 PIECE_CHARS = 2**16
 
 
-def _parse_array(s_and_end, scan_once):
-    """``json.decoder.JSONArray``, with long flat number arrays read by orjson.
+def _flat_spans(data: bytes) -> list[tuple[int, int]]:
+    """The ``(start, end)`` spans between a ``[`` and the next ``]`` that are at
+    least PIECE_CHARS bytes long and hold no ``[``: the flat arrays that
+    :func:`loads` hands to orjson.
 
-    A flat array has no bracket, brace or quote before its first ``]``.  It is
-    split at commas into pieces of about PIECE_CHARS characters, each read by
-    orjson and converted to float64 at once, and comes back as one float64
-    array.  A piece holding true, false or null, an empty piece (a doubled or
-    trailing comma), a piece orjson refuses or a non-finite value raises
-    ValueError, and :func:`loads` then reads the whole text with :mod:`json`.
+    Such a span starts after the last ``[`` before its ``]``, so one pass over
+    the ``]`` finds them all.  A span may also lie inside a JSON string, which
+    :func:`_decode_skeleton` tells apart, or hold other values than numbers,
+    which :func:`_read_numbers` refuses.
     """
-    s, idx = s_and_end
-    end = s.find("]", idx)
-    if end - idx < PIECE_CHARS or any(s.find(c, idx, end) >= 0 for c in '[{"'):
-        return json.decoder.JSONArray(s_and_end, scan_once)
+    spans, pos = [], 0
+    while (end := data.find(b"]", pos)) >= 0:
+        start = data.rfind(b"[", pos, end) + 1
+        if start and end - start >= PIECE_CHARS:
+            spans.append((start, end))
+        pos = end + 1
+    return spans
+
+
+def _read_numbers(data: bytes, idx: int, end: int) -> np.ndarray:
+    """The flat number array ``data[idx:end]`` as float64, read by orjson.
+
+    The span is split at commas into pieces of about PIECE_CHARS bytes, each
+    read by orjson and written at once into one array sized for the most
+    numbers the span can hold (each takes a digit and a comma), which is then
+    shrunk to the numbers read: its pages past them are never touched, and no
+    piece outlives its own copy.  A piece holding true, false or null, an
+    empty piece (a doubled or trailing comma), a piece with a brace or a
+    quote, a piece orjson refuses (non-ASCII bytes among them) or a
+    non-finite value raises ValueError.
+    """
     import orjson
 
-    pieces = []
+    values, filled = np.empty((end - idx) // 2 + 1), 0
     while idx <= end:
-        cut = s.find(",", idx + PIECE_CHARS, end)
+        cut = data.find(b",", idx + PIECE_CHARS, end)
         cut = end if cut < 0 else cut
-        text = s[idx:cut]
-        # with no bracket, brace or quote, only true, false and null are not numbers
-        if any(c in text for c in "tfn") or not (piece := orjson.loads("[" + text + "]")):
+        text = data[idx:cut]
+        # a span holds no bracket; with no brace or quote either, only true,
+        # false and null are not numbers
+        if any(c in text for c in b'{"tfn') or not (piece := orjson.loads(b"[" + text + b"]")):
             raise ValueError("not a list of numbers")
-        pieces.append(np.array(piece, dtype=float))
+        values[filled : filled + len(piece)] = np.array(piece, dtype=float)
+        filled += len(piece)
         idx = cut + 1
-    values = np.concatenate(pieces)
+    values.resize(filled, refcheck=False)  # no view of values exists
     if not np.isfinite(values).all():
         raise ValueError("a number beyond the float64 range")
-    return values, end + 1
+    return values
 
 
-class _Decoder(json.JSONDecoder):
-    """The default decoder on the pure-Python scanner, with :func:`_parse_array`."""
+def _decode_skeleton(data: bytes, spans: list[tuple[int, int]]):
+    """The value of ``data`` parsed with each span cut to ``[]``, and whether
+    the parse reached every cut as an array.
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.parse_array = _parse_array
-        self.scan_once = json.scanner.py_make_scanner(self)
-
-
-def loads(text: str):
-    """``json.loads(text)``, with long flat number arrays as float64 arrays.
-
-    A flat array of finite JSON numbers, at least PIECE_CHARS characters long,
-    comes back as ``np.array(value, dtype=float)``; every other value, and
-    every exception and message, is that of ``json.loads``.  ``json.loads``
-    reads the text when :class:`_Decoder` raises (on malformed JSON, on a
-    piece it refuses, on nesting deeper than the pure-Python scanner's
-    recursion allows, or when orjson is missing) and when the text is not
-    ASCII (the pure-Python scanner's ``\\d`` also matches non-ASCII digits).
+    The skeleton is parsed by the pure-Python scanner, whose array hook reads
+    a cut's numbers from ``data`` by :func:`_read_numbers`.  A cut the parse
+    did not reach lies inside a string, and the value is then not that of
+    ``data``.  The skeleton is decoded as ASCII, which raises
+    UnicodeDecodeError on any other byte: so its offsets are those of the
+    bytes, and the scanner's ``\\d`` meets no non-ASCII digit.
     """
-    if text.isascii():
+    parts, cuts, pos, removed = [], {}, 0, 0
+    for start, end in spans:
+        parts.append(data[pos:start])
+        cuts[start - removed] = (start, end)
+        removed += end - start
+        pos = end
+    parts.append(data[pos:])
+    skeleton = b"".join(parts).decode("ascii")
+
+    def parse_array(s_and_end, scan_once):
+        idx = s_and_end[1]
+        if idx not in cuts:
+            return json.decoder.JSONArray(s_and_end, scan_once)
+        return _read_numbers(data, *cuts.pop(idx)), idx + 1
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    try:
+        return decoder.decode(skeleton), not cuts
+    finally:
+        # the scanner refers to itself, a cycle that holds parse_array: empty
+        # its cell now, or the input lives until the next garbage collection
+        del data
+
+
+def loads(data: bytes):
+    """``json.loads(data.decode())``, with long flat number arrays as float64 arrays.
+
+    A flat array of finite JSON numbers, at least PIECE_CHARS bytes long,
+    comes back as ``np.array(value, dtype=float)``; every other value, and
+    every exception and message, is that of ``json.loads``.  The document's
+    skeleton goes to the standard library's scanner and each long array's
+    bytes to orjson, so the input is not decoded whole.  ``json.loads`` reads
+    the decoded input instead, and all its arrays come back as lists, when
+    there is no long array, when one turns out to lie in a string, and when
+    the skeleton parse raises: on malformed JSON, on a piece it refuses, on
+    a byte that is not ASCII, on nesting deeper than the pure-Python
+    scanner's recursion allows, or when orjson is missing.
+    """
+    if spans := _flat_spans(data):
         try:
-            return _Decoder().decode(text)
+            value, complete = _decode_skeleton(data, spans)
+            if complete:
+                return value
         except (ValueError, RecursionError, ImportError):
             pass
-    return json.loads(text)
+    return json.loads(data.decode())
 
 
 def float_array(raw, name: str) -> np.ndarray:

@@ -63,6 +63,7 @@ def bipartite_traces(d: int) -> tuple[int, int, int]:
 
 def all_multi_indices(K: int) -> list[tuple[int, ...]]:
     """All trinary K-digit multi-indices in rank order."""
+    _check_pair_count(K)
     return list(product((0, 1, 2), repeat=K))
 
 

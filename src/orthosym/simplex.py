@@ -99,6 +99,7 @@ def _check_reduction(K: int) -> None:
 
 def all_masks(K: int) -> list[tuple[int, ...]]:
     """The 2**K - 1 nonzero masks in binary rank order: mask r is ``all_masks(K)[r - 1]``."""
+    _check_pair_count(K)
     return list(product((0, 1), repeat=K))[1:]
 
 
@@ -112,6 +113,7 @@ def _binary_mask(mask: "str | Sequence[int]", K: int) -> tuple[int, ...]:
 
 def bob_subsystems(mask: Sequence[int], K: int) -> tuple[int, ...]:
     """Dense subsystems transposed by the K-bit ``mask``: {K + i : mask[i] = 1}."""
+    _check_pair_count(K)
     bits = _binary_mask(tuple(mask), K)  # as a tuple, a '0'/'1' string is no bit sequence
     return tuple(K + i for i, b in enumerate(bits) if b)
 
@@ -339,6 +341,7 @@ def twirl_rows(stack: np.ndarray, d: int, K: int) -> np.ndarray:
     failing matrix.  Each pair is contracted by one matrix product per
     matrix, so a row gives the floats of a stack of one.
     """
+    _check_local_dimension(d)
     _check_pair_count(K)
     dim = stack.shape[-1]
     if not _is_power(dim, d, 2 * K):
@@ -461,6 +464,7 @@ def check_vertex_budget(K: int) -> None:
 
     K <= 6 fits (K = 6: 3.0e6 coordinates); K >= 7 does not (K = 7: 3.6e7).
     """
+    _check_pair_count(K)
     check_output_budget((12**k for k in range(1, K + 1)), f"the hull vertex list of K={K}")
 
 
@@ -471,8 +475,7 @@ def hull_vertices(d: int, K: int) -> np.ndarray:
     ``list(product(VERTEX_LABELS, repeat=K))[r]``, after :func:`check_vertex_budget`.
     """
     _check_local_dimension(d)
-    _check_pair_count(K)
-    check_vertex_budget(K)
+    check_vertex_budget(K)  # checks K
     table = kron_rows(*[_vertex_table(d)[None]] * K)[0]
     table.setflags(write=False)
     return table
@@ -567,6 +570,7 @@ def check_scan_budget(n: int, K: int) -> None:
     own: an admitted scan costs at most 6.3e8 (K = 7 admits only n = 1, and
     from K = 8 even n = 1 is over the bound).
     """
+    _check_pair_count(K)
 
     def sizes() -> Iterator[int]:
         yield from (3**k for k in range(1, K + 1))

@@ -869,11 +869,11 @@ class TestInputBudget:
         path.write_bytes(b" " * 10**6)
         tracemalloc.start()
         try:
-            text = cli._read_input(str(path))
+            data = cli._read_input(str(path))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(text) == 10**6
+        assert data == b" " * 10**6
         assert peak < 4 * 10**6
 
 
@@ -1268,11 +1268,15 @@ class TestArgumentHandling:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "command", ["scan", "ppt", "sep", "reduce", "vertices", "projectors", "verify"]
+        "command", ["scan", "ppt", "sep", "reduce", "vertices", "projectors", "verify", "twirl"]
     )
     def test_d1_is_a_domain_error(self, capsys, tmp_path, command):
         fid = ["--fid", write_fid(tmp_path, "d1.json", 1, 1, [0.2, 0.3, 0.5])]
+        # a 4 x 4 state, of no dimension 1**(2K): the local dimension is checked first
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(operator_doc(np.eye(4) / 4, [2, 2])))
         argv = {
+            "twirl": ["--d", "1", "--K", "1", "--state", str(state)],
             "scan": ["--d", "1", "--K", "1", "--out", str(tmp_path / "s.csv")],
             "ppt": fid,
             "sep": fid,

@@ -1,21 +1,27 @@
 """Parity of :func:`orthosym.jsonio.loads` with :func:`json.loads`.
 
-``loads`` must return the same value, bitwise and in type (``int`` against
-``float``), or raise the same exception with the same message.  The one
+``loads(data)`` reads the bytes of a document: it must return the value of
+``json.loads(text)`` on the text they decode to, bitwise and in type (``int``
+against ``float``), or raise the same exception with the same message (the
+``UnicodeDecodeError`` of bytes that are not UTF-8 included).  The one
 difference allowed is that a long flat array of numbers comes back as a
 float64 array: it is compared with the list ``json.loads`` gives after
 :func:`float_array` on both sides, bit for bit, with the same exception and
 message where ``float_array`` refuses.  Every array case is padded past
 :data:`jsonio.PIECE_CHARS`, so that the chunked orjson path reads it and not
-only the standard library's small-array path.
+only the standard library's small-array path.  Which path read a document is
+told by refusing ``json.loads`` while ``loads`` runs.
 """
 
+import gc
 import json
 import math
 import struct
 import sys
+import tracemalloc
 import types
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,13 +61,42 @@ def outcome(parse, *args):
         return type(exc), str(exc)
 
 
-def assert_same(text):
-    got, want = outcome(loads, text), outcome(json.loads, text)
+def json_of_text(data: bytes):
+    """The oracle: ``json.loads`` of the text that ``data`` decodes to."""
+    return json.loads(data.decode())
+
+
+def encoded(doc) -> bytes:
+    return doc if type(doc) is bytes else doc.encode()
+
+
+def assert_same(doc):
+    """``loads`` of the document ``doc``, given as text or as bytes, gives the
+    outcome of ``json.loads`` on its text."""
+    data = encoded(doc)
+    got, want = outcome(loads, data), outcome(json_of_text, data)
     assert got[0] == want[0]
     if want[0] == "value":
         assert identical(got[1], want[1])
     else:
         assert got[1] == want[1]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the document was read by json.loads")
+
+
+def read_without_json(doc):
+    """``loads(doc)`` with ``json.loads`` refused: the skeleton path alone."""
+    data = encoded(doc)
+    with mock.patch.object(json, "loads", refuse):
+        return loads(data)
+
+
+def assert_read_by_json(doc):
+    """``loads`` falls back to :mod:`json` on ``doc``."""
+    with pytest.raises(AssertionError, match="read by json.loads"):
+        read_without_json(doc)
 
 
 def padded(items) -> str:
@@ -71,14 +106,17 @@ def padded(items) -> str:
 
 
 PAD = padded(["0.125", "-3", "6.02214076e-23", "-9.2e18", "1e-300"])
+#: PIECE_CHARS + 1 bytes of digits and commas: a span the skeleton cuts.
+RUN = ",".join(["7"] * (PIECE_CHARS // 2 + 1))
 
 
 def assert_read_by_orjson(text):
-    """The fast decoder alone, with no fall-back to :mod:`json`, reads a long
-    flat array of numbers as a float64 array."""
-    got = jsonio._Decoder().decode(text)
+    """With no fall-back to :mod:`json`, ``loads`` reads a long flat array of
+    numbers as a float64 array."""
+    want = json.loads(text)
+    got = read_without_json(text)
     assert type(got) is np.ndarray
-    assert identical(got, json.loads(text))
+    assert identical(got, want)
 
 
 def halfway(x: float) -> Decimal:
@@ -119,8 +157,8 @@ class TestNumberParity:
     def test_short_arrays_keep_their_ints(self):
         text = "[" + ", ".join(["7", "-0", "2.5"] * 100) + "]"
         assert len(text) < PIECE_CHARS
-        assert identical(jsonio._Decoder().decode(text), json.loads(text))
-        assert type(loads(text)[0]) is int
+        assert identical(loads(text.encode()), json.loads(text))
+        assert type(loads(text.encode())[0]) is int
 
 
 EDGE_ARRAYS = [
@@ -134,6 +172,8 @@ EDGE_ARRAYS = [
     "9223372036854775808",
     "1٢",
     '"a,]b", 1',
+    '"0.5", 1',
+    '{}',
     "[1],[2]",
     "true, 1.0",
     "null",
@@ -189,27 +229,31 @@ class TestEdgeTable:
     @pytest.mark.parametrize("case", ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400])
     def test_non_finite_numbers_fall_back(self, case):
         text = f"[{PAD}, {case}]"
-        with pytest.raises(ValueError):
-            jsonio._Decoder().decode(text)
-        assert type(loads(text)) is list
-        assert identical(loads(text), json.loads(text))
+        assert_read_by_json(text)
+        assert type(loads(text.encode())) is list
+        assert identical(loads(text.encode()), json.loads(text))
 
     def test_a_non_finite_piece_falls_back(self, monkeypatch):
         # orjson refuses numbers beyond the double range; one that read them
         # as infinity must still not reach the caller
         fake = types.SimpleNamespace(loads=lambda text: [math.inf])
         monkeypatch.setitem(sys.modules, "orjson", fake)
-        with pytest.raises(ValueError):
-            jsonio._Decoder().decode(f"[{PAD}]")
+        assert_read_by_json(f"[{PAD}]")
 
     def test_valid_arrays_on_every_side_of_a_piece_boundary(self):
         for size in range(PIECE_CHARS - 4, PIECE_CHARS + 4):
             ones = 2 - size % 2
             assert_read_by_orjson("[" + "1" * ones + ",1" * ((size - ones) // 2) + ", 2.5]")
 
-    def test_rows_of_a_nested_array_are_read_by_orjson(self):
-        text = f'{{"rows": [[{PAD}], [{PAD}, 2]], "d": 3}}'
-        assert identical(jsonio._Decoder().decode(text), json.loads(text))
+    @pytest.mark.parametrize(
+        "text",
+        [f'{{"rows": [[{PAD}], [{PAD}, 2]], "d": 3}}', f"[[[{PAD}]], [[{PAD}], [1, {PAD}]], []]"],
+    )
+    def test_rows_of_a_nested_array_are_read_by_orjson(self, text):
+        got = read_without_json(text)
+        assert identical(got, json.loads(text))
+        assert type(got["rows"][0] if type(got) is dict else got[0][0]) is np.ndarray
+        assert_same(text)
 
     def test_empty_arrays(self):
         assert_same("[ ]")
@@ -219,11 +263,11 @@ class TestEdgeTable:
     def test_duplicate_keys_keep_the_last(self):
         text = f'{{"re": [{PAD}], "re": [{PAD}, 7]}}'
         assert_same(text)
-        assert jsonio._Decoder().decode(text)["re"][-1] == 7
+        assert read_without_json(text)["re"][-1] == 7
 
     def test_byte_order_mark(self):
-        assert_same(f"﻿[{PAD}]")
-        assert_same(f'﻿{{"re": [{PAD}]}}')
+        assert_same(f"\ufeff[{PAD}]")
+        assert_same(f'\ufeff{{"re": [{PAD}]}}')
 
     @pytest.mark.parametrize("depth", [1, 40, 400, 2000, 100_000])
     def test_deep_nesting(self, depth):
@@ -251,7 +295,125 @@ class TestEdgeTable:
     def test_without_orjson_json_reads_the_text(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "orjson", None)
         text = f'{{"re": [{PAD}], "im": [1, 2]}}'
-        assert identical(loads(text), json.loads(text))
+        assert identical(loads(text.encode()), json.loads(text))
+        assert_read_by_json(text)
+
+
+def picked(texts):
+    """One of ``texts``, drawn by index, so that no long text is in a repr."""
+    return st.integers(0, len(texts) - 1).map(lambda i: texts[i])
+
+
+#: Pieces of documents: brackets, braces, quotes and escapes among long runs of numbers.
+FRAGMENTS = picked(["[", "]", "{", "}", '"', "\\", ",", ":", "1", " ", RUN])
+#: JSON strings that hold brackets and runs of numbers.
+IN_STRING = st.lists(FRAGMENTS, max_size=5).map("".join).map(json.dumps)
+SKELETON_VALUES = st.recursive(
+    IN_STRING | picked([f"[{RUN}]", f"[{PAD}]", "1", "null", "[]"]),
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+    | st.lists(st.tuples(IN_STRING, inner), max_size=3).map(
+        lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"
+    ),
+    max_leaves=6,
+)
+#: Values side by side, or beside a bare fragment, are mostly not JSON.
+SKELETON_DOCUMENTS = st.lists(SKELETON_VALUES | FRAGMENTS, min_size=1, max_size=3).map("".join)
+
+
+class TestSkeleton:
+    """A long run of numbers that the skeleton cuts where the document has no
+    array: the parse never reaches the cut as an array, or fails, and
+    :mod:`json` reads the document."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f'"[{RUN}]"',
+            f'{{"note": "[{RUN}]", "re": [{PAD}]}}',
+            f'["a[{RUN}]b", [{PAD}]]',
+            f'{{"[{RUN}]": 1}}',
+            f'["\\"[{RUN}]"]',
+        ],
+    )
+    def test_a_run_inside_a_string(self, text):
+        assert_same(text)
+        assert_read_by_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"1[{RUN}]",
+            f"[1[{RUN}]]",
+            f'{{"a": 1[{RUN}]}}',
+            f'{{"a"[{RUN}]}}',
+            f"[{RUN}][{RUN}]",
+            f"true[{RUN}]",
+            f'"s"[{RUN}]',
+            f"[{RUN}]]",
+        ],
+    )
+    def test_a_cut_right_after_a_value(self, text):
+        assert_same(text)
+        with pytest.raises(json.JSONDecodeError):
+            loads(text.encode())
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xef\xbb\xbf[" + RUN.encode() + b"]",
+            b"\xef\xbb\xbf" + f'{{"re": [{PAD}]}}'.encode(),
+            b"[" + RUN.encode() + b", \xff]",
+            f'{{"re": [{PAD}], "s": "'.encode() + b'\xc3"}',
+            f'{{"re": [{PAD}], "s": "\u00e9"}}'.encode(),
+            f'{{"s": "\u00e9", "re": [{PAD}]}}'.encode(),
+            f"[{PAD}, 1\u0662]".encode(),
+            f'{{"d": 1\u0661, "re": [{PAD}]}}'.encode(),
+            f'{{"re": [{PAD}], "d": 1\u0661}}'.encode(),
+            b"\xff",
+        ],
+    )
+    def test_byte_order_mark_and_utf8(self, data):
+        assert_same(data)
+
+    def test_duplicate_keys_with_a_run_in_a_string(self):
+        text = f'{{"re": "[{RUN}]", "re": [{PAD}]}}'
+        assert_same(text)
+        assert_read_by_json(text)
+
+    @given(SKELETON_DOCUMENTS)
+    def test_strings_with_brackets_among_number_runs(self, text):
+        assert_same(text)
+
+
+class TestReleasesItsInput:
+    """The scanner refers to itself: a cycle that must not keep the input alive
+    until a garbage collection."""
+
+    @pytest.mark.parametrize("tail", ["", f', "note": "[{RUN}]"'], ids=["orjson", "json"])
+    def test_no_reference_is_left(self, tail):
+        data = f'{{"re": [{PAD}]{tail}}}'.encode()
+        before = sys.getrefcount(data)
+        gc.disable()
+        try:
+            loads(data)
+            assert sys.getrefcount(data) == before
+        finally:
+            gc.enable()
+
+    def test_memory_after_the_call_is_below_the_input(self):
+        gc.disable()
+        tracemalloc.start()
+        try:
+            data = ('{"re": [' + ", ".join(["0.12345678901234568"] * 10**5) + "]}").encode()
+            size = len(data)
+            value = loads(data)
+            del data
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert type(value["re"]) is np.ndarray
+        assert current < size
 
 
 class TestFloatArray:

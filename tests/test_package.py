@@ -311,6 +311,7 @@ D_ENTRY_POINTS = {
     "classify_lattice": lambda d: list(orthosym.classify_lattice(d, 1, 3)),
     "FidelityVector": lambda d: orthosym.FidelityVector(d, 1, [1.0, 0.0, 0.0]),
     "reconstruct_rows": lambda d: orthosym.reconstruct_rows(np.array([[1.0, 0.0, 0.0]]), d, 1),
+    "twirl_rows": lambda d: orthosym.twirl_rows(np.eye(9)[None] / 9, d, 1),
     "check_family_budget": lambda d: orthosym.check_family_budget(d, 1),
     "projector_family": lambda d: orthosym.projector_family(d, 1),
     "build_multipartite": lambda d: orthosym.build_multipartite(d, 1, (0,)),
@@ -325,6 +326,11 @@ D_ENTRY_POINTS = {
 }
 #: Every public function that takes a pair count K, at d = 2.
 K_ENTRY_POINTS = {
+    "all_masks": lambda K: orthosym.all_masks(K),
+    "all_multi_indices": lambda K: orthosym.all_multi_indices(K),
+    "bob_subsystems": lambda K: orthosym.bob_subsystems((1, 0), K),
+    "check_scan_budget": lambda K: orthosym.check_scan_budget(3, K),
+    "check_vertex_budget": lambda K: orthosym.check_vertex_budget(K),
     "FidelityVector": lambda K: orthosym.FidelityVector(2, K, np.full(9, 1 / 9)),
     "hull_vertices": lambda K: orthosym.hull_vertices(2, K),
     "coordinate_bounds": lambda K: orthosym.coordinate_bounds(2, K),
@@ -377,7 +383,8 @@ def test_non_integer_local_dimension_rejected(monkeypatch, call, d):
 @pytest.mark.parametrize("call", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
 def test_non_integer_or_zero_pair_count_rejected(monkeypatch, call, K, message):
     # projector_family(2, True) built a K = 1 family, and K = 0 ended in an IndexError
-    # from an empty Kronecker chain
+    # from an empty Kronecker chain; all_masks(True) listed the K = 1 masks, and
+    # check_scan_budget(3, 1.5) raised a TypeError from range()
     no_draws(monkeypatch)
     with pytest.raises(ValueError) as exc:
         call(K)
@@ -451,3 +458,28 @@ def test_capped_power_size_test_lives_in_is_power():
         return isinstance(node, ast.Compare) and any(map(capped_power, ast.walk(node)))
 
     assert owners(size_test) == {("simplex", "_is_power")}
+
+
+def test_input_is_decoded_only_in_the_fall_back_of_loads():
+    # the CLI hands jsonio.loads the file's bytes: the whole input is decoded only
+    # where loads falls back to json.loads, and otherwise only the ASCII skeleton
+    def decode_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "decode"
+        )
+
+    assert owners(decode_call) == {("jsonio", "loads"), ("jsonio", "_decode_skeleton")}
+    tree = ast.parse((PACKAGE / "jsonio.py").read_text())
+    calls = {
+        node.name: [ast.unparse(sub) for sub in ast.walk(node) if decode_call(sub)]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert calls["loads"] == ["data.decode()"]
+    # the skeleton is decoded from its parts, not from the input, and then parsed
+    assert calls["_decode_skeleton"] == [
+        "b''.join(parts).decode('ascii')",
+        "decoder.decode(skeleton)",
+    ]

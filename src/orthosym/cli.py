@@ -389,6 +389,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's names the allocation it could not make; Python's bare one says nothing
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -12,9 +12,8 @@ into float64 arrays, and everything else with the standard library.
 from __future__ import annotations
 
 import json
-import json.decoder
-import json.scanner
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
@@ -34,8 +33,8 @@ def _flat_spans(data: bytes) -> list[tuple[int, int]]:
 
     Such a span starts after the last ``[`` before its ``]``, so one pass over
     the ``]`` finds them all.  A span may also lie inside a JSON string, which
-    :func:`_decode_skeleton` tells apart, or hold other values than numbers,
-    which :func:`_read_numbers` refuses.
+    the parse of the skeleton never reaches, or hold other values than
+    numbers, which :func:`_read_numbers` refuses.
     """
     spans, pos = [], 0
     while (end := data.find(b"]", pos)) >= 0:
@@ -50,69 +49,31 @@ def _read_numbers(data: bytes, idx: int, end: int) -> np.ndarray:
     """The flat number array ``data[idx:end]`` as float64, read by orjson.
 
     The span is split at commas into pieces of about PIECE_CHARS bytes, each
-    read by orjson and written at once into one array sized for the most
-    numbers the span can hold (each takes a digit and a comma), which is then
-    shrunk to the numbers read: its pages past them are never touched, and no
-    piece outlives its own copy.  A piece holding true, false or null, an
-    empty piece (a doubled or trailing comma), a piece with a brace or a
+    read by orjson and its numbers written by ``np.fromiter`` into one array
+    that grows as it fills: no piece outlives its copy, and no room is held
+    for numbers the span does not have.  A piece holding true, false or null,
+    an empty piece (a doubled or trailing comma), a piece with a brace or a
     quote, a piece orjson refuses (non-ASCII bytes among them) or a
     non-finite value raises ValueError.
     """
     import orjson
 
-    values, filled = np.empty((end - idx) // 2 + 1), 0
-    while idx <= end:
-        cut = data.find(b",", idx + PIECE_CHARS, end)
-        cut = end if cut < 0 else cut
-        text = data[idx:cut]
-        # a span holds no bracket; with no brace or quote either, only true,
-        # false and null are not numbers
-        if any(c in text for c in b'{"tfn') or not (piece := orjson.loads(b"[" + text + b"]")):
-            raise ValueError("not a list of numbers")
-        values[filled : filled + len(piece)] = np.array(piece, dtype=float)
-        filled += len(piece)
-        idx = cut + 1
-    values.resize(filled, refcheck=False)  # no view of values exists
+    def pieces(idx):
+        while idx <= end:
+            cut = data.find(b",", idx + PIECE_CHARS, end)
+            cut = end if cut < 0 else cut
+            text = data[idx:cut]
+            # a span holds no bracket; with no brace or quote either, only
+            # true, false and null are not numbers
+            if any(c in text for c in b'{"tfn') or not (piece := orjson.loads(b"[" + text + b"]")):
+                raise ValueError("not a list of numbers")
+            yield piece
+            idx = cut + 1
+
+    values = np.fromiter(chain.from_iterable(pieces(idx)), float)
     if not np.isfinite(values).all():
         raise ValueError("a number beyond the float64 range")
     return values
-
-
-def _decode_skeleton(data: bytes, spans: list[tuple[int, int]]):
-    """The value of ``data`` parsed with each span cut to ``[]``, and whether
-    the parse reached every cut as an array.
-
-    The skeleton is parsed by the pure-Python scanner, whose array hook reads
-    a cut's numbers from ``data`` by :func:`_read_numbers`.  A cut the parse
-    did not reach lies inside a string, and the value is then not that of
-    ``data``.  The skeleton is decoded as ASCII, which raises
-    UnicodeDecodeError on any other byte: so its offsets are those of the
-    bytes, and the scanner's ``\\d`` meets no non-ASCII digit.
-    """
-    parts, cuts, pos, removed = [], {}, 0, 0
-    for start, end in spans:
-        parts.append(data[pos:start])
-        cuts[start - removed] = (start, end)
-        removed += end - start
-        pos = end
-    parts.append(data[pos:])
-    skeleton = b"".join(parts).decode("ascii")
-
-    def parse_array(s_and_end, scan_once):
-        idx = s_and_end[1]
-        if idx not in cuts:
-            return json.decoder.JSONArray(s_and_end, scan_once)
-        return _read_numbers(data, *cuts.pop(idx)), idx + 1
-
-    decoder = json.JSONDecoder()
-    decoder.parse_array = parse_array
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    try:
-        return decoder.decode(skeleton), not cuts
-    finally:
-        # the scanner refers to itself, a cycle that holds parse_array: empty
-        # its cell now, or the input lives until the next garbage collection
-        del data
 
 
 def loads(data: bytes):
@@ -120,20 +81,31 @@ def loads(data: bytes):
 
     A flat array of finite JSON numbers, at least PIECE_CHARS bytes long,
     comes back as ``np.array(value, dtype=float)``; every other value, and
-    every exception and message, is that of ``json.loads``.  The document's
-    skeleton goes to the standard library's scanner and each long array's
-    bytes to orjson, so the input is not decoded whole.  ``json.loads`` reads
-    the decoded input instead, and all its arrays come back as lists, when
-    there is no long array, when one turns out to lie in a string, and when
-    the skeleton parse raises: on malformed JSON, on a piece it refuses, on
-    a byte that is not ASCII, on nesting deeper than the pure-Python
-    scanner's recursion allows, or when orjson is missing.
+    every exception and message, is that of ``json.loads``.  Each long array,
+    brackets included, is cut to the marker ``NaN`` in a skeleton that the
+    standard library's C scanner parses; its ``parse_constant`` hook reads
+    the k-th ``NaN`` as the k-th array's bytes with orjson, so the input is
+    not decoded whole.  A JSON ``NaN`` is delimited: if the skeleton holds no
+    other ``NaN`` text and the parse met every marker, the k-th call was the
+    k-th marker.  Otherwise ``json.loads`` reads the decoded input, as it does
+    when there is no long array and when the skeleton parse raises (malformed
+    JSON, a piece it refuses, bytes that are not UTF-8, deep nesting, no
+    orjson); all its arrays come back as lists.
     """
     if spans := _flat_spans(data):
+        # the bytes around the arrays and their brackets, joined by markers
+        edges = [0, *(i for start, end in spans for i in (start - 1, end + 1)), len(data)]
+        skeleton = b"NaN".join(data[a:b] for a, b in zip(edges[::2], edges[1::2]))
+        pending = iter(spans)
+
+        def constant(name):
+            return _read_numbers(data, *next(pending)) if name == "NaN" else float(name)
+
         try:
-            value, complete = _decode_skeleton(data, spans)
-            if complete:
-                return value
+            if skeleton.count(b"NaN") == len(spans):
+                value = json.JSONDecoder(parse_constant=constant).decode(skeleton.decode())
+                if next(pending, None) is None:
+                    return value
         except (ValueError, RecursionError, ImportError):
             pass
     return json.loads(data.decode())

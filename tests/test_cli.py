@@ -825,6 +825,23 @@ class TestInputBudget:
         assert len(repr(-2.2250738585072014e-308)) == 24
         assert 2 * MAX_DIM**2 * 26 + 1000 < cli.INPUT_BYTES
 
+    @pytest.mark.parametrize(
+        "exc, err",
+        [(MemoryError(), "error: out of memory\n"),
+         (MemoryError("Unable to allocate 95.7 MiB"),
+          "error: out of memory: Unable to allocate 95.7 MiB\n")],
+    )
+    def test_out_of_memory_exits_3(self, capsys, tmp_path, monkeypatch, exc, err):
+        # exit 1 means a failed verification, so running out of memory must not end there
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"d": 2, "K": 2, "pi": [1 / 9] * 9}))
+
+        def exhausted(data):
+            raise exc
+
+        monkeypatch.setattr(cli, "loads", exhausted)
+        assert run(capsys, "sep", "--fid", str(path)) == (3, "", err)
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sep", "--fid", str(tmp_path / "none.json"))
         assert code == 2

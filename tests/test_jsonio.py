@@ -110,12 +110,12 @@ PAD = padded(["0.125", "-3", "6.02214076e-23", "-9.2e18", "1e-300"])
 RUN = ",".join(["7"] * (PIECE_CHARS // 2 + 1))
 
 
-def assert_read_by_orjson(text):
+def assert_read_by_orjson(text, key=None):
     """With no fall-back to :mod:`json`, ``loads`` reads a long flat array of
-    numbers as a float64 array."""
+    numbers, the document or its ``key``, as a float64 array."""
     want = json.loads(text)
     got = read_without_json(text)
-    assert type(got) is np.ndarray
+    assert type(got if key is None else got[key]) is np.ndarray
     assert identical(got, want)
 
 
@@ -304,12 +304,17 @@ def picked(texts):
     return st.integers(0, len(texts) - 1).map(lambda i: texts[i])
 
 
-#: Pieces of documents: brackets, braces, quotes and escapes among long runs of numbers.
-FRAGMENTS = picked(["[", "]", "{", "}", '"', "\\", ",", ":", "1", " ", RUN])
+#: Pieces of documents: brackets, braces, quotes and escapes among long runs of numbers,
+#: and the marker ``NaN``, its parts and the other constants.
+FRAGMENTS = picked(
+    ["[", "]", "{", "}", '"', "\\", ",", ":", "1", " ", RUN]
+    + ["NaN", "Na", "N", "aN", "-", "Infinity"]
+)
 #: JSON strings that hold brackets and runs of numbers.
 IN_STRING = st.lists(FRAGMENTS, max_size=5).map("".join).map(json.dumps)
 SKELETON_VALUES = st.recursive(
-    IN_STRING | picked([f"[{RUN}]", f"[{PAD}]", "1", "null", "[]"]),
+    IN_STRING
+    | picked([f"[{RUN}]", f"[{PAD}]", "1", "null", "[]", "NaN", "Infinity", "-Infinity"]),
     lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
     | st.lists(st.tuples(IN_STRING, inner), max_size=3).map(
         lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"
@@ -321,9 +326,11 @@ SKELETON_DOCUMENTS = st.lists(SKELETON_VALUES | FRAGMENTS, min_size=1, max_size=
 
 
 class TestSkeleton:
-    """A long run of numbers that the skeleton cuts where the document has no
-    array: the parse never reaches the cut as an array, or fails, and
-    :mod:`json` reads the document."""
+    """A long run of numbers that the skeleton cuts to the marker ``NaN`` where
+    the document has no array, or a marker beside other ``NaN`` text: the
+    parse never meets the marker as a token, the skeleton holds more ``NaN``
+    text than markers, or the parse fails, and :mod:`json` reads the
+    document."""
 
     @pytest.mark.parametrize(
         "text",
@@ -375,6 +382,29 @@ class TestSkeleton:
     def test_byte_order_mark_and_utf8(self, data):
         assert_same(data)
 
+    @pytest.mark.parametrize("text", [f'{{"a": NaN, "s": "[{RUN}]"}}', f'["Na[{RUN}]N"]'])
+    def test_nan_text_beside_a_marker(self, text):
+        assert_same(text)
+        assert_read_by_json(text)
+
+    @pytest.mark.parametrize("text", [f"[[{RUN}]NaN]", f"-[{RUN}]"])
+    def test_a_marker_that_is_not_a_token(self, text):
+        assert_same(text)
+        with pytest.raises(json.JSONDecodeError):
+            loads(text.encode())
+
+    def test_infinities_beside_a_marker(self):
+        text = f"[Infinity, [{RUN}], -Infinity]"
+        assert_same(text)
+        got = read_without_json(text)
+        assert got[0] == math.inf and got[2] == -math.inf
+        assert type(got[1]) is np.ndarray
+
+    def test_a_skeleton_that_is_not_ascii(self):
+        # the C scanner reads the decoded skeleton, as json.loads reads the text;
+        # test_byte_order_mark_and_utf8 keeps json's error for a non-ASCII digit
+        assert_read_by_orjson(f'{{"s": "\u00e9", "re": [{PAD}]}}', "re")
+
     def test_duplicate_keys_with_a_run_in_a_string(self):
         text = f'{{"re": "[{RUN}]", "re": [{PAD}]}}'
         assert_same(text)
@@ -385,9 +415,14 @@ class TestSkeleton:
         assert_same(text)
 
 
+def long_document() -> bytes:
+    """A 2 MB operator-like document: one array of 10**5 numbers."""
+    return ('{"re": [' + ", ".join(["0.12345678901234568"] * 10**5) + "]}").encode()
+
+
 class TestReleasesItsInput:
-    """The scanner refers to itself: a cycle that must not keep the input alive
-    until a garbage collection."""
+    """With the garbage collector off, ``loads`` leaves no reference to its
+    input, and holds less memory than the input while it runs and after."""
 
     @pytest.mark.parametrize("tail", ["", f', "note": "[{RUN}]"'], ids=["orjson", "json"])
     def test_no_reference_is_left(self, tail):
@@ -404,7 +439,7 @@ class TestReleasesItsInput:
         gc.disable()
         tracemalloc.start()
         try:
-            data = ('{"re": [' + ", ".join(["0.12345678901234568"] * 10**5) + "]}").encode()
+            data = long_document()
             size = len(data)
             value = loads(data)
             del data
@@ -414,6 +449,21 @@ class TestReleasesItsInput:
             gc.enable()
         assert type(value["re"]) is np.ndarray
         assert current < size
+
+    def test_peak_during_the_call_is_below_the_input(self):
+        # no room is held for more numbers than the array has: the peak counts
+        # the array as it grows, the pieces and the skeleton, not the input
+        data = long_document()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            value = loads(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert type(value["re"]) is np.ndarray
+        assert peak < len(data)
 
 
 class TestFloatArray:

@@ -462,7 +462,8 @@ def test_capped_power_size_test_lives_in_is_power():
 
 def test_input_is_decoded_only_in_the_fall_back_of_loads():
     # the CLI hands jsonio.loads the file's bytes: the whole input is decoded only
-    # where loads falls back to json.loads, and otherwise only the ASCII skeleton
+    # where loads falls back to json.loads, and otherwise only the skeleton, whose
+    # text the public decoder parses
     def decode_call(node):
         return (
             isinstance(node, ast.Call)
@@ -470,16 +471,46 @@ def test_input_is_decoded_only_in_the_fall_back_of_loads():
             and node.func.attr == "decode"
         )
 
-    assert owners(decode_call) == {("jsonio", "loads"), ("jsonio", "_decode_skeleton")}
+    assert owners(decode_call) == {("jsonio", "loads")}
     tree = ast.parse((PACKAGE / "jsonio.py").read_text())
-    calls = {
-        node.name: [ast.unparse(sub) for sub in ast.walk(node) if decode_call(sub)]
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
-    assert calls["loads"] == ["data.decode()"]
-    # the skeleton is decoded from its parts, not from the input, and then parsed
-    assert calls["_decode_skeleton"] == [
-        "b''.join(parts).decode('ascii')",
-        "decoder.decode(skeleton)",
+    (loads,) = [node for node in tree.body if getattr(node, "name", None) == "loads"]
+    assert sorted(ast.unparse(sub) for sub in ast.walk(loads) if decode_call(sub)) == [
+        "data.decode()",
+        "json.JSONDecoder(parse_constant=constant).decode(skeleton.decode())",
+        "skeleton.decode()",
     ]
+
+
+def json_internal_names(path):
+    """The names under ``json.decoder`` or ``json.scanner`` that a file imports, or
+    reads through an attribute chain rooted at ``json``: the modules behind the
+    public ``json`` names, whose hooks may change in any release."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            while isinstance(node := node.value, ast.Attribute):
+                chain.append(node.attr)
+            if isinstance(node, ast.Name) and node.id == "json":
+                found.add(".".join([node.id, *reversed(chain)]))
+    internal = (["json", "decoder"], ["json", "scanner"])
+    return sorted(name for name in found if name.split(".")[:2] in internal)
+
+
+def test_json_is_read_through_its_public_names():
+    # jsonio reaches the scanner through JSONDecoder's arguments alone: it reads
+    # no json.decoder or json.scanner name and sets no attribute on any object
+    found = {path.name: json_internal_names(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(found.values()), f"json internals read: {found}"
+    stores = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse((PACKAGE / "jsonio.py").read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("setattr", "object.__setattr__")
+    ]
+    assert not stores, f"jsonio assigns attributes: {stores}"

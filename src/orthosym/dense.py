@@ -189,7 +189,7 @@ def is_psd_rows(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """
     herm, scale = _hermitian_rows(stack)
     dim = stack.shape[-1]
-    if tol > 0 and (tol / 2 > dim**2 * np.finfo(float).eps * scale).all():
+    if (tol / 2 > dim**2 * np.finfo(float).eps * scale).all():
         diagonal = np.arange(dim)
         herm[:, diagonal, diagonal] += tol / 2
         try:

@@ -1,8 +1,9 @@
 """JSON reading, and deterministic JSON rendering with 17-significant-digit floats.
 
-Python's default float repr is shortest-round-trip; data emitted by the CLI
-instead uses a fixed 17-significant-digit form so output is byte-stable and
-still losslessly round-trips through a double.
+Python's default float repr is shortest-round-trip; :func:`dumps` instead
+writes floats in a fixed 17-significant-digit form, byte-stable and lossless
+through a double, in the kinds the commands build: dicts with str keys,
+lists, float64 arrays (a finite 1-D one in one pass), str, bool, int, float.
 
 :func:`loads` reads a document from its bytes: the long flat number arrays
 of a dense operator with orjson's correctly rounded number parser straight
@@ -135,26 +136,23 @@ def format_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """JSON text of ``obj``, with every float in 17 significant digits."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    # no value passes two of these tests, so the most frequent come first
-    if isinstance(obj, (float, np.floating)):
+    """JSON text of ``obj``, every float in 17 significant digits: ``obj`` is
+    built of dicts with str keys, lists, float64 arrays, str, bool, int and
+    float (``numpy.float64`` too); any other kind raises TypeError."""
+    # the most frequent kinds first; bool, an int, before int
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{_quote(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        # a list of finite floats is rendered at once; anything else item by
-        # item, so that format_float names the first non-finite float
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            return "[" + ", ".join(map(_float_text, obj)) + "]"
+        return "{" + ", ".join(f"{_quote(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
+    if type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == float and np.isfinite(obj).all():
+        return "[" + ", ".join(map(_float_text, obj.tolist())) + "]"
+    if isinstance(obj, (list, np.ndarray)):
+        # item by item, so that format_float names the first non-finite float
         return "[" + ", ".join(map(dumps, obj)) + "]"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
+    if isinstance(obj, int):
+        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

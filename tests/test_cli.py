@@ -1261,6 +1261,63 @@ class TestVerify:
         assert run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "0")[0] == 0
 
 
+def assert_dumps_kind(value):
+    """Fail unless ``value`` is built of the kinds :func:`dumps` renders: dicts
+    with str keys; lists of dicts, strs or ints; str, int, bool and float
+    (``numpy.float64`` among them); and 1-D float64 arrays."""
+    if type(value) is dict:
+        assert set(map(type, value)) <= {str}, value
+        for item in value.values():
+            assert_dumps_kind(item)
+    elif type(value) is list:
+        assert set(map(type, value)) <= {dict, str, int}, value
+        for item in value:
+            assert_dumps_kind(item)
+    elif type(value) is np.ndarray:
+        assert (value.dtype, value.ndim) == (np.float64, 1), value
+    else:
+        assert type(value) in (str, int, bool, float, np.float64), type(value)
+
+
+class TestDumpsTraffic:
+    """Every command that writes JSON hands dumps only the kinds it renders, so
+    a command that sends another kind fails here and not in a user's run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["projectors", "--d", "2", "--K", "2", "--alpha", "0,2"],
+            ["twirl", "--d", "2", "--K", "1", "--state", "{state}"],
+            ["ppt", "--fid", "{fid}"],
+            ["ppt", "--mask", "10", "--fid", "{fid}"],
+            ["sep", "--fid", "{fid}"],
+            ["reduce", "--pair", "0", "--fid", "{fid}"],
+            ["vertices", "--d", "2", "--K", "2"],
+            ["verify", "--d", "2", "--K", "1"],
+        ],
+        ids=["projectors", "twirl", "ppt", "ppt-mask", "sep", "reduce", "vertices", "verify"],
+    )
+    def test_commands_send_only_rendered_kinds(self, capsys, tmp_path, monkeypatch, argv):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(wishart_doc(2, 1)))
+        # the entangled corner violates PPT under every mask: violations are sent
+        pi = np.full(9, 0.01)
+        pi[-1] = 0.92
+        files = {"state": str(state), "fid": write_fid(tmp_path, "fid.json", 2, 2, pi)}
+        sent = []
+
+        def walked(obj):
+            sent.append(obj)
+            assert_dumps_kind(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(cli, "dumps", walked)
+        code, out, _ = run(capsys, *(a.format(**files) for a in argv))
+        assert (code, len(sent)) == (0, 1)
+        if argv[0] == "ppt":
+            assert all(v["violations"] for v in json.loads(out)["verdicts"])
+
+
 class TestArgumentHandling:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

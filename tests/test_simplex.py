@@ -347,6 +347,19 @@ class TestCutsAndCeilings:
                 bob = partial_transpose_rows(m, rho.shape, bob_subsystems(mask, K))
                 assert np.array_equal(partial_transpose_rows(m, rho.shape, cut), bob)
 
+    @pytest.mark.parametrize("d, K", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
+    def test_walk_row_is_the_trace_norm_of_every_mask(self, d, K):
+        # the mask's partial transpose is sum_alpha pi'_alpha P_alpha / tr P_alpha on
+        # orthogonal projectors, so its trace norm (the negativity's 1 + 2N) is
+        # sum_alpha |pi'_alpha|
+        rows = np.random.default_rng([d, K, 23]).dirichlet(np.ones(3**K), size=8)
+        stack = reconstruct_rows(rows, d, K)
+        walk = pt_map_masks(rows, c_matrix(d), K)
+        for r, mask in enumerate(all_masks(K), start=1):
+            dense = partial_transpose_rows(stack, (d,) * (2 * K), bob_subsystems(mask, K))
+            trace_norm = np.abs(np.linalg.eigvalsh(dense)).sum(axis=1)
+            assert np.abs(trace_norm - np.abs(walk[:, r]).sum(axis=1)).max() <= 1e-12
+
     @given(
         st.integers(2, 50),
         st.lists(st.fractions(-10, 10, max_denominator=1000), min_size=3, max_size=3),

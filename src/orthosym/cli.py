@@ -10,7 +10,6 @@ verification, 2 argument errors, 3 capacity, 4 domain errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from itertools import product
@@ -25,6 +24,7 @@ from .simplex import (
     FidelityVector,
     _binary_mask,
     _check_state_rows,
+    _check_tolerance,
     check_output_budget,
     check_scan_budget,
     check_vertex_budget,
@@ -113,8 +113,9 @@ def _load(path: str, reader):
 def _read_operator(doc: dict) -> ComplexOperator:
     """The operator of a row-major ``{"dim", "shape", "re", "im"}`` document."""
     dim, shape = doc["dim"], doc["shape"]
-    if type(shape) is not list or any(type(x) is not int for x in [dim, *shape]):
-        raise ValueError(f"dim and shape must be JSON integers, got {dim!r}, {shape!r}")
+    # the shape's entries meet ComplexOperator's rule; dim and the list are the file's
+    if type(dim) is not int or type(shape) is not list:
+        raise ValueError(f"dim must be a JSON integer and shape a list, got {dim!r}, {shape!r}")
     re, im = float_array(doc["re"], "re"), float_array(doc["im"], "im")
     if dim < 1 or re.size != dim * dim or im.size != dim * dim:
         raise ValueError(
@@ -128,8 +129,6 @@ def _read_operator(doc: dict) -> ComplexOperator:
 
 def _read_fidelities(doc: dict) -> FidelityVector:
     """The coordinates of a ``{"d", "K", "pi"}`` document."""
-    if type(doc["d"]) is not int or type(doc["K"]) is not int:
-        raise ValueError(f"d and K must be JSON integers, got {doc['d']!r}, {doc['K']!r}")
     return FidelityVector(doc["d"], doc["K"], float_array(doc["pi"], "pi"))
 
 
@@ -149,6 +148,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_projectors(args) -> int:
     alpha = _parse_alpha(args.alpha)
+    trace = multipartite_trace(args.d, alpha)  # checks d: the budget reads a negative d
     # 2 * d**(4 * pairs) floats, the real and imaginary parts
     check_output_budget(
         (2 * args.d**k for k in range(4 * len(alpha) + 1)),
@@ -160,7 +160,7 @@ def cmd_projectors(args) -> int:
         "d": args.d,
         "K": args.K,
         "alpha": list(alpha),
-        "trace": str(multipartite_trace(args.d, alpha)),
+        "trace": str(trace),
         "dim": op.dim,
         "shape": list(op.shape),
         "re": flat.real,
@@ -177,6 +177,7 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_ppt(args) -> int:
+    _check_tolerance(args.tol)  # ppt runs its own walk, not ppt_check
     f = _load(args.fid, _read_fidelities)
     single = args.mask is not None
     check_output_budget([(1 if single else 2**f.K - 1) * f.pi.size], f"ppt of K={f.K}")
@@ -229,8 +230,8 @@ def cmd_sep(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    n = args.grid if args.grid else default_grid_resolution(args.K)
-    check_scan_budget(n, args.K)
+    n = args.grid if args.grid is not None else default_grid_resolution(args.K)
+    check_scan_budget(n, args.K)  # checks n before the text table divides by it
     header = (
         [f"pi_{label}" for label in _digit_labels(args.K, "012")]
         + ["sep_bound"]
@@ -299,27 +300,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError("must be a finite number >= 0")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthosym",
@@ -329,22 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("projectors", help="emit one dense pair projector as JSON")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--K", type=_positive_int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
     p.add_argument("--alpha", required=True, help="comma-separated trinary digits, e.g. 0,2")
     p.add_argument("--out")
     p.set_defaults(func=cmd_projectors)
 
     p = sub.add_parser("twirl", help="project a dense state onto the simplex")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--K", type=_positive_int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
     p.add_argument("--state", required=True, help="dense operator JSON file")
     p.set_defaults(func=cmd_twirl)
 
     p = sub.add_parser("ppt", help="partial-transposition positivity verdicts")
     p.add_argument("--fid", required=True, help="fidelity vector JSON file")
     p.add_argument("--mask", help="binary digit string, e.g. 01 (default: all masks)")
-    p.add_argument("--tol", type=_tolerance, default=PSD_TOL)
+    p.add_argument("--tol", type=float, default=PSD_TOL)
     p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("sep", help="per-coordinate separability bounds")
@@ -352,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sep)
 
     p = sub.add_parser("scan", help="classify a lattice over the simplex into CSV")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--K", type=_positive_int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
     p.add_argument(
         "--grid",
-        type=_positive_int,
+        type=int,
         help="lattice resolution n (default: the largest n with <= 1e5 points, at least 1)",
     )
-    p.add_argument("--tol", type=_tolerance, default=PSD_TOL)
+    p.add_argument("--tol", type=float, default=PSD_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 
@@ -369,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("vertices", help="hull-generator vertices and line crossing")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--K", type=_positive_int, default=1)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--K", type=int, default=1)
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("verify", help="run the dense verification suite")
-    p.add_argument("--d", type=_positive_int)
-    p.add_argument("--K", type=_positive_int)
-    p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
+    p.add_argument("--d", type=int)
+    p.add_argument("--K", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -212,9 +212,9 @@ class _SeedChild:
         return self.words
 
 
-def _spawn_seeds(seed: int, count: int) -> list:
-    """For an integer seed, the PCG64 seed words of the ``count`` children that numpy's
-    ``SeedSequence.spawn`` gives, from one vectorized pass over the parent's pool."""
+def _spawn_seeds(seed: int, count: int, start: int = 0) -> list:
+    """For an integer seed, the PCG64 seed words of children ``start`` to ``start + count
+    - 1`` of numpy's ``SeedSequence.spawn``, from one vectorized pass over the parent's pool."""
     from numpy.random.bit_generator import ISeedSequence  # at module level: +15 ms start-up
 
     parent = np.random.SeedSequence(seed)
@@ -230,7 +230,7 @@ def _spawn_seeds(seed: int, count: int) -> list:
         value = (value ^ const) * (const := const * mult & 0xFFFFFFFF)
         return value ^ value >> 16
 
-    pool, index = list(parent.pool[:, None]), np.arange(count, dtype=np.uint32)
+    pool, index = list(parent.pool[:, None]), np.arange(start, start + count, dtype=np.uint32)
     for dst in range(size):
         mixed = pool[dst] * 0xCA01F9DD - hashmix(index) * 0x4973F715
         pool[dst] = mixed ^ mixed >> 16

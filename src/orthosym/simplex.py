@@ -91,6 +91,11 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
+def _check_grid(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {n!r}")
+
+
 def _check_reduction(K: int) -> None:
     _check_pair_count(K)
     if K < 2:
@@ -527,8 +532,9 @@ def _composition_blocks(n: int, parts: int, coords: int) -> Iterator[np.ndarray]
     parts - 1 bars among n + parts - 1 slots: the gaps between consecutive
     bars, taken as one ``np.diff`` per block.
     """
-    if n < 1 or parts < 1:
-        raise ValueError("need n >= 1 and parts >= 1")
+    _check_grid(n)
+    if parts < 1:
+        raise ValueError("need parts >= 1")
     rows = max(1, coords // parts)
     slots = n + parts - 1
     bars = combinations(range(slots), parts - 1)
@@ -565,12 +571,14 @@ def check_scan_budget(n: int, K: int) -> None:
     exceed SCAN_OUTPUT_COORDS.
 
     3**K is built one pair at a time, then the point count C(n + 3**K - 1,
-    3**K - 1) one factor at a time, so an enormous n or K is rejected at once.
+    3**K - 1) one factor at a time, so an enormous n or K is rejected at once;
+    K and n are checked first, n by :func:`_check_grid`.
     The work of a scan, the output times 2**K - 1 masks, needs no bound of its
     own: an admitted scan costs at most 6.3e8 (K = 7 admits only n = 1, and
     from K = 8 even n = 1 is over the bound).
     """
     _check_pair_count(K)
+    _check_grid(n)
 
     def sizes() -> Iterator[int]:
         yield from (3**k for k in range(1, K + 1))

@@ -83,10 +83,14 @@ def _check_nonnegative(value, name: str) -> int:
     return int(value)
 
 
-def _chunks(count: int, dim: int) -> Iterator[slice]:
-    """Consecutive sample ranges whose (n, dim, dim) complex stacks fit STACK_BYTES."""
+def _chunks(count: int, dim: int) -> Iterator[range]:
+    """Consecutive sample ranges whose (n, dim, dim) complex stacks fit STACK_BYTES.
+
+    Each check draws its samples chunk by chunk, so its memory does not grow with
+    the count; the draws are bitwise those of one draw of all the samples.
+    """
     step = max(1, STACK_BYTES // (16 * dim * dim))
-    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+    return (range(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def verify_c_matrix(d: int, tolerance: float = 1e-12) -> VerificationReport:
@@ -124,11 +128,10 @@ def verify_invariance(
     trials, seed = _check_nonnegative(trials, "trials"), _check_nonnegative(seed, "seed")
     params = {"d": d, "K": K, "trials": trials, "seed": seed}
     family = projector_family(d, K)
-    children = _spawn_seeds(seed, trials * K)
-    rotations = random_orthogonal_rows(d, children).reshape(trials, K, d, d)
     residual = 0.0
     for chunk in _chunks(trials, d ** (2 * K)):
-        ops = rotations[chunk].swapaxes(0, 1)
+        children = _spawn_seeds(seed, len(chunk) * K, start=chunk.start * K)
+        ops = random_orthogonal_rows(d, children).reshape(-1, K, d, d).swapaxes(0, 1)
         # the doubled rotation O1 (x) ... (x) OK (x) O1 (x) ... (x) OK
         big = kron_rows(*ops, *ops)
         for m in family:
@@ -151,13 +154,13 @@ def verify_pt_consistency(
     samples, seed = _check_nonnegative(samples, "samples"), _check_nonnegative(seed, "seed")
     params = {"d": d, "K": K, "samples": samples, "seed": seed}
     check_family_budget(d, K, copies=2)  # the family and its normalized copy
-    rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
+    rng = np.random.default_rng(seed)
     traces = kron_rows(*[np.array([[bipartite_traces(d)]], dtype=float)] * K)[0, 0]
     tildes = projector_family(d, K) / traces[:, None, None]
     c = c_matrix(d)
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
-        pis = rows[chunk]
+        pis = rng.dirichlet(np.ones(3**K), size=len(chunk))
         rho = reconstruct_rows(pis, d, K)
         for mask, g in zip(all_masks(K), pt_map_masks(pis, c, K).swapaxes(0, 1)[1:]):
             transposed = partial_transpose_rows(rho, (d,) * (2 * K), bob_subsystems(mask, K))
@@ -185,13 +188,13 @@ def verify_product_fidelities(
     params = {"d": d, "K": K, "trials": trials, "seed": seed}
     family = projector_family(d, K)
     bounds = coordinate_bounds(d, K)
-    count = 2 * trials * K  # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order
-    children = _spawn_seeds(seed, 2 * count)
+    width = 2 * K  # per trial psi_1 .. psi_K then phi_1 .. phi_K, in draw order
     residual = 0.0
-    for field, seeds in (("real", children[:count]), ("complex", children[count:])):
-        vectors = random_unit_rows(d, field, seeds).astype(np.complex128).reshape(trials, 2 * K, d)
+    # the real draws take children 0 .. trials * width - 1, the complex ones the next
+    for field, first in (("real", 0), ("complex", trials * width)):
         for chunk in _chunks(trials, d ** (2 * K)):
-            vs = vectors[chunk]
+            seeds = _spawn_seeds(seed, len(chunk) * width, start=first + chunk.start * width)
+            vs = random_unit_rows(d, field, seeds).astype(np.complex128).reshape(-1, width, d)
             projectors = vs[..., :, None] * vs.conj()[..., None, :]
             sigma = kron_rows(*projectors.swapaxes(0, 1))
             # one member at a time: a single einsum over the family sums in another order
@@ -231,10 +234,10 @@ def verify_reduction(
     params = {"d": d, "K": K, "samples": samples, "seed": seed}
     _check_local_dimension(d)
     _check_reduction(K)
-    rows = np.random.default_rng(seed).dirichlet(np.ones(3**K), size=samples)
+    rng = np.random.default_rng(seed)
     residual = 0.0
     for chunk in _chunks(samples, d ** (2 * K)):
-        pis = rows[chunk]
+        pis = rng.dirichlet(np.ones(3**K), size=len(chunk))
         rho = reconstruct_rows(pis, d, K)
         # the reduced states of every pair in one stack, pair by pair
         reduced = [partial_trace_rows(rho, (d,) * (2 * K), (pair, K + pair)) for pair in range(K)]

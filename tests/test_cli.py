@@ -586,16 +586,22 @@ class TestSep:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "field", [{"d": 2.5}, {"K": 1.5}, {"d": 2.0}, {"d": "2"}, {"K": True}]
+        "field, message",
+        [
+            ({"d": 2.5}, "local dimension must be an integer, got 2.5"),
+            ({"K": 1.5}, "pair count must be an integer, got 1.5"),
+            ({"d": 2.0}, "local dimension must be an integer, got 2.0"),
+            ({"d": "2"}, "local dimension must be an integer, got '2'"),
+            ({"K": True}, "pair count must be an integer, got True"),
+        ],
     )
-    def test_rejects_non_integer_d_and_K(self, capsys, tmp_path, field):
+    def test_rejects_non_integer_d_and_K(self, capsys, tmp_path, field, message):
+        # the file's d and K reach FidelityVector, whose owners state the rule
         doc = {"d": 2, "K": 1, "pi": [1.0, 0.0, 0.0], **field}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "sep", "--fid", str(path))
-        assert code == 2
-        assert out == ""
-        assert "integers" in err
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestStateValuedInput:
@@ -985,17 +991,25 @@ class TestMalformedInput:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "field",
-        [{"shape": 5}, {"dim": 4.7, "shape": [2.9, "2"]}, {"dim": 4.0}, {"shape": [2, True]}],
+        "field, message",
+        [
+            ({"shape": 5}, "dim must be a JSON integer and shape a list, got 4, 5"),
+            (
+                {"dim": 4.7, "shape": [2.9, "2"]},
+                "dim must be a JSON integer and shape a list, got 4.7, [2.9, '2']",
+            ),
+            ({"dim": 4.0}, "dim must be a JSON integer and shape a list, got 4.0, [2, 2]"),
+            ({"shape": [2, True]}, "local dimensions must be integers, got (2, True)"),
+            ({"shape": [2.0, 2]}, "local dimensions must be integers, got (2.0, 2)"),
+        ],
     )
-    def test_twirl_dim_and_shape_must_be_integers(self, capsys, tmp_path, field):
+    def test_twirl_dim_and_shape_must_be_integers(self, capsys, tmp_path, field, message):
+        # the reader owns dim and the list; the shape's entries meet ComplexOperator's rule
         doc = {**operator_doc(np.eye(4) / 4, (2, 2)), **field}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "twirl", "--d", "2", "--K", "1", "--state", str(path))
-        assert code == 2
-        assert out == ""
-        assert "integers" in err
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     # numpy would read "0.25" and false as numbers, turn null into NaN (exit 4)
     # and fail on a dict with a TypeError traceback
@@ -1254,10 +1268,8 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_negative_seed_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--d", "2", "--K", "1", "--seed", "-5"])
-        assert exc.value.code == 2
-        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        code, out, err = run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "-5")
+        assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -5\n")
         assert run(capsys, "verify", "--d", "2", "--K", "1", "--seed", "0")[0] == 0
 
 
@@ -1324,43 +1336,70 @@ class TestArgumentHandling:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("command", ["ppt", "scan"])
-    def test_bad_tol_rejected(self, capsys, tmp_path, command, tol):
-        if command == "ppt":
-            argv = ["ppt", "--fid", write_fid(tmp_path, "u.json", 2, 1, [1 / 3] * 3)]
-        else:
-            argv = ["scan", "--d", "2", "--K", "1", "--grid", "4", "--out", str(tmp_path / "s")]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + [f"--tol={tol}"])
-        assert exc.value.code == 2
-        assert "finite number >= 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+    @pytest.mark.parametrize("command", ["ppt", "ppt-mask", "scan"])
+    def test_bad_tol_rejected(self, capsys, tmp_path, command, tol, shown):
+        # a nan tol passed the entangled P+ as PPT: ppt checks it before reading the file
+        fid = write_fid(tmp_path, "u.json", 2, 1, [1 / 3] * 3)
+        argv = {
+            "ppt": ["ppt", "--fid", fid],
+            "ppt-mask": ["ppt", "--mask", "1", "--fid", fid],
+            "scan": ["scan", "--d", "2", "--K", "1", "--grid", "4", "--out", str(tmp_path / "s")],
+        }[command]
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must be a finite number >= 0, got {shown}\n"
+        assert not (tmp_path / "s").exists()
 
-    def test_nonpositive_grid_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "--d", "2", "--K", "1", "--grid", "0", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_nonpositive_grid_rejected(self, capsys, tmp_path, grid):
+        # checked before the coordinate text divides by n: --grid 0 is no default grid
+        out_path = tmp_path / "x"
+        argv = ["scan", "--d", "2", "--K", "1", "--grid", grid, "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: grid resolution must be >= 1, got {grid}\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "command", ["scan", "ppt", "sep", "reduce", "vertices", "projectors", "verify", "twirl"]
     )
-    def test_d1_is_a_domain_error(self, capsys, tmp_path, command):
-        fid = ["--fid", write_fid(tmp_path, "d1.json", 1, 1, [0.2, 0.3, 0.5])]
-        # a 4 x 4 state, of no dimension 1**(2K): the local dimension is checked first
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_d1_is_a_domain_error(self, capsys, tmp_path, command, d):
+        # argparse reads only an int: every d below 2 meets the one owner, on the
+        # command line and in a file alike
+        fid = ["--fid", write_fid(tmp_path, "d1.json", int(d), 1, [0.2, 0.3, 0.5])]
+        # a 4 x 4 state, of no dimension d**(2K): the local dimension is checked first
         state = tmp_path / "state.json"
         state.write_text(json.dumps(operator_doc(np.eye(4) / 4, [2, 2])))
         argv = {
-            "twirl": ["--d", "1", "--K", "1", "--state", str(state)],
-            "scan": ["--d", "1", "--K", "1", "--out", str(tmp_path / "s.csv")],
+            "twirl": ["--d", d, "--K", "1", "--state", str(state)],
+            "scan": ["--d", d, "--K", "1", "--out", str(tmp_path / "s.csv")],
             "ppt": fid,
             "sep": fid,
             "reduce": fid + ["--pair", "0"],
-            "vertices": ["--d", "1"],
-            "projectors": ["--d", "1", "--K", "1", "--alpha", "0"],
-            "verify": ["--d", "1"],
+            "vertices": ["--d", d],
+            # four pairs: at d = -3 the output budget's d**16 is over its bound
+            "projectors": ["--d", d, "--K", "4", "--alpha", "0,0,0,0"],
+            "verify": ["--d", d],
         }[command]
         code, out, err = run(capsys, command, *argv)
         assert (code, out, err) == (4, "", "error: local dimension must be >= 2\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("K", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["scan", "vertices", "projectors", "twirl", "verify"])
+    def test_nonpositive_K_is_an_argument_error(self, capsys, tmp_path, command, K):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(operator_doc(np.eye(4) / 4, [2, 2])))
+        argv = {
+            "scan": ["--d", "2", "--K", K, "--out", str(tmp_path / "s.csv")],
+            "vertices": ["--d", "2", "--K", K],
+            "projectors": ["--d", "2", "--K", K, "--alpha", "0"],
+            "twirl": ["--d", "2", "--K", K, "--state", str(state)],
+            "verify": ["--K", K],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (2, "", "error: pair count must be >= 1\n")
         assert not (tmp_path / "s.csv").exists()
 
 

@@ -539,11 +539,12 @@ class TestSpawnSeeds:
     SEEDS = [0, 1, 8191, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 3, 2**160]
     SEEDS += [np.uint64(2**63 + 5)]
 
+    @pytest.mark.parametrize("start", [0, 3])  # verify's checks spawn chunk by chunk
     @pytest.mark.parametrize("count", [0, 1, 2, 1600])
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
-    def test_children_equal_numpy_spawn(self, seed, count):
-        children = dense_module._spawn_seeds(seed, count)
-        reference = np.random.SeedSequence(seed).spawn(count)
+    def test_children_equal_numpy_spawn(self, seed, count, start):
+        children = dense_module._spawn_seeds(seed, count, start=start)
+        reference = np.random.SeedSequence(seed).spawn(start + count)[start:]
         assert len(children) == len(reference) == count
         for child, ref in zip(children, reference):
             words = child.generate_state(4, np.uint64)

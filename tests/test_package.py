@@ -276,12 +276,33 @@ def raises(template):
         "dimension must be >= 1",
         "mask must be {} binary digits, got {}",
         "{} must be a non-negative integer, got {}",
+        "grid resolution must be >= 1, got {}",
     ],
 )
 def test_each_argument_rule_is_raised_by_one_function(template):
     # a rule stated at every call site drifts apart one copy at a time
     found = owners(raises(template))
     assert len(found) == 1, f"{template!r} is raised by {sorted(found, key=str)}"
+
+
+def test_cli_parses_and_leaves_the_value_rules_to_their_owners():
+    # argparse turns text into an int or a float; a type function that judged the
+    # value as well was a second copy of an owner's rule, and drifted from it
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    type_errors = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "ArgumentTypeError" in names_read(node)
+    ]
+    types = {
+        ast.unparse(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "type"
+    }
+    assert not type_errors
+    assert types <= {"int", "float"}, f"argument types other than int and float: {types}"
 
 
 def test_integer_test_lives_in_the_owners():

@@ -360,6 +360,42 @@ class TestCutsAndCeilings:
             trace_norm = np.abs(np.linalg.eigvalsh(dense)).sum(axis=1)
             assert np.abs(trace_norm - np.abs(walk[:, r]).sum(axis=1)).max() <= 1e-12
 
+    @pytest.mark.parametrize("d, K", [(2, 2), (3, 2), (2, 3)])
+    def test_every_cut_has_the_spectrum_of_its_mask(self, d, K):
+        # the transpose over any set S of the 2K parties is sum_alpha pi'_alpha
+        # P_alpha / tr P_alpha for S's mask (a cut of whole pairs, mask 0, leaves pi):
+        # each pi'_alpha / tr P_alpha is an eigenvalue tr P_alpha times
+        rows = np.random.default_rng([d, K, 13]).dirichlet(np.ones(3**K), size=4)
+        stack = reconstruct_rows(rows, d, K)
+        walk = pt_map_masks(rows, c_matrix(d), K)
+        traces = np.array([multipartite_trace(d, a) for a in all_multi_indices(K)])
+        for size in range(2 * K + 1):
+            for cut in combinations(range(2 * K), size):
+                rank = sum(2 ** (K - 1 - i) for i in range(K) if (i in cut) != (K + i in cut))
+                spectrum = np.repeat(walk[:, rank] / traces, traces, axis=1)
+                dense = partial_transpose_rows(stack, (d,) * (2 * K), cut)
+                gap = np.linalg.eigvalsh(dense) - np.sort(spectrum, axis=1)
+                assert np.abs(gap).max() <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), st.data())
+    def test_twirl_never_raises_a_mask_negativity(self, dK, data):
+        # the twirl is local rotations with shared randomness on every cut, so the
+        # trace norm of the dense state's transpose under a mask is at least the
+        # sum |pi'| of the twirl's walk row for that mask
+        d, K = dK
+        dim = d ** (2 * K)
+        rank = data.draw(st.integers(1, dim), label="rank")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = g @ g.conj().T
+        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        walk = pt_map_masks(twirl_rows(rho[None], d, K), c_matrix(d), K)[0]
+        for r, mask in enumerate(all_masks(K), start=1):
+            dense = partial_transpose_rows(rho[None], (d,) * (2 * K), bob_subsystems(mask, K))
+            trace_norm = np.abs(np.linalg.eigvalsh(dense)).sum()
+            assert trace_norm >= np.abs(walk[r]).sum() - 1e-12
+
     @given(
         st.integers(2, 50),
         st.lists(st.fractions(-10, 10, max_denominator=1000), min_size=3, max_size=3),
